@@ -2,116 +2,23 @@
 
 Closed-form ages for priority and non-priority receivers under
 shifted-exponential service, a seeded renewal simulator that checks
-them, and sweep tooling that writes plot-ready CSV files.
+them, and sweep tooling that writes plot-ready CSV files.  The names
+below are the documented API; everything else is importable from its
+submodule.
 """
 
-from .kernels import BACKEND_ENV, active_backend, available_backends
-from .order_stats import (
-    HarmonicCache,
-    OrderStatMoments,
-    ServiceDistribution,
-    harmonic,
-    harmonic2,
-    order_stat_mean,
-    order_stat_moments,
-    order_stat_var,
-    sample,
-)
-from .simulator import (
-    CrossCheck,
-    CycleLedger,
-    InsufficientDataError,
-    SimConfig,
-    SimResult,
-    accumulate_nonpriority,
-    accumulate_priority,
-    run_interval,
-    run_simulation,
-    sample_path_cross_check,
-    simulate_ledger,
-    write_ledger_csv,
-)
-from .sweeps import (
-    CSV_COLUMNS,
-    AgeReport,
-    AgeRow,
-    SweepSpec,
-    read_report_csv,
-    sweep_k,
-    sweep_shift,
-    write_report_csv,
-)
-from .theory import (
-    EULER_GAMMA,
-    NonPriorityAge,
-    PriorityAge,
-    RenewalCycleMoments,
-    age_exponential,
-    age_nonpriority,
-    age_priority,
-    age_priority_lower_bound,
-    age_priority_shifted_exp,
-    failure_prob,
-    geometric_moments,
-    interval_moments,
-    priority_age,
-    w_moments,
-    xtilde_mean,
-)
-from .validation import CheckResult, ValidationSettings, run_checks
+from .order_stats import ServiceDistribution
+from .simulator import SimConfig, run_simulation
+from .theory import age_nonpriority, age_priority, priority_age
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgeReport",
-    "AgeRow",
-    "BACKEND_ENV",
-    "CSV_COLUMNS",
-    "CheckResult",
-    "CrossCheck",
-    "CycleLedger",
-    "EULER_GAMMA",
-    "HarmonicCache",
-    "InsufficientDataError",
-    "NonPriorityAge",
-    "OrderStatMoments",
-    "PriorityAge",
-    "RenewalCycleMoments",
     "ServiceDistribution",
     "SimConfig",
-    "SimResult",
-    "SweepSpec",
-    "ValidationSettings",
     "__version__",
-    "accumulate_nonpriority",
-    "accumulate_priority",
-    "active_backend",
-    "age_exponential",
     "age_nonpriority",
     "age_priority",
-    "age_priority_lower_bound",
-    "age_priority_shifted_exp",
-    "available_backends",
-    "failure_prob",
-    "geometric_moments",
-    "harmonic",
-    "harmonic2",
-    "interval_moments",
-    "order_stat_mean",
-    "order_stat_moments",
-    "order_stat_var",
     "priority_age",
-    "read_report_csv",
-    "run_checks",
-    "run_interval",
     "run_simulation",
-    "sample",
-    "sample_path_cross_check",
-    "simulate_ledger",
-    "sweep_k",
-    "sweep_shift",
-    "w_moments",
-    "write_ledger_csv",
-    "write_report_csv",
-    "xtilde_mean",
 ]

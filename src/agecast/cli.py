@@ -14,10 +14,10 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from .order_stats import ServiceDistribution
+from .order_stats import ServiceDistribution, check_count
 from .simulator import (
+    MAX_SEED,
     InsufficientDataError,
-    SimConfig,
     simulate_ledger,
     write_ledger_csv,
 )
@@ -44,59 +44,6 @@ _DEFAULTS = {
 }
 
 
-def _rate(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"lambda must be a number, got {text!r}")
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"lambda must be positive, got {text}")
-    return value
-
-
-def _shift(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"shift must be a number, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"shift must be nonnegative, got {text}")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"tolerance must be a number, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"tolerance must be nonnegative, got {text}")
-    return value
-
-
-def _positive_int(name: str):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{name} must be an integer, got {text!r}")
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{name} must be positive, got {text}")
-        return value
-
-    return parse
-
-
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must fit in 64 unsigned bits, got {text}")
-    return value
-
-
 def _k_values(text: str) -> tuple[int, ...]:
     """Parse --k: a single integer or an inclusive range a..b."""
     text = text.strip()
@@ -108,33 +55,27 @@ def _k_values(text: str) -> tuple[int, ...]:
             raise argparse.ArgumentTypeError(
                 f"k range must be integers a..b, got {text!r}"
             )
-        if lo < 1 or hi < lo:
+        if hi < lo:
             raise argparse.ArgumentTypeError(
-                f"k range must satisfy 1 <= a <= b, got {text!r}"
+                f"k range must satisfy a <= b, got {text!r}"
             )
         return tuple(range(lo, hi + 1))
     try:
-        value = int(text)
+        return (int(text),)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"k must be an integer or range a..b, got {text!r}"
         )
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"k must be positive, got {text}")
-    return (value,)
 
 
 def _c_values(text: str) -> tuple[float, ...]:
-    """Parse --c-values: a comma list of nonnegative shifts."""
+    """Parse --c-values: a comma list of shifts."""
     try:
-        values = tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"c-values must be a comma list of numbers, got {text!r}"
         )
-    if any(v < 0 for v in values):
-        raise argparse.ArgumentTypeError(f"c-values must be nonnegative, got {text}")
-    return values
 
 
 def _checks(text: str) -> tuple[str, ...]:
@@ -147,17 +88,18 @@ def _checks(text: str) -> tuple[str, ...]:
     return names
 
 
+# range checks belong to the request objects built from these values
 _PARSERS = {
-    "dist": lambda text: text,
-    "rate": _rate,
-    "shift": _shift,
+    "dist": str,
+    "rate": float,
+    "shift": float,
     "k": _k_values,
     "c_values": _c_values,
-    "intervals": _positive_int("intervals"),
-    "replications": _positive_int("replications"),
-    "seed": _seed,
-    "out": lambda text: text,
-    "tolerance": _tolerance,
+    "intervals": int,
+    "replications": int,
+    "seed": int,
+    "out": str,
+    "tolerance": float,
     "checks": _checks,
 }
 
@@ -165,15 +107,15 @@ _PARSERS = {
 def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
     options = {
         "dist": dict(choices=("exp", "sexp"), help="service law family"),
-        "rate": dict(type=_rate, help="exponential rate lambda (> 0)"),
-        "shift": dict(type=_shift, help="service-time shift c (>= 0)"),
+        "rate": dict(type=float, help="exponential rate lambda (> 0)"),
+        "shift": dict(type=float, help="service-time shift c (>= 0)"),
         "k": dict(type=_k_values, help="priority group size: integer or range a..b"),
         "c_values": dict(type=_c_values, help="comma list of shifts to sweep"),
-        "intervals": dict(type=_positive_int("intervals"), help="intervals per replication"),
-        "replications": dict(type=_positive_int("replications"), help="independent replications"),
-        "seed": dict(type=_seed, help="master seed"),
+        "intervals": dict(type=int, help="intervals per replication"),
+        "replications": dict(type=int, help="independent replications"),
+        "seed": dict(type=int, help="master seed"),
         "out": dict(help="output CSV path"),
-        "tolerance": dict(type=_tolerance, help="max allowed |sim - theory| / theory"),
+        "tolerance": dict(type=float, help="max allowed |sim - theory| / theory"),
         "checks": dict(type=_checks, help="comma list of check names (default: all)"),
         "config": dict(help="key=value file; flags override file values"),
     }
@@ -253,8 +195,8 @@ def _merge_options(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
                 parser.error(f"config file: unknown key {key!r}")
             try:
                 merged[key] = _PARSERS[key](text)
-            except argparse.ArgumentTypeError as exc:
-                parser.error(f"config file: {exc}")
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                parser.error(f"config file: {key}: {exc}")
     merged.update(given)
     if merged["dist"] not in ("exp", "sexp"):
         parser.error(f"dist must be exp or sexp, got {merged['dist']!r}")
@@ -277,6 +219,13 @@ class LedgerRequest:
     seed: int
     out_path: str
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "k", check_count("k", self.k))
+        object.__setattr__(
+            self, "num_intervals", check_count("num_intervals", self.num_intervals)
+        )
+        object.__setattr__(self, "seed", check_count("seed", self.seed, 0, MAX_SEED))
+
 
 @dataclass(frozen=True)
 class ValidateRequest:
@@ -285,66 +234,54 @@ class ValidateRequest:
 
 
 def _build_request(command, merged, parser):
-    if command in ("sweep-k", "sweep-shift"):
-        if merged["dist"] == "exp" and merged["shift"] not in (0, 0.0):
-            parser.error("shift must be 0 for dist exp; use --dist sexp")
-        try:
-            if command == "sweep-k":
-                if merged["k"] is None:
-                    parser.error("k is required")
-                return SweepSpec(
-                    variable="k",
-                    values=merged["k"],
-                    rate=merged["rate"],
-                    shift=merged["shift"],
-                    k=merged["k"][0],
+    """The request object for ``command``; its range errors exit with code 2."""
+    try:
+        if command == "validate":
+            return ValidateRequest(
+                settings=ValidationSettings(
+                    seed=merged["seed"],
                     num_intervals=merged["intervals"],
                     replications=merged["replications"],
-                    seed=merged["seed"],
                     tolerance=merged["tolerance"],
-                    out_path=merged["out"],
-                )
+                ),
+                names=merged["checks"],
+            )
+        if command == "ledger":
+            if merged["out"] is None:
+                parser.error("out is required for ledger dumps")
+            return LedgerRequest(
+                dist=ServiceDistribution(rate=merged["rate"], shift=merged["shift"]),
+                k=_single_k(merged, parser),
+                num_intervals=merged["intervals"],
+                seed=merged["seed"],
+                out_path=merged["out"],
+            )
+        if merged["dist"] == "exp" and merged["shift"] not in (0, 0.0):
+            parser.error("shift must be 0 for dist exp; use --dist sexp")
+        if command == "sweep-k":
+            if merged["k"] is None:
+                parser.error("k is required")
+            values, shift, k = merged["k"], merged["shift"], merged["k"][0]
+        else:
             if merged["dist"] == "exp":
                 parser.error("sweep-shift varies the shift; dist must be sexp")
             if merged["c_values"] is None:
                 parser.error("c-values is required")
-            return SweepSpec(
-                variable="c",
-                values=merged["c_values"],
-                rate=merged["rate"],
-                shift=0.0,
-                k=_single_k(merged, parser),
-                num_intervals=merged["intervals"],
-                replications=merged["replications"],
-                seed=merged["seed"],
-                tolerance=merged["tolerance"],
-                out_path=merged["out"],
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
-    if command == "validate":
-        return ValidateRequest(
-            settings=ValidationSettings(
-                seed=merged["seed"],
-                num_intervals=merged["intervals"],
-                replications=merged["replications"],
-                tolerance=merged["tolerance"],
-            ),
-            names=merged["checks"],
+            values, shift, k = merged["c_values"], 0.0, _single_k(merged, parser)
+        return SweepSpec(
+            variable="k" if command == "sweep-k" else "c",
+            values=values,
+            rate=merged["rate"],
+            shift=shift,
+            k=k,
+            num_intervals=merged["intervals"],
+            replications=merged["replications"],
+            seed=merged["seed"],
+            tolerance=merged["tolerance"],
+            out_path=merged["out"],
         )
-    if merged["out"] is None:
-        parser.error("out is required for ledger dumps")
-    try:
-        dist = ServiceDistribution(rate=merged["rate"], shift=merged["shift"])
     except ValueError as exc:
         parser.error(str(exc))
-    return LedgerRequest(
-        dist=dist,
-        k=_single_k(merged, parser),
-        num_intervals=merged["intervals"],
-        seed=merged["seed"],
-        out_path=merged["out"],
-    )
 
 
 def parse_config(argv=None):

@@ -1,86 +1,18 @@
-"""Interval-generation kernels, vectorized numpy or jit-compiled numba.
+"""The vectorized numpy interval kernel.
 
-Both backends draw k+1 uniforms per service interval in the same order
-from the same generator, so a given seed yields the same uniform stream
-either way.  The log1p transform may differ in the last bits between the
-two implementations; results agree to roughly 1e-12 relative, and exact
-bit-for-bit reproducibility holds per backend.
-
-The backend is picked by the ``AGECAST_BACKEND`` environment variable:
-``auto`` (default, numba when importable), ``numba`` or ``numpy``.
+Each service interval consumes k+1 uniforms from the generator, one row
+of a row-major (num_intervals, k+1) block: columns 0..k-1 are the
+priority nodes and column k the tracked non-priority node.  A given seed
+therefore yields a bit-identical sample path on every run.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
-except ImportError:
-    numba = None
+from .order_stats import check_count
 
-__all__ = ["BACKEND_ENV", "active_backend", "available_backends", "generate_intervals"]
-
-BACKEND_ENV = "AGECAST_BACKEND"
-_CHOICES = ("auto", "numba", "numpy")
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if numba is not None else ("numpy",)
-
-
-def active_backend(override: str | None = None) -> str:
-    """Resolve the backend name, honoring the override then the env var."""
-    choice = override if override is not None else os.environ.get(BACKEND_ENV, "auto")
-    choice = choice.strip().lower()
-    if choice not in _CHOICES:
-        raise ValueError(
-            f"backend must be one of {_CHOICES}, got {choice!r}"
-        )
-    if choice == "auto":
-        return "numba" if numba is not None else "numpy"
-    if choice == "numba" and numba is None:
-        raise RuntimeError("numba backend requested but numba is not installed")
-    return choice
-
-
-def _intervals_numpy(rng, rate, shift, num_intervals, k):
-    u = rng.random((num_intervals, k + 1))
-    x = shift - np.log1p(-u) / rate
-    y = x[:, :k].max(axis=1)
-    x1 = np.ascontiguousarray(x[:, 0])
-    x_nonp = np.ascontiguousarray(x[:, k])
-    return y, x1, x_nonp, x_nonp < y
-
-
-if numba is not None:
-
-    @numba.njit(cache=True)
-    def _intervals_numba(rng, rate, shift, num_intervals, k):  # pragma: no cover
-        # same uniform block as the numpy path, transformed without the
-        # intermediate matrices
-        u = rng.random((num_intervals, k + 1))
-        y = np.empty(num_intervals)
-        x1 = np.empty(num_intervals)
-        x_nonp = np.empty(num_intervals)
-        delivered = np.empty(num_intervals, dtype=np.bool_)
-        for j in range(num_intervals):
-            y_j = -np.inf
-            first = 0.0
-            for i in range(k):
-                x = shift - np.log1p(-u[j, i]) / rate
-                if i == 0:
-                    first = x
-                if x > y_j:
-                    y_j = x
-            x_n = shift - np.log1p(-u[j, k]) / rate
-            y[j] = y_j
-            x1[j] = first
-            x_nonp[j] = x_n
-            delivered[j] = x_n < y_j
-        return y, x1, x_nonp, delivered
+__all__ = ["generate_intervals"]
 
 
 def generate_intervals(
@@ -89,7 +21,6 @@ def generate_intervals(
     shift: float,
     num_intervals: int,
     k: int,
-    backend: str | None = None,
 ):
     """Draw ``num_intervals`` service intervals for a k-node priority group.
 
@@ -99,11 +30,11 @@ def generate_intervals(
     (``x_nonp < y``).  Consumes exactly ``num_intervals * (k + 1)``
     uniforms from ``rng``.
     """
-    if num_intervals < 1:
-        raise ValueError(f"num_intervals must be positive, got {num_intervals}")
-    if k < 1:
-        raise ValueError(f"priority group size k must be positive, got {k}")
-    name = active_backend(backend)
-    if name == "numba":
-        return _intervals_numba(rng, float(rate), float(shift), num_intervals, k)
-    return _intervals_numpy(rng, float(rate), float(shift), num_intervals, k)
+    num_intervals = check_count("num_intervals", num_intervals)
+    k = check_count("k", k)
+    u = rng.random((num_intervals, k + 1))
+    x = float(shift) - np.log1p(-u) / float(rate)
+    y = x[:, :k].max(axis=1)
+    x1 = np.ascontiguousarray(x[:, 0])
+    x_nonp = np.ascontiguousarray(x[:, k])
+    return y, x1, x_nonp, x_nonp < y

@@ -2,13 +2,15 @@
 
 The k-th smallest of n i.i.d. shifted-exponential draws has closed-form
 mean and variance built from truncated harmonic sums.  This module holds
-the harmonic-number cache, the service-law abstraction used everywhere
-else, and the two order-statistic moment formulas.
+the harmonic-number cache, the two input validators every request object
+uses, the service-law abstraction used everywhere else, and the two
+order-statistic moment formulas.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -16,14 +18,13 @@ import numpy as np
 
 __all__ = [
     "HarmonicCache",
-    "OrderStatMoments",
     "ServiceDistribution",
+    "check_count",
+    "check_real",
     "harmonic",
     "harmonic2",
     "order_stat_mean",
-    "order_stat_moments",
     "order_stat_var",
-    "sample",
 ]
 
 # Enough for second-order harmonic lookups H_{k^2} with k up to 2048.
@@ -87,6 +88,43 @@ def harmonic2(n: int) -> float:
     return _CACHE.harmonic2(n)
 
 
+def check_count(name: str, value, minimum: int = 1, maximum: int | None = None) -> int:
+    """``value`` as an ``int``, if it is an integer of any type in range.
+
+    Accepts anything ``operator.index`` accepts (``int``, numpy integer
+    scalars) and rejects floats, strings and None.  Raises ValueError
+    naming ``name`` when the value is not an integer or lies outside
+    ``[minimum, maximum]``.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {count}")
+    if maximum is not None and count > maximum:
+        raise ValueError(f"{name} must be at most {maximum}, got {count}")
+    return count
+
+
+def check_real(name: str, value, positive: bool = False) -> float:
+    """``value`` as a finite ``float``: positive, or else nonnegative.
+
+    Accepts any ``numbers.Real`` (``int``, ``float``, numpy integer and
+    floating scalars) and rejects strings, None, NaN and infinities.
+    Raises ValueError naming ``name``.
+    """
+    # int and float first: they skip the slower abstract-class check
+    real = float(value) if isinstance(value, (float, int, numbers.Real)) else math.nan
+    if not math.isfinite(real):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if positive and real <= 0:
+        raise ValueError(f"{name} must be positive, got {real}")
+    if real < 0:
+        raise ValueError(f"{name} must be nonnegative, got {real}")
+    return real
+
+
 @dataclass(frozen=True)
 class ServiceDistribution:
     """Shifted-exponential service law: ``shift`` plus an Exp(``rate``) tail.
@@ -99,16 +137,8 @@ class ServiceDistribution:
     shift: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.rate, (int, float)) and math.isfinite(self.rate)):
-            raise ValueError(f"rate must be a finite number, got {self.rate!r}")
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
-        if not (isinstance(self.shift, (int, float)) and math.isfinite(self.shift)):
-            raise ValueError(f"shift must be a finite number, got {self.shift!r}")
-        if self.shift < 0:
-            raise ValueError(f"shift must be nonnegative, got {self.shift}")
-        object.__setattr__(self, "rate", float(self.rate))
-        object.__setattr__(self, "shift", float(self.shift))
+        object.__setattr__(self, "rate", check_real("rate", self.rate, positive=True))
+        object.__setattr__(self, "shift", check_real("shift", self.shift))
 
     @classmethod
     def exponential(cls, rate: float) -> "ServiceDistribution":
@@ -149,29 +179,9 @@ class ServiceDistribution:
         return self.quantile(rng.random(size))
 
 
-def sample(dist: ServiceDistribution, rng: np.random.Generator, size=None):
-    """Draw from ``dist`` via its inverse CDF; see ServiceDistribution.sample."""
-    return dist.sample(rng, size)
-
-
-@dataclass(frozen=True)
-class OrderStatMoments:
-    """Mean and variance of the k-th smallest of n i.i.d. service times."""
-
-    mean: float
-    var: float
-    k: int
-    n: int
-
-
 def _check_rank(k: int, n: int) -> tuple[int, int]:
-    k = operator.index(k)
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError(f"sample size n must be positive, got {n}")
-    if not 1 <= k <= n:
-        raise ValueError(f"order index k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    return k, n
+    n = check_count("sample size n", n)
+    return check_count("order index k", k, 1, n), n
 
 
 def order_stat_mean(dist: ServiceDistribution, k: int, n: int) -> float:
@@ -187,14 +197,3 @@ def order_stat_var(dist: ServiceDistribution, k: int, n: int) -> float:
     """
     k, n = _check_rank(k, n)
     return (harmonic2(n) - harmonic2(n - k)) / dist.rate**2
-
-
-def order_stat_moments(dist: ServiceDistribution, k: int, n: int) -> OrderStatMoments:
-    """Both moments of the k-th smallest of n draws in one record."""
-    k, n = _check_rank(k, n)
-    return OrderStatMoments(
-        mean=order_stat_mean(dist, k, n),
-        var=order_stat_var(dist, k, n),
-        k=k,
-        n=n,
-    )

@@ -11,13 +11,12 @@ integration of the age sawtooth cross-checks the bookkeeping.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .kernels import generate_intervals
-from .order_stats import ServiceDistribution
+from .order_stats import ServiceDistribution, check_count
 
 __all__ = [
     "CrossCheck",
@@ -35,6 +34,9 @@ __all__ = [
 ]
 
 CROSS_CHECK_MAX_INTERVALS = 100_000
+
+# master seeds are 64-bit unsigned integers
+MAX_SEED = 2**64 - 1
 
 
 class InsufficientDataError(ValueError):
@@ -56,23 +58,15 @@ class SimConfig:
     replications: int = 8
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k", operator.index(self.k))
-        object.__setattr__(self, "num_intervals", operator.index(self.num_intervals))
-        object.__setattr__(self, "seed", operator.index(self.seed))
-        object.__setattr__(self, "replications", operator.index(self.replications))
-        if self.k < 1:
-            raise ValueError(f"priority group size k must be positive, got {self.k}")
+        object.__setattr__(self, "k", check_count("k", self.k))
         # the priority area estimator needs a preceding interval
-        if self.num_intervals < 2:
-            raise ValueError(
-                f"num_intervals must be at least 2, got {self.num_intervals}"
-            )
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-        if self.replications < 1:
-            raise ValueError(
-                f"replications must be positive, got {self.replications}"
-            )
+        object.__setattr__(
+            self, "num_intervals", check_count("num_intervals", self.num_intervals, 2)
+        )
+        object.__setattr__(self, "seed", check_count("seed", self.seed, 0, MAX_SEED))
+        object.__setattr__(
+            self, "replications", check_count("replications", self.replications)
+        )
 
 
 @dataclass(frozen=True)
@@ -139,8 +133,7 @@ def run_interval(
     Returns ``(y, x1, x_nonp, delivered)``.  Consumes the same k+1
     uniforms the bulk kernels would, in the same order.
     """
-    if k < 1:
-        raise ValueError(f"priority group size k must be positive, got {k}")
+    k = check_count("k", k)
     x = dist.sample(rng, k + 1)
     y = float(x[:k].max())
     return y, float(x[0]), float(x[k]), bool(x[k] < y)
@@ -151,11 +144,10 @@ def simulate_ledger(
     k: int,
     num_intervals: int,
     rng: np.random.Generator,
-    backend: str | None = None,
 ) -> CycleLedger:
     """Simulate ``num_intervals`` intervals and derive the cycle records."""
     y, x1, x_nonp, delivered = generate_intervals(
-        rng, dist.rate, dist.shift, num_intervals, k, backend=backend
+        rng, dist.rate, dist.shift, num_intervals, k
     )
     return CycleLedger.from_intervals(y, x1, x_nonp, delivered)
 
@@ -249,19 +241,17 @@ def _replication_rngs(config: SimConfig) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in seq.spawn(config.replications)]
 
 
-def run_simulation(config: SimConfig, backend: str | None = None) -> SimResult:
+def run_simulation(config: SimConfig) -> SimResult:
     """Run R independent replications and aggregate their estimates.
 
-    Identical configs give identical results on a given backend.  Raises
+    Identical configs give identical results.  Raises
     :class:`InsufficientDataError` if any replication sees fewer than two
     deliveries or not a single miss, which at practical run lengths only
     happens for tiny ``num_intervals``.
     """
     per_rep: list[list[float]] = []
     for rng in _replication_rngs(config):
-        ledger = simulate_ledger(
-            config.dist, config.k, config.num_intervals, rng, backend=backend
-        )
+        ledger = simulate_ledger(config.dist, config.k, config.num_intervals, rng)
         failed = ledger.y[~ledger.delivered]
         succeeded = ledger.y[ledger.delivered]
         if failed.size == 0 or ledger.num_cycles < 1:
@@ -330,7 +320,7 @@ def _integrate_nonpriority(ledger: CycleLedger) -> float:
     return float(area / (t[-1] - t[0]))
 
 
-def sample_path_cross_check(config: SimConfig, backend: str | None = None) -> CrossCheck:
+def sample_path_cross_check(config: SimConfig) -> CrossCheck:
     """Integrate the age sawtooth directly, bypassing the cycle algebra.
 
     Replays exactly the sample paths :func:`run_simulation` would see for
@@ -346,9 +336,7 @@ def sample_path_cross_check(config: SimConfig, backend: str | None = None) -> Cr
     ages_p = []
     ages_e = []
     for rng in _replication_rngs(config):
-        ledger = simulate_ledger(
-            config.dist, config.k, config.num_intervals, rng, backend=backend
-        )
+        ledger = simulate_ledger(config.dist, config.k, config.num_intervals, rng)
         ages_p.append(_integrate_priority(ledger))
         ages_e.append(_integrate_nonpriority(ledger))
     p_hat, p_se = _mean_se(np.asarray(ages_p))

@@ -2,17 +2,19 @@
 
 A sweep walks the priority group size k or the service-time shift c,
 evaluates both closed forms at each point, runs the simulator with the
-same master seed (common random numbers across points, so curves stay
-smooth), and emits one CSV row per point under a fixed schema.
+same master seed, and emits one CSV row per point under a fixed schema.
+Points of a c sweep share their draws (common random numbers), so those
+curves move smoothly.  Points of a k sweep share only the seed: each k
+draws a (num_intervals, k+1) block, so a change of k changes which
+uniform feeds which node.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
-from .order_stats import ServiceDistribution
+from .order_stats import ServiceDistribution, check_count, check_real
 from .simulator import SimConfig, run_simulation
 from .theory import age_nonpriority, age_priority_lower_bound, priority_age
 
@@ -48,7 +50,9 @@ class SweepSpec:
     ``variable`` is ``"k"`` or ``"c"``.  For a k sweep ``shift`` is the
     fixed shift (zero for plain exponential); for a c sweep ``k`` is the
     fixed group size and ``values`` enumerates shifts.  ``out_path`` of
-    None keeps the report in memory only.
+    None keeps the report in memory only.  The law and run-size fields
+    follow the rules of the ServiceDistribution and SimConfig each point
+    builds.
     """
 
     variable: str
@@ -67,22 +71,32 @@ class SweepSpec:
             raise ValueError(f"sweep variable must be 'k' or 'c', got {self.variable!r}")
         if len(self.values) == 0:
             raise ValueError("sweep values must be non-empty")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
-            raise ValueError(f"sweep values must be strictly increasing, got {self.values}")
         if self.variable == "k":
-            if any(not isinstance(v, int) or v < 1 for v in self.values):
-                raise ValueError(f"k values must be positive integers, got {self.values}")
+            values = tuple(check_count("k values", v) for v in self.values)
+            k = values[0]
         else:
-            if any(v < 0 or not math.isfinite(v) for v in self.values):
-                raise ValueError(f"c values must be nonnegative reals, got {self.values}")
-            if not isinstance(self.k, int) or self.k < 1:
-                raise ValueError(f"fixed k must be a positive integer, got {self.k!r}")
-        if not (math.isfinite(self.rate) and self.rate > 0):
-            raise ValueError(f"rate must be positive, got {self.rate!r}")
-        if not (math.isfinite(self.shift) and self.shift >= 0):
-            raise ValueError(f"shift must be nonnegative, got {self.shift!r}")
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise ValueError(f"tolerance must be nonnegative, got {self.tolerance!r}")
+            values = tuple(check_real("c values", v) for v in self.values)
+            k = check_count("fixed k", self.k)
+            object.__setattr__(self, "k", k)
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise ValueError(f"sweep values must be strictly increasing, got {values}")
+        config = SimConfig(
+            dist=ServiceDistribution(rate=self.rate, shift=self.shift),
+            k=k,
+            num_intervals=self.num_intervals,
+            seed=self.seed,
+            replications=self.replications,
+        )
+        for name, value in (
+            ("values", values),
+            ("rate", config.dist.rate),
+            ("shift", config.dist.shift),
+            ("num_intervals", config.num_intervals),
+            ("replications", config.replications),
+            ("seed", config.seed),
+            ("tolerance", check_real("tolerance", self.tolerance)),
+        ):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,11 @@ moments the non-priority derivation runs through.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 from .order_stats import (
     ServiceDistribution,
+    check_count,
     harmonic,
     harmonic2,
     order_stat_mean,
@@ -37,7 +37,6 @@ __all__ = [
     "geometric_moments",
     "interval_moments",
     "priority_age",
-    "w_moments",
     "xtilde_mean",
 ]
 
@@ -94,21 +93,6 @@ class RenewalCycleMoments:
     xtilde_mean: float
 
 
-def _check_k(k: int) -> int:
-    k = operator.index(k)
-    if k < 1:
-        raise ValueError(f"priority group size k must be positive, got {k}")
-    return k
-
-
-def _check_law(rate: float, shift: float) -> tuple[float, float]:
-    if not (math.isfinite(rate) and rate > 0):
-        raise ValueError(f"rate must be a positive finite number, got {rate!r}")
-    if not (math.isfinite(shift) and shift >= 0):
-        raise ValueError(f"shift must be a nonnegative finite number, got {shift!r}")
-    return float(rate), float(shift)
-
-
 def age_priority(dist: ServiceDistribution, k: int) -> float:
     """Average age at a priority node: mu + e/2 + v/(2e).
 
@@ -116,7 +100,7 @@ def age_priority(dist: ServiceDistribution, k: int) -> float:
     max of the k priority service times.  Valid for any service law with
     known order-statistic moments; independent of the total node count.
     """
-    k = _check_k(k)
+    k = check_count("k", k)
     e = order_stat_mean(dist, k, k)
     v = order_stat_var(dist, k, k)
     return dist.mean() + 0.5 * e + 0.5 * v / e
@@ -129,8 +113,9 @@ def age_priority_shifted_exp(rate: float, shift: float, k: int) -> float:
     writing c for the shift.  Agrees with :func:`age_priority` to within
     floating roundoff.
     """
-    k = _check_k(k)
-    rate, shift = _check_law(rate, shift)
+    k = check_count("k", k)
+    law = ServiceDistribution(rate, shift)
+    rate, shift = law.rate, law.shift
     hk = harmonic(k)
     return (
         1.5 * shift
@@ -147,8 +132,9 @@ def age_priority_lower_bound(rate: float, shift: float, k: int) -> float:
     shrinks as k grows because H(k) - ln k decreases to gamma and the
     remaining variance term vanishes.
     """
-    k = _check_k(k)
-    rate, shift = _check_law(rate, shift)
+    k = check_count("k", k)
+    law = ServiceDistribution(rate, shift)
+    rate, shift = law.rate, law.shift
     return 1.5 * shift + 1.0 / rate + 0.5 * (math.log(k) + EULER_GAMMA) / rate
 
 
@@ -169,7 +155,7 @@ def failure_prob(k: int) -> float:
     k+1 draws in play, and all ranks are equally likely for continuous
     i.i.d. laws.
     """
-    k = _check_k(k)
+    k = check_count("k", k)
     return 1.0 / (k + 1)
 
 
@@ -179,7 +165,7 @@ def geometric_moments(k: int) -> tuple[float, float]:
     E[M] = (k+1)/k and E[M^2] = (k+1)(k+2)/k**2 for success probability
     k/(k+1) per interval.
     """
-    k = _check_k(k)
+    k = check_count("k", k)
     m_mean = (k + 1) / k
     m2_mean = (k + 1) * (k + 2) / k**2
     return m_mean, m2_mean
@@ -193,7 +179,7 @@ def interval_moments(dist: ServiceDistribution, k: int) -> RenewalCycleMoments:
     on a delivery it is the max itself.  Mixing the two with weight
     q = 1/(k+1) recovers the unconditional interval mean, the max of k.
     """
-    k = _check_k(k)
+    k = check_count("k", k)
     q = failure_prob(k)
     m_mean, m2_mean = geometric_moments(k)
     yf_mean = order_stat_mean(dist, k, k + 1)
@@ -224,23 +210,13 @@ def interval_moments(dist: ServiceDistribution, k: int) -> RenewalCycleMoments:
     )
 
 
-def w_moments(dist: ServiceDistribution, k: int) -> tuple[float, float]:
-    """First two moments of W, the time between successful deliveries.
-
-    E[W] = E[M] E[Y]; E[W^2] composes the cycle from M - 1 miss intervals
-    followed by one delivery interval, all mutually independent given M.
-    """
-    moments = interval_moments(dist, k)
-    return moments.w_mean, moments.w2_mean
-
-
 def xtilde_mean(dist: ServiceDistribution, k: int) -> float:
     """Mean service time of an update that actually gets delivered.
 
     A delivered copy cannot be the largest of the k+1 draws in play, so
     its law is a uniform mixture of the k lowest order statistics.
     """
-    k = _check_k(k)
+    k = check_count("k", k)
     total = 0.0
     for i in range(1, k + 1):
         total += order_stat_mean(dist, i, k + 1)
@@ -254,7 +230,7 @@ def age_nonpriority(dist: ServiceDistribution, k: int) -> NonPriorityAge:
     interval variances; delta2 the squared-mean cross terms.  The sum
     equals E[W^2] / (2 E[W]) + E[xtilde], the renewal-reward form.
     """
-    k = _check_k(k)
+    k = check_count("k", k)
     moments = interval_moments(dist, k)
     denom = 2.0 * (k + 1) * order_stat_mean(dist, k, k)
     delta0 = moments.xtilde_mean
@@ -278,7 +254,7 @@ def age_exponential(rate: float, k: int) -> float:
     1/rate + H(k)/(2 rate) + H2(k)/(2 rate H(k)).  With no shift the
     priority and non-priority ages coincide exactly.
     """
-    k = _check_k(k)
-    rate, _ = _check_law(rate, 0.0)
+    k = check_count("k", k)
+    rate = ServiceDistribution(rate).rate
     hk = harmonic(k)
     return (1.0 + 0.5 * hk + 0.5 * harmonic2(k) / hk) / rate

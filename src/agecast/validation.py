@@ -18,6 +18,7 @@ import numpy as np
 
 from .order_stats import (
     ServiceDistribution,
+    check_real,
     harmonic,
     order_stat_mean,
     order_stat_var,
@@ -32,7 +33,6 @@ from .theory import (
     age_priority_shifted_exp,
     failure_prob,
     interval_moments,
-    w_moments,
     xtilde_mean,
 )
 
@@ -48,10 +48,33 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ValidationSettings:
+    """Seed, run size and tolerance the checks run with.
+
+    The run-size fields follow the rules of the SimConfig the simulation
+    checks build from them; the tolerance is a finite nonnegative number,
+    as in SweepSpec.
+    """
+
     seed: int = 1729
     num_intervals: int = 100_000
     replications: int = 8
     tolerance: float = 0.02
+
+    def __post_init__(self) -> None:
+        config = SimConfig(
+            dist=ServiceDistribution(rate=1.0),
+            k=1,
+            num_intervals=self.num_intervals,
+            seed=self.seed,
+            replications=self.replications,
+        )
+        for name, value in (
+            ("seed", config.seed),
+            ("num_intervals", config.num_intervals),
+            ("replications", config.replications),
+            ("tolerance", check_real("tolerance", self.tolerance)),
+        ):
+            object.__setattr__(self, name, value)
 
 
 def _result(name: str, passed: bool, detail: str) -> CheckResult:
@@ -128,8 +151,8 @@ def check_formula_path_equivalence(settings: ValidationSettings) -> CheckResult:
         k = int(rng.integers(1, 101))
         dist = ServiceDistribution(rate=rate, shift=shift)
         split = age_nonpriority(dist, k).value
-        w_mean, w2_mean = w_moments(dist, k)
-        renewal = 0.5 * w2_mean / w_mean + xtilde_mean(dist, k)
+        moments = interval_moments(dist, k)
+        renewal = 0.5 * moments.w2_mean / moments.w_mean + xtilde_mean(dist, k)
         worst = max(worst, abs(split - renewal) / split)
     return _result(
         "formula_path_equivalence",
@@ -380,7 +403,7 @@ def check_csv_round_trip(settings: ValidationSettings) -> CheckResult:
 
 
 def check_simulation_determinism(settings: ValidationSettings) -> CheckResult:
-    """Same config, same backend, same result."""
+    """Same config, same result."""
     config = SimConfig(
         dist=ServiceDistribution(rate=2.0, shift=0.5),
         k=3,

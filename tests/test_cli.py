@@ -61,6 +61,13 @@ class TestParsing:
             ["ledger", "--k", "1..3", "--out", "x.csv"],
             ["validate", "--checks", "no_such_check"],
             ["no-such-command"],
+            ["sweep-k", "--k", "2", "--intervals", "1"],
+            ["validate", "--intervals", "1"],
+            ["validate", "--replications", "0"],
+            ["ledger", "--k", "2", "--intervals", "0", "--out", "x.csv"],
+            ["ledger", "--k", "2", "--seed", "-1", "--out", "x.csv"],
+            ["validate", "--tolerance", "nan"],
+            ["validate", "--tolerance", "inf"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):

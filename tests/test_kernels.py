@@ -1,55 +1,15 @@
-"""Backend selection and cross-backend stream agreement."""
+"""The numpy interval kernel: shapes, stream budget and determinism."""
 
 import numpy as np
 import pytest
 
-from agecast import kernels
-from agecast.kernels import BACKEND_ENV, active_backend, available_backends, generate_intervals
-
-HAVE_NUMBA = kernels.numba is not None
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-
-
-class TestBackendSelection:
-    def test_explicit_numpy(self):
-        assert active_backend("numpy") == "numpy"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        assert active_backend() == "numpy"
-
-    def test_auto_prefers_numba_when_available(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        expected = "numba" if HAVE_NUMBA else "numpy"
-        assert active_backend() == expected
-        assert available_backends()[-1] == "numpy"
-
-    def test_invalid_name_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            active_backend("fortran")
-
-    def test_env_value_normalized(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, " NumPy ")
-        assert active_backend() == "numpy"
-
-    def test_missing_numba_falls_back(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        monkeypatch.setattr(kernels, "numba", None)
-        assert available_backends() == ("numpy",)
-        assert active_backend() == "numpy"
-        with pytest.raises(RuntimeError, match="numba"):
-            active_backend("numba")
-
-    @needs_numba
-    def test_explicit_numba(self):
-        assert active_backend("numba") == "numba"
+from agecast.kernels import generate_intervals
 
 
 class TestGenerateIntervals:
     def test_shapes_and_flags(self):
         rng = np.random.default_rng(5)
-        y, x1, x_nonp, delivered = generate_intervals(rng, 1.0, 0.5, 1000, 3, backend="numpy")
+        y, x1, x_nonp, delivered = generate_intervals(rng, 1.0, 0.5, 1000, 3)
         assert y.shape == x1.shape == x_nonp.shape == delivered.shape == (1000,)
         assert delivered.dtype == np.bool_
         assert np.array_equal(delivered, x_nonp < y)
@@ -59,14 +19,14 @@ class TestGenerateIntervals:
     def test_consumes_fixed_uniform_budget(self):
         k, num = 4, 777
         rng_a = np.random.default_rng(9)
-        generate_intervals(rng_a, 2.0, 0.0, num, k, backend="numpy")
+        generate_intervals(rng_a, 2.0, 0.0, num, k)
         rng_b = np.random.default_rng(9)
         rng_b.random((num, k + 1))
         assert rng_a.random() == rng_b.random()
 
     def test_numpy_deterministic(self):
-        a = generate_intervals(np.random.default_rng(3), 1.5, 1.0, 5000, 2, backend="numpy")
-        b = generate_intervals(np.random.default_rng(3), 1.5, 1.0, 5000, 2, backend="numpy")
+        a = generate_intervals(np.random.default_rng(3), 1.5, 1.0, 5000, 2)
+        b = generate_intervals(np.random.default_rng(3), 1.5, 1.0, 5000, 2)
         for left, right in zip(a, b):
             assert np.array_equal(left, right)
 
@@ -76,19 +36,3 @@ class TestGenerateIntervals:
             generate_intervals(rng, 1.0, 0.0, 0, 1)
         with pytest.raises(ValueError, match="k"):
             generate_intervals(rng, 1.0, 0.0, 10, 0)
-
-    @needs_numba
-    def test_backends_agree(self):
-        for k in (1, 2, 5):
-            a = generate_intervals(np.random.default_rng(11), 2.0, 0.5, 20_000, k, backend="numpy")
-            b = generate_intervals(np.random.default_rng(11), 2.0, 0.5, 20_000, k, backend="numba")
-            for left, right in zip(a[:3], b[:3]):
-                np.testing.assert_allclose(left, right, rtol=5e-12)
-            assert np.array_equal(a[3], b[3])
-
-    @needs_numba
-    def test_numba_deterministic(self):
-        a = generate_intervals(np.random.default_rng(3), 1.5, 1.0, 5000, 2, backend="numba")
-        b = generate_intervals(np.random.default_rng(3), 1.5, 1.0, 5000, 2, backend="numba")
-        for left, right in zip(a, b):
-            assert np.array_equal(left, right)

@@ -13,9 +13,7 @@ from agecast.order_stats import (
     harmonic,
     harmonic2,
     order_stat_mean,
-    order_stat_moments,
     order_stat_var,
-    sample,
 )
 
 ZETA2 = math.pi**2 / 6.0
@@ -75,12 +73,15 @@ class TestHarmonic:
 
 class TestServiceDistribution:
     def test_mean_and_kind(self):
-        exp = ServiceDistribution.exponential(2.0)
-        assert exp.mean() == 0.5
-        assert exp.kind == "exp"
-        sexp = ServiceDistribution.shifted_exponential(2.0, 1.0)
-        assert sexp.mean() == 1.5
-        assert sexp.kind == "sexp"
+        # numpy integer and floating scalars are stored as plain floats
+        for rate, shift in ((2.0, 1.0), (np.int64(2), np.int64(1)), (np.float32(2), np.float32(1))):
+            exp = ServiceDistribution.exponential(rate)
+            assert exp.mean() == 0.5
+            assert exp.kind == "exp"
+            sexp = ServiceDistribution.shifted_exponential(rate, shift)
+            assert sexp.mean() == 1.5
+            assert sexp.kind == "sexp"
+            assert type(sexp.rate) is float and type(sexp.shift) is float
 
     def test_cdf(self):
         dist = ServiceDistribution(rate=1.0, shift=1.0)
@@ -119,6 +120,12 @@ class TestServiceDistribution:
             ServiceDistribution(rate=1.0, shift=-0.5)
         with pytest.raises(ValueError, match="shift"):
             ServiceDistribution(rate=1.0, shift=math.inf)
+        for bad in ("1", None, math.nan, math.inf, 0, -1, np.float32(-1.5)):
+            with pytest.raises(ValueError, match="rate"):
+                ServiceDistribution(rate=bad)
+        for bad in ("1", None, math.nan, math.inf, -1, np.int64(-2)):
+            with pytest.raises(ValueError, match="shift"):
+                ServiceDistribution(rate=1.0, shift=bad)
 
     def test_sample_scalar_and_shape(self):
         dist = ServiceDistribution(rate=2.0, shift=1.0)
@@ -133,15 +140,9 @@ class TestServiceDistribution:
     def test_sample_mean_law_of_large_numbers(self):
         dist = ServiceDistribution(rate=2.0, shift=1.0)
         rng = np.random.default_rng(2025)
-        draws = sample(dist, rng, 1_000_000)
+        draws = dist.sample(rng, 1_000_000)
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - 1.5) < 4.0 * se
-
-    def test_sample_module_function_matches_method(self):
-        dist = ServiceDistribution(rate=1.0, shift=0.5)
-        a = dist.sample(np.random.default_rng(7), 10)
-        b = sample(dist, np.random.default_rng(7), 10)
-        assert np.array_equal(a, b)
 
 
 class TestOrderStatMoments:
@@ -164,11 +165,10 @@ class TestOrderStatMoments:
         assert order_stat_var(dist, 2, 2) == pytest.approx(0.3125, rel=1e-12)
 
     def test_moments_bundle(self):
+        # the middle of three: mean shift + 1/3 + 1/2, variance 1/9 + 1/4
         dist = ServiceDistribution(rate=1.0, shift=1.0)
-        bundle = order_stat_moments(dist, 2, 3)
-        assert bundle.mean == order_stat_mean(dist, 2, 3)
-        assert bundle.var == order_stat_var(dist, 2, 3)
-        assert (bundle.k, bundle.n) == (2, 3)
+        assert order_stat_mean(dist, 2, 3) == pytest.approx(11.0 / 6.0, rel=1e-12)
+        assert order_stat_var(dist, 2, 3) == pytest.approx(13.0 / 36.0, rel=1e-12)
 
     def test_mean_strictly_increasing_in_rank(self):
         for rate, shift in ((1.0, 0.0), (2.0, 1.0)):

@@ -69,7 +69,7 @@ class TestCycleLedger:
 
     def test_cycle_tiling(self):
         rng = np.random.default_rng(42)
-        ledger = simulate_ledger(EXP1, 2, 2000, rng, backend="numpy")
+        ledger = simulate_ledger(EXP1, 2, 2000, rng)
         d = np.flatnonzero(ledger.delivered)
         assert ledger.m.sum() == d[-1] - d[0]
         ends = np.cumsum(ledger.y)
@@ -88,7 +88,7 @@ class TestAccumulators:
 
     def test_priority_matches_plain_loop(self):
         rng = np.random.default_rng(7)
-        ledger = simulate_ledger(EXP1, 3, 500, rng, backend="numpy")
+        ledger = simulate_ledger(EXP1, 3, 500, rng)
         area = 0.0
         for j in range(1, ledger.num_intervals):
             area += ledger.y[j - 1] * ledger.x1[j] + 0.5 * ledger.y[j] ** 2
@@ -97,7 +97,7 @@ class TestAccumulators:
 
     def test_nonpriority_matches_plain_loop(self):
         rng = np.random.default_rng(8)
-        ledger = simulate_ledger(EXP1, 3, 500, rng, backend="numpy")
+        ledger = simulate_ledger(EXP1, 3, 500, rng)
         area = sum(
             0.5 * w**2 + xt * w for w, xt in zip(ledger.w, ledger.xtilde)
         )
@@ -139,7 +139,7 @@ class TestRunInterval:
     def test_matches_bulk_kernel_stream(self):
         dist = ServiceDistribution.shifted_exponential(2.0, 0.5)
         num, k = 200, 3
-        bulk = simulate_ledger(dist, k, num, np.random.default_rng(31), backend="numpy")
+        bulk = simulate_ledger(dist, k, num, np.random.default_rng(31))
         rng = np.random.default_rng(31)
         rows = [run_interval(dist, k, rng) for _ in range(num)]
         y, x1, x_nonp, delivered = map(np.array, zip(*rows))
@@ -167,6 +167,20 @@ class TestSimConfig:
             SimConfig(**{**good, "seed": 2**64})
         with pytest.raises(ValueError, match="replications"):
             SimConfig(**{**good, "replications": 0})
+        config = SimConfig(
+            dist=EXP1,
+            k=np.int64(3),
+            num_intervals=np.int32(10),
+            seed=np.uint64(2**64 - 1),
+            replications=np.int64(2),
+        )
+        for name in ("k", "num_intervals", "seed", "replications"):
+            assert type(getattr(config, name)) is int
+        assert (config.k, config.seed) == (3, 2**64 - 1)
+        for name in ("k", "num_intervals", "seed", "replications"):
+            for bad in ("1", None, math.nan, math.inf, 2.0, -1):
+                with pytest.raises(ValueError, match=name):
+                    SimConfig(**{**good, name: bad})
 
 
 class TestRunSimulation:
@@ -230,7 +244,7 @@ class TestCrossCheck:
         # same sawtooth, but the covered windows differ at the path ends,
         # so agreement is O(1/num_intervals) rather than exact
         rng = np.random.default_rng(12)
-        ledger = simulate_ledger(EXP1, 2, 50_000, rng, backend="numpy")
+        ledger = simulate_ledger(EXP1, 2, 50_000, rng)
         assert _integrate_priority(ledger) == pytest.approx(
             accumulate_priority(ledger), abs=1e-4
         )
@@ -259,7 +273,7 @@ class TestCrossCheck:
 class TestLedgerCsv:
     def test_format_and_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
-        ledger = simulate_ledger(EXP1, 2, 50, rng, backend="numpy")
+        ledger = simulate_ledger(EXP1, 2, 50, rng)
         path = tmp_path / "ledger.csv"
         write_ledger_csv(ledger, path)
         lines = path.read_text(encoding="utf-8").splitlines()

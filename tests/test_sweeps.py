@@ -1,5 +1,8 @@
 """Sweep drivers, report math and the CSV schema."""
 
+import math
+
+import numpy as np
 import pytest
 
 from agecast.sweeps import (
@@ -59,17 +62,59 @@ class TestSweepSpec:
             (dict(values=()), "non-empty"),
             (dict(values=(2, 1)), "increasing"),
             (dict(values=(1, 1)), "increasing"),
-            (dict(values=(1, 2.5)), "positive integers"),
+            (dict(values=(1, 2.5)), "k values"),
             (dict(variable="c", values=(-0.5, 1.0)), "nonnegative"),
             (dict(variable="c", values=(0.0, 1.0), k=0), "fixed k"),
             (dict(rate=0.0), "rate"),
             (dict(shift=-1.0), "shift"),
             (dict(tolerance=-0.1), "tolerance"),
+            (dict(values=(1, "2")), "k values"),
+            (dict(values=(None,)), "k values"),
+            (dict(values=(0, 1)), "k values"),
+            (dict(variable="c", values=(0.0, math.nan)), "c values"),
+            (dict(variable="c", values=(math.inf,)), "c values"),
+            (dict(variable="c", values=("1",)), "c values"),
+            (dict(variable="c", values=(0.0, 1.0), k=2.0), "fixed k"),
+            (dict(rate="1"), "rate"),
+            (dict(rate=None), "rate"),
+            (dict(rate=math.nan), "rate"),
+            (dict(rate=math.inf), "rate"),
+            (dict(rate=-1), "rate"),
+            (dict(shift=None), "shift"),
+            (dict(shift=math.inf), "shift"),
+            (dict(tolerance="0.1"), "tolerance"),
+            (dict(tolerance=math.nan), "tolerance"),
+            (dict(tolerance=math.inf), "tolerance"),
+            (dict(num_intervals=1), "num_intervals"),
+            (dict(num_intervals=4000.0), "num_intervals"),
+            (dict(replications=0), "replications"),
+            (dict(seed=-1), "seed"),
         ],
     )
     def test_rejects_bad_specs(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             k_spec(**overrides)
+
+    def test_numpy_scalars_accepted(self):
+        spec = k_spec(
+            values=tuple(np.int64(v) for v in (1, 2, 5)),
+            rate=np.float32(1.5),
+            shift=np.int64(1),
+            num_intervals=np.int64(4000),
+            seed=np.uint64(11),
+            tolerance=np.float32(0.5),
+        )
+        assert spec.values == (1, 2, 5)
+        assert all(type(v) is int for v in spec.values)
+        for name in ("num_intervals", "replications", "seed"):
+            assert type(getattr(spec, name)) is int
+        for name in ("rate", "shift", "tolerance"):
+            assert type(getattr(spec, name)) is float
+        assert (spec.rate, spec.shift, spec.tolerance) == (1.5, 1.0, 0.5)
+        spec = k_spec(variable="c", values=(np.int64(0), np.float32(0.5)), k=np.int64(5))
+        assert spec.values == (0.0, 0.5)
+        assert all(type(v) is float for v in spec.values)
+        assert type(spec.k) is int and spec.k == 5
 
     def test_wrong_variable_routing(self):
         with pytest.raises(ValueError, match="sweep_k"):

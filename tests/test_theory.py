@@ -18,7 +18,6 @@ from agecast.theory import (
     geometric_moments,
     interval_moments,
     priority_age,
-    w_moments,
     xtilde_mean,
 )
 
@@ -58,6 +57,11 @@ class TestAgePriority:
             age_priority_shifted_exp(0.0, 1.0, 1)
         with pytest.raises(ValueError, match="shift"):
             age_priority_shifted_exp(1.0, -1.0, 1)
+        for bad in ("1", None, math.nan, math.inf):
+            with pytest.raises(ValueError, match="rate"):
+                age_priority_lower_bound(bad, 1.0, 1)
+            with pytest.raises(ValueError, match="shift"):
+                age_priority_shifted_exp(1.0, bad, 1)
 
     @given(**random_law)
     @settings(max_examples=150, deadline=None)
@@ -149,19 +153,18 @@ class TestCycleMoments:
                 assert mix == pytest.approx(order_stat_mean(dist, k, k), abs=1e-10)
 
     def test_w_moments_frozen(self):
-        w_mean, w2_mean = w_moments(EXP1, 1)
-        assert w_mean == pytest.approx(2.0, rel=1e-12)
-        assert w2_mean == pytest.approx(6.0, rel=1e-12)
-        w_mean, w2_mean = w_moments(EXP1, 2)
-        assert w_mean == pytest.approx(2.25, rel=1e-12)
-        assert w2_mean == pytest.approx(7.125, rel=1e-12)
+        moments = interval_moments(EXP1, 1)
+        assert moments.w_mean == pytest.approx(2.0, rel=1e-12)
+        assert moments.w2_mean == pytest.approx(6.0, rel=1e-12)
+        moments = interval_moments(EXP1, 2)
+        assert moments.w_mean == pytest.approx(2.25, rel=1e-12)
+        assert moments.w2_mean == pytest.approx(7.125, rel=1e-12)
 
     @given(**random_law)
     @settings(max_examples=100, deadline=None)
     def test_w_second_moment_jensen(self, rate, shift, k):
-        dist = ServiceDistribution(rate=rate, shift=shift)
-        w_mean, w2_mean = w_moments(dist, k)
-        assert w2_mean >= w_mean**2
+        moments = interval_moments(ServiceDistribution(rate=rate, shift=shift), k)
+        assert moments.w2_mean >= moments.w_mean**2
 
     @given(**random_law)
     @settings(max_examples=100, deadline=None)
@@ -222,8 +225,8 @@ class TestAgeNonPriority:
         # the three-term split must equal E[W^2] / (2 E[W]) + E[xtilde]
         dist = ServiceDistribution(rate=rate, shift=shift)
         split = age_nonpriority(dist, k).value
-        w_mean, w2_mean = w_moments(dist, k)
-        renewal = 0.5 * w2_mean / w_mean + xtilde_mean(dist, k)
+        moments = interval_moments(dist, k)
+        renewal = 0.5 * moments.w2_mean / moments.w_mean + xtilde_mean(dist, k)
         assert split == pytest.approx(renewal, rel=1e-10)
 
     @given(**random_law)
