@@ -28,22 +28,6 @@ import numpy as np
 
 __all__ = ["main", "parse_config"]
 
-_DEFAULTS = {
-    "dist": "exp",
-    "rate": 1.0,
-    "shift": 0.0,
-    "intervals": 100_000,
-    "replications": 8,
-    "seed": 1729,
-    "tolerance": 0.02,
-    "out": None,
-    "config": None,
-    "k": None,
-    "c_values": None,
-    "checks": None,
-}
-
-
 def _k_values(text: str) -> tuple[int, ...]:
     """Parse --k: a single integer or an inclusive range a..b."""
     text = text.strip()
@@ -88,45 +72,50 @@ def _checks(text: str) -> tuple[str, ...]:
     return names
 
 
-# range checks belong to the request objects built from these values
-_PARSERS = {
-    "dist": str,
-    "rate": float,
-    "shift": float,
-    "k": _k_values,
-    "c_values": _c_values,
-    "intervals": int,
-    "replications": int,
-    "seed": int,
-    "out": str,
-    "tolerance": float,
-    "checks": _checks,
+# dest -> (flag, default, argparse keywords).  A config-file value
+# converts with the flag's ``type`` (str when it has none); range checks
+# belong to the request objects built from these values.
+_OPTIONS = {
+    "dist": ("--dist", "exp", dict(choices=("exp", "sexp"), help="service law family")),
+    "rate": ("--lambda", 1.0, dict(type=float, help="exponential rate lambda (> 0)")),
+    "shift": ("--shift", 0.0, dict(type=float, help="service-time shift c (>= 0)")),
+    "k": ("--k", None,
+          dict(type=_k_values, help="priority group size: integer or range a..b")),
+    "c_values": ("--c-values", None,
+                 dict(type=_c_values, help="comma list of shifts to sweep")),
+    "intervals": ("--intervals", 100_000,
+                  dict(type=int, help="intervals per replication")),
+    "replications": ("--replications", 8,
+                     dict(type=int, help="independent replications")),
+    "seed": ("--seed", 1729, dict(type=int, help="master seed")),
+    "out": ("--out", None, dict(help="output CSV path")),
+    "tolerance": ("--tolerance", 0.02,
+                  dict(type=float, help="max allowed |sim - theory| / theory")),
+    "checks": ("--checks", None,
+               dict(type=_checks, help="comma list of check names (default: all)")),
+    "config": ("--config", None,
+               dict(help="key=value file; flags override file values")),
 }
 
-
-def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
-    options = {
-        "dist": dict(choices=("exp", "sexp"), help="service law family"),
-        "rate": dict(type=float, help="exponential rate lambda (> 0)"),
-        "shift": dict(type=float, help="service-time shift c (>= 0)"),
-        "k": dict(type=_k_values, help="priority group size: integer or range a..b"),
-        "c_values": dict(type=_c_values, help="comma list of shifts to sweep"),
-        "intervals": dict(type=int, help="intervals per replication"),
-        "replications": dict(type=int, help="independent replications"),
-        "seed": dict(type=int, help="master seed"),
-        "out": dict(help="output CSV path"),
-        "tolerance": dict(type=float, help="max allowed |sim - theory| / theory"),
-        "checks": dict(type=_checks, help="comma list of check names (default: all)"),
-        "config": dict(help="key=value file; flags override file values"),
-    }
-    flag_names = {"rate": "--lambda", "c_values": "--c-values"}
-    for name in names:
-        parser.add_argument(
-            flag_names.get(name, f"--{name.replace('_', '-')}"),
-            dest=name,
-            default=None,
-            **options[name],
-        )
+# subcommand -> (help, its option dests in --help order)
+_COMMANDS = {
+    "sweep-k": (
+        "sweep the priority group size",
+        "dist rate shift k intervals replications seed out tolerance config",
+    ),
+    "sweep-shift": (
+        "sweep the service-time shift",
+        "dist rate k c_values intervals replications seed out tolerance config",
+    ),
+    "validate": (
+        "run the named self-checks",
+        "intervals replications seed tolerance checks config",
+    ),
+    "ledger": (
+        "dump per-interval draws to CSV",
+        "dist rate shift k intervals seed out config",
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,28 +124,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Average age of information: closed forms vs simulation.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("sweep-k", help="sweep the priority group size")
-    _add_common(
-        p, "dist", "rate", "shift", "k", "intervals", "replications",
-        "seed", "out", "tolerance", "config",
-    )
-
-    p = commands.add_parser("sweep-shift", help="sweep the service-time shift")
-    _add_common(
-        p, "dist", "rate", "k", "c_values", "intervals", "replications",
-        "seed", "out", "tolerance", "config",
-    )
-
-    p = commands.add_parser("validate", help="run the named self-checks")
-    _add_common(
-        p, "intervals", "replications", "seed", "tolerance", "checks", "config",
-    )
-
-    p = commands.add_parser("ledger", help="dump per-interval draws to CSV")
-    _add_common(
-        p, "dist", "rate", "shift", "k", "intervals", "seed", "out", "config",
-    )
+    for command, (help_text, names) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=help_text)
+        for name in names.split():
+            flag, _, keywords = _OPTIONS[name]
+            sub.add_argument(flag, dest=name, default=None, **keywords)
     return parser
 
 
@@ -188,13 +160,14 @@ def _merge_options(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         for name, value in vars(args).items()
         if name != "command" and value is not None
     }
-    merged = dict(_DEFAULTS)
+    merged = {name: default for name, (_, default, _) in _OPTIONS.items()}
     if args.config is not None:
         for key, text in _read_config_file(args.config, parser).items():
-            if key not in _PARSERS:
+            # a config file cannot name another config file
+            if key == "config" or key not in _OPTIONS:
                 parser.error(f"config file: unknown key {key!r}")
             try:
-                merged[key] = _PARSERS[key](text)
+                merged[key] = _OPTIONS[key][2].get("type", str)(text)
             except (argparse.ArgumentTypeError, ValueError) as exc:
                 parser.error(f"config file: {key}: {exc}")
     merged.update(given)
@@ -246,6 +219,8 @@ def _build_request(command, merged, parser):
                 ),
                 names=merged["checks"],
             )
+        if merged["dist"] == "exp" and merged["shift"] not in (0, 0.0):
+            parser.error("shift must be 0 for dist exp; use --dist sexp")
         if command == "ledger":
             if merged["out"] is None:
                 parser.error("out is required for ledger dumps")
@@ -256,8 +231,6 @@ def _build_request(command, merged, parser):
                 seed=merged["seed"],
                 out_path=merged["out"],
             )
-        if merged["dist"] == "exp" and merged["shift"] not in (0, 0.0):
-            parser.error("shift must be 0 for dist exp; use --dist sexp")
         if command == "sweep-k":
             if merged["k"] is None:
                 parser.error("k is required")

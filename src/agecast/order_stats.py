@@ -162,21 +162,27 @@ class ServiceDistribution:
         out = np.where(arr > self.shift, -np.expm1(-self.rate * (arr - self.shift)), 0.0)
         return float(out) if out.ndim == 0 else out
 
+    def _inverse_cdf(self, u):
+        # the one inverse-CDF transform; u must already lie in [0, 1)
+        out = self.shift - np.log1p(-u) / self.rate
+        return float(out) if np.ndim(out) == 0 else out
+
     def quantile(self, u):
         """Inverse CDF on [0, 1), elementwise for array input."""
         arr = np.asarray(u, dtype=np.float64)
         if np.any((arr < 0.0) | (arr >= 1.0)):
             raise ValueError("quantile argument must lie in [0, 1)")
-        out = self.shift - np.log1p(-arr) / self.rate
-        return float(out) if out.ndim == 0 else out
+        return self._inverse_cdf(arr)
 
     def sample(self, rng: np.random.Generator, size=None):
         """Inverse-CDF draw(s); a scalar for ``size=None``, else an array.
 
-        Consumes exactly one uniform per sample so a seeded stream
-        reproduces runs deterministically.
+        Consumes exactly one uniform per sample, in row-major order of
+        ``size``, so a seeded stream reproduces runs deterministically.
+        Equals ``quantile(rng.random(size))`` without its domain check,
+        which generator output in [0, 1) never needs.
         """
-        return self.quantile(rng.random(size))
+        return self._inverse_cdf(rng.random(size))
 
 
 def _check_rank(k: int, n: int) -> tuple[int, int]:

@@ -11,11 +11,11 @@ integration of the age sawtooth cross-checks the bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import generate_intervals
 from .order_stats import ServiceDistribution, check_count
 
 __all__ = [
@@ -26,7 +26,7 @@ __all__ = [
     "SimResult",
     "accumulate_nonpriority",
     "accumulate_priority",
-    "run_interval",
+    "generate_intervals",
     "run_simulation",
     "sample_path_cross_check",
     "simulate_ledger",
@@ -125,31 +125,37 @@ class CycleLedger:
         return self.w.size
 
 
-def run_interval(
-    dist: ServiceDistribution, k: int, rng: np.random.Generator
-) -> tuple[float, float, float, bool]:
-    """Draw one service interval; see :func:`simulate_ledger` for bulk runs.
+def generate_intervals(
+    rng: np.random.Generator, dist: ServiceDistribution, num_intervals: int, k: int
+):
+    """Draw ``num_intervals`` service intervals for a k-node priority group.
 
-    Returns ``(y, x1, x_nonp, delivered)``.  Consumes the same k+1
-    uniforms the bulk kernels would, in the same order.
+    This is the one place that lays out the random stream.  Interval j
+    consumes row j of a row-major (num_intervals, k+1) block of uniforms
+    drawn in one ``dist.sample`` call: columns 0..k-1 are the priority
+    nodes and column k the tracked non-priority node.  So the call
+    consumes exactly ``num_intervals * (k + 1)`` uniforms, and a given
+    seed yields a bit-identical sample path on every run.
+
+    Returns ``(y, x1, x_nonp, delivered)``: the interval lengths (max of
+    the k priority service times), node 1's service times, the tracked
+    non-priority node's service times and its delivery flags
+    (``x_nonp < y``).
     """
+    num_intervals = check_count("num_intervals", num_intervals)
     k = check_count("k", k)
-    x = dist.sample(rng, k + 1)
-    y = float(x[:k].max())
-    return y, float(x[0]), float(x[k]), bool(x[k] < y)
+    x = dist.sample(rng, (num_intervals, k + 1))
+    y = x[:, :k].max(axis=1)
+    x1 = np.ascontiguousarray(x[:, 0])
+    x_nonp = np.ascontiguousarray(x[:, k])
+    return y, x1, x_nonp, x_nonp < y
 
 
 def simulate_ledger(
-    dist: ServiceDistribution,
-    k: int,
-    num_intervals: int,
-    rng: np.random.Generator,
+    dist: ServiceDistribution, k: int, num_intervals: int, rng: np.random.Generator
 ) -> CycleLedger:
     """Simulate ``num_intervals`` intervals and derive the cycle records."""
-    y, x1, x_nonp, delivered = generate_intervals(
-        rng, dist.rate, dist.shift, num_intervals, k
-    )
-    return CycleLedger.from_intervals(y, x1, x_nonp, delivered)
+    return CycleLedger.from_intervals(*generate_intervals(rng, dist, num_intervals, k))
 
 
 def accumulate_priority(ledger: CycleLedger) -> float:
@@ -223,9 +229,6 @@ class SimResult:
     ys_mean_se: float
     intervals_used: int
 
-    def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     values = np.asarray(values, dtype=np.float64)
@@ -234,11 +237,12 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(values.size))
 
 
-def _replication_rngs(config: SimConfig) -> list[np.random.Generator]:
+def _replication_ledgers(config: SimConfig) -> Iterator[CycleLedger]:
     # child streams are spawned from the master seed, so replication r is
     # reproducible on its own and independent of the others
-    seq = np.random.SeedSequence(config.seed)
-    return [np.random.default_rng(child) for child in seq.spawn(config.replications)]
+    for child in np.random.SeedSequence(config.seed).spawn(config.replications):
+        rng = np.random.default_rng(child)
+        yield simulate_ledger(config.dist, config.k, config.num_intervals, rng)
 
 
 def run_simulation(config: SimConfig) -> SimResult:
@@ -250,8 +254,7 @@ def run_simulation(config: SimConfig) -> SimResult:
     happens for tiny ``num_intervals``.
     """
     per_rep: list[list[float]] = []
-    for rng in _replication_rngs(config):
-        ledger = simulate_ledger(config.dist, config.k, config.num_intervals, rng)
+    for ledger in _replication_ledgers(config):
         failed = ledger.y[~ledger.delivered]
         succeeded = ledger.y[ledger.delivered]
         if failed.size == 0 or ledger.num_cycles < 1:
@@ -291,30 +294,16 @@ class CrossCheck:
     age_nonpriority_se: float
 
 
-def _integrate_priority(ledger: CycleLedger) -> float:
-    # node 1 receives update j at (start of interval j) + x1[j] and its
-    # age resets to x1[j]; integrate the sawtooth trapezoid by trapezoid
-    # between the first and last delivery
-    if ledger.num_intervals < 2:
-        raise InsufficientDataError("need at least 2 intervals to integrate")
-    starts = np.concatenate(([0.0], np.cumsum(ledger.y)[:-1]))
-    t = starts + ledger.x1
-    dt = np.diff(t)
-    area = ledger.x1[:-1] @ dt + 0.5 * (dt @ dt)
-    return float(area / (t[-1] - t[0]))
-
-
-def _integrate_nonpriority(ledger: CycleLedger) -> float:
-    # the tracked node receives update j at (start of interval j) +
-    # x_nonp[j] whenever delivered, resetting its age to x_nonp[j]
-    d = np.flatnonzero(ledger.delivered)
-    if d.size < 2:
+def _integrate_age(ledger: CycleLedger, events: np.ndarray, reset: np.ndarray) -> float:
+    # the node receives update events[i] at (start of interval events[i])
+    # + reset[i] and its age resets to reset[i]; integrate the sawtooth
+    # trapezoid by trapezoid between the first and last reception
+    if events.size < 2:
         raise InsufficientDataError(
-            f"need at least 2 deliveries to integrate, got {d.size}"
+            f"need at least 2 receptions to integrate, got {events.size}"
         )
     starts = np.concatenate(([0.0], np.cumsum(ledger.y)[:-1]))
-    t = starts[d] + ledger.x_nonp[d]
-    reset = ledger.x_nonp[d]
+    t = starts[events] + reset
     dt = np.diff(t)
     area = reset[:-1] @ dt + 0.5 * (dt @ dt)
     return float(area / (t[-1] - t[0]))
@@ -335,18 +324,13 @@ def sample_path_cross_check(config: SimConfig) -> CrossCheck:
         )
     ages_p = []
     ages_e = []
-    for rng in _replication_rngs(config):
-        ledger = simulate_ledger(config.dist, config.k, config.num_intervals, rng)
-        ages_p.append(_integrate_priority(ledger))
-        ages_e.append(_integrate_nonpriority(ledger))
-    p_hat, p_se = _mean_se(np.asarray(ages_p))
-    e_hat, e_se = _mean_se(np.asarray(ages_e))
-    return CrossCheck(
-        age_priority_hat=p_hat,
-        age_priority_se=p_se,
-        age_nonpriority_hat=e_hat,
-        age_nonpriority_se=e_se,
-    )
+    for ledger in _replication_ledgers(config):
+        # node 1 receives every update; the tracked node only its deliveries
+        every = np.arange(ledger.num_intervals)
+        ages_p.append(_integrate_age(ledger, every, ledger.x1))
+        d = np.flatnonzero(ledger.delivered)
+        ages_e.append(_integrate_age(ledger, d, ledger.x_nonp[d]))
+    return CrossCheck(*_mean_se(ages_p), *_mean_se(ages_e))
 
 
 def write_ledger_csv(ledger: CycleLedger, path) -> None:

@@ -5,7 +5,8 @@ evaluates both closed forms at each point, runs the simulator with the
 same master seed, and emits one CSV row per point under a fixed schema.
 Points of a c sweep share their draws (common random numbers), so those
 curves move smoothly.  Points of a k sweep share only the seed: each k
-draws a (num_intervals, k+1) block, so a change of k changes which
+draws a (num_intervals, k+1) block laid out by
+``agecast.simulator.generate_intervals``, so a change of k changes which
 uniform feeds which node.
 """
 

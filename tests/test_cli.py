@@ -68,6 +68,7 @@ class TestParsing:
             ["ledger", "--k", "2", "--seed", "-1", "--out", "x.csv"],
             ["validate", "--tolerance", "nan"],
             ["validate", "--tolerance", "inf"],
+            ["ledger", "--dist", "exp", "--shift", "1", "--k", "2", "--out", "x.csv"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):

@@ -136,6 +136,12 @@ class TestServiceDistribution:
         block = dist.sample(rng, (100, 3))
         assert block.shape == (100, 3)
         assert block.min() >= 1.0
+        # the unchecked draw path is bitwise the checked public transform
+        for shape in (None, 7, (100, 3)):
+            rng_a, rng_b = np.random.default_rng(42), np.random.default_rng(42)
+            drawn = dist.sample(rng_a, shape)
+            assert np.array_equal(drawn, dist.quantile(rng_b.random(shape)))
+            assert type(drawn) is type(dist.quantile(rng_b.random(shape)))
 
     def test_sample_mean_law_of_large_numbers(self):
         dist = ServiceDistribution(rate=2.0, shift=1.0)

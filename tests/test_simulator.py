@@ -1,6 +1,7 @@
 """Simulator bookkeeping, estimators and cross-check integration."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -14,13 +15,12 @@ from agecast.simulator import (
     SimConfig,
     accumulate_nonpriority,
     accumulate_priority,
-    run_interval,
     run_simulation,
     sample_path_cross_check,
     simulate_ledger,
     write_ledger_csv,
 )
-from agecast.simulator import _integrate_nonpriority, _integrate_priority
+from agecast.simulator import _integrate_age
 from agecast.theory import age_exponential
 
 EXP1 = ServiceDistribution.exponential(1.0)
@@ -32,18 +32,6 @@ def constant_ledger(num_intervals=5, y=1.0, x1=1.0, x_nonp=0.5):
     return CycleLedger.from_intervals(
         y * ones, x1 * ones, x_nonp * ones, np.ones(num_intervals, dtype=bool)
     )
-
-
-class _ScriptedRng:
-    """Stand-in generator that replays preset uniforms."""
-
-    def __init__(self, values):
-        self._values = list(values)
-
-    def random(self, size=None):
-        if size is None:
-            return self._values.pop(0)
-        return np.array([self._values.pop(0) for _ in range(int(size))])
 
 
 class TestCycleLedger:
@@ -117,42 +105,6 @@ class TestAccumulators:
             accumulate_nonpriority(ledger)
 
 
-class TestRunInterval:
-    def test_scripted_draws_k1(self):
-        targets = np.array([2.0, 1.0])
-        rng = _ScriptedRng(-np.expm1(-targets))
-        y, x1, x_nonp, delivered = run_interval(EXP1, 1, rng)
-        assert y == pytest.approx(2.0, rel=1e-12)
-        assert x1 == pytest.approx(2.0, rel=1e-12)
-        assert x_nonp == pytest.approx(1.0, rel=1e-12)
-        assert delivered is True
-
-    def test_scripted_draws_k2(self):
-        targets = np.array([1.0, 3.0, 5.0])
-        rng = _ScriptedRng(-np.expm1(-targets))
-        y, x1, x_nonp, delivered = run_interval(EXP1, 2, rng)
-        assert y == pytest.approx(3.0, rel=1e-12)
-        assert x1 == pytest.approx(1.0, rel=1e-12)
-        assert x_nonp == pytest.approx(5.0, rel=1e-12)
-        assert delivered is False
-
-    def test_matches_bulk_kernel_stream(self):
-        dist = ServiceDistribution.shifted_exponential(2.0, 0.5)
-        num, k = 200, 3
-        bulk = simulate_ledger(dist, k, num, np.random.default_rng(31))
-        rng = np.random.default_rng(31)
-        rows = [run_interval(dist, k, rng) for _ in range(num)]
-        y, x1, x_nonp, delivered = map(np.array, zip(*rows))
-        np.testing.assert_array_equal(y, bulk.y)
-        np.testing.assert_array_equal(x1, bulk.x1)
-        np.testing.assert_array_equal(x_nonp, bulk.x_nonp)
-        np.testing.assert_array_equal(delivered, bulk.delivered)
-
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValueError, match="k"):
-            run_interval(EXP1, 0, np.random.default_rng(0))
-
-
 class TestSimConfig:
     def test_validation(self):
         good = dict(dist=EXP1, k=1, num_intervals=10, seed=1)
@@ -214,8 +166,8 @@ class TestRunSimulation:
         config = SimConfig(
             dist=EXP1, k=1, num_intervals=5000, seed=99, replications=3
         )
-        first = run_simulation(config).as_dict()
-        second = run_simulation(config).as_dict()
+        first = dataclasses.asdict(run_simulation(config))
+        second = dataclasses.asdict(run_simulation(config))
         assert first == second
 
     def test_single_replication_has_nan_stderr(self):
@@ -234,18 +186,47 @@ class TestRunSimulation:
             run_simulation(config)
 
 
+def integrate_priority(ledger):
+    # node 1 receives every update, as in sample_path_cross_check
+    return _integrate_age(ledger, np.arange(ledger.num_intervals), ledger.x1)
+
+
+def integrate_nonpriority(ledger):
+    # the tracked node receives only its deliveries
+    d = np.flatnonzero(ledger.delivered)
+    return _integrate_age(ledger, d, ledger.x_nonp[d])
+
+
 class TestCrossCheck:
     def test_constant_path_integrals(self):
         ledger = constant_ledger()
-        assert _integrate_priority(ledger) == pytest.approx(1.5)
-        assert _integrate_nonpriority(ledger) == pytest.approx(1.0)
+        assert integrate_priority(ledger) == pytest.approx(1.5)
+        assert integrate_nonpriority(ledger) == pytest.approx(1.0)
+
+    def test_integral_needs_two_receptions(self):
+        y = np.ones(4)
+        one_delivery = CycleLedger.from_intervals(
+            y, y, y, np.array([False, True, False, False])
+        )
+        message = "2 receptions to integrate, got 1"
+        with pytest.raises(InsufficientDataError, match=message):
+            integrate_nonpriority(one_delivery)
+        with pytest.raises(InsufficientDataError, match=message):
+            integrate_priority(constant_ledger(num_intervals=1))
+
+    def test_cross_check_needs_two_deliveries(self):
+        # two intervals per replication: most of the eight replications
+        # see fewer than two deliveries
+        config = SimConfig(dist=EXP1, k=1, num_intervals=2, seed=0)
+        with pytest.raises(InsufficientDataError, match="receptions"):
+            sample_path_cross_check(config)
 
     def test_priority_integral_matches_accumulator(self):
         # same sawtooth, but the covered windows differ at the path ends,
         # so agreement is O(1/num_intervals) rather than exact
         rng = np.random.default_rng(12)
         ledger = simulate_ledger(EXP1, 2, 50_000, rng)
-        assert _integrate_priority(ledger) == pytest.approx(
+        assert integrate_priority(ledger) == pytest.approx(
             accumulate_priority(ledger), abs=1e-4
         )
 

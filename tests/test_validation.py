@@ -2,6 +2,7 @@
 
 import pytest
 
+from agecast.simulator import MAX_SEED
 from agecast.validation import CHECK_NAMES, CheckResult, ValidationSettings, run_checks
 
 FAST_SETTINGS = ValidationSettings(
@@ -27,6 +28,13 @@ class TestMachinery:
             "harmonic_series_identity",
             "order_stat_monotonicity",
         ]
+
+    def test_largest_seed_runs_estimator_agreement(self):
+        # the check derives its seeds by offsetting the master seed
+        settings = ValidationSettings(seed=MAX_SEED, num_intervals=2000, replications=2)
+        (result,) = run_checks(settings, ("estimator_agreement",))
+        assert result.name == "estimator_agreement"
+        assert result.passed, result.detail
 
     def test_results_are_records(self):
         results = run_checks(FAST_SETTINGS, ("shifted_exp_reduction",))
