@@ -2,9 +2,9 @@
 
 Four subcommands: ``sweep-k`` walks the priority group size,
 ``sweep-shift`` walks the service-time shift, ``validate`` runs the
-named self-checks and ``ledger`` dumps raw per-interval draws.  Options
-may come from a ``key=value`` config file via ``--config``; explicit
-flags win over file values.  Exit codes: 0 on success, 1 when a
+named self-checks and ``ledger`` dumps raw per-interval draws.  A
+subcommand's options may come from a ``key=value`` config file via
+``--config``; explicit flags win over file values.  Exit codes: 0 on success, 1 when a
 tolerance or self-check fails, 2 on usage errors.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .order_stats import ServiceDistribution, check_count
 from .simulator import (
@@ -22,6 +21,7 @@ from .simulator import (
     write_ledger_csv,
 )
 from .sweeps import SweepSpec, sweep_k, sweep_shift
+from .theory import MAX_K
 from .validation import CHECK_NAMES, ValidationSettings, run_checks
 
 import numpy as np
@@ -43,6 +43,8 @@ def _k_values(text: str) -> tuple[int, ...]:
             raise argparse.ArgumentTypeError(
                 f"k range must satisfy a <= b, got {text!r}"
             )
+        if hi > MAX_K:
+            raise argparse.ArgumentTypeError(f"k must be at most {MAX_K}, got {hi}")
         return tuple(range(lo, hi + 1))
     try:
         return (int(text),)
@@ -64,6 +66,8 @@ def _c_values(text: str) -> tuple[float, ...]:
 
 def _checks(text: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in text.split(",") if part.strip())
+    if not names:
+        raise argparse.ArgumentTypeError("checks must name at least one check")
     unknown = set(names) - set(CHECK_NAMES)
     if unknown:
         raise argparse.ArgumentTypeError(
@@ -97,34 +101,13 @@ _OPTIONS = {
                dict(help="key=value file; flags override file values")),
 }
 
-# subcommand -> (help, its option dests in --help order)
-_COMMANDS = {
-    "sweep-k": (
-        "sweep the priority group size",
-        "dist rate shift k intervals replications seed out tolerance config",
-    ),
-    "sweep-shift": (
-        "sweep the service-time shift",
-        "dist rate k c_values intervals replications seed out tolerance config",
-    ),
-    "validate": (
-        "run the named self-checks",
-        "intervals replications seed tolerance checks config",
-    ),
-    "ledger": (
-        "dump per-interval draws to CSV",
-        "dist rate shift k intervals seed out config",
-    ),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="agecast",
         description="Average age of information: closed forms vs simulation.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, names) in _COMMANDS.items():
+    for command, (help_text, names, _, _) in _COMMANDS.items():
         sub = commands.add_parser(command, help=help_text)
         for name in names.split():
             flag, _, keywords = _OPTIONS[name]
@@ -162,10 +145,11 @@ def _merge_options(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     }
     merged = {name: default for name, (_, default, _) in _OPTIONS.items()}
     if args.config is not None:
+        # a config file holds the subcommand's options, but never another config file
+        keys = set(_COMMANDS[args.command][1].split()) - {"config"}
         for key, text in _read_config_file(args.config, parser).items():
-            # a config file cannot name another config file
-            if key == "config" or key not in _OPTIONS:
-                parser.error(f"config file: unknown key {key!r}")
+            if key not in keys:
+                parser.error(f"config file: unknown key {key!r} for {args.command}")
             try:
                 merged[key] = _OPTIONS[key][2].get("type", str)(text)
             except (argparse.ArgumentTypeError, ValueError) as exc:
@@ -176,98 +160,72 @@ def _merge_options(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     return merged
 
 
-def _single_k(merged: dict, parser: argparse.ArgumentParser) -> int:
+def _single_k(merged: dict) -> int:
     if merged["k"] is None:
-        parser.error("k is required")
+        raise ValueError("k is required")
     if len(merged["k"]) != 1:
-        parser.error(f"k must be a single integer here, got {merged['k']}")
+        raise ValueError(f"k must be a single integer here, got {merged['k']}")
     return merged["k"][0]
 
 
-@dataclass(frozen=True)
-class LedgerRequest:
-    dist: ServiceDistribution
-    k: int
-    num_intervals: int
-    seed: int
-    out_path: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", check_count("k", self.k))
-        object.__setattr__(
-            self, "num_intervals", check_count("num_intervals", self.num_intervals)
-        )
-        object.__setattr__(self, "seed", check_count("seed", self.seed, 0, MAX_SEED))
+def _check_exp_shift(merged: dict) -> None:
+    if merged["dist"] == "exp" and merged["shift"] not in (0, 0.0):
+        raise ValueError("shift must be 0 for dist exp; use --dist sexp")
 
 
-@dataclass(frozen=True)
-class ValidateRequest:
-    settings: ValidationSettings
-    names: tuple[str, ...] | None
+def _sweep_spec(merged: dict, variable: str, values: tuple, shift: float, k: int):
+    return SweepSpec(
+        variable=variable,
+        values=values,
+        rate=merged["rate"],
+        shift=shift,
+        k=k,
+        num_intervals=merged["intervals"],
+        replications=merged["replications"],
+        seed=merged["seed"],
+        tolerance=merged["tolerance"],
+        out_path=merged["out"],
+    )
 
 
-def _build_request(command, merged, parser):
-    """The request object for ``command``; its range errors exit with code 2."""
-    try:
-        if command == "validate":
-            return ValidateRequest(
-                settings=ValidationSettings(
-                    seed=merged["seed"],
-                    num_intervals=merged["intervals"],
-                    replications=merged["replications"],
-                    tolerance=merged["tolerance"],
-                ),
-                names=merged["checks"],
-            )
-        if merged["dist"] == "exp" and merged["shift"] not in (0, 0.0):
-            parser.error("shift must be 0 for dist exp; use --dist sexp")
-        if command == "ledger":
-            if merged["out"] is None:
-                parser.error("out is required for ledger dumps")
-            return LedgerRequest(
-                dist=ServiceDistribution(rate=merged["rate"], shift=merged["shift"]),
-                k=_single_k(merged, parser),
-                num_intervals=merged["intervals"],
-                seed=merged["seed"],
-                out_path=merged["out"],
-            )
-        if command == "sweep-k":
-            if merged["k"] is None:
-                parser.error("k is required")
-            values, shift, k = merged["k"], merged["shift"], merged["k"][0]
-        else:
-            if merged["dist"] == "exp":
-                parser.error("sweep-shift varies the shift; dist must be sexp")
-            if merged["c_values"] is None:
-                parser.error("c-values is required")
-            values, shift, k = merged["c_values"], 0.0, _single_k(merged, parser)
-        return SweepSpec(
-            variable="k" if command == "sweep-k" else "c",
-            values=values,
-            rate=merged["rate"],
-            shift=shift,
-            k=k,
-            num_intervals=merged["intervals"],
-            replications=merged["replications"],
-            seed=merged["seed"],
-            tolerance=merged["tolerance"],
-            out_path=merged["out"],
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+def _sweep_k_request(merged: dict) -> SweepSpec:
+    _check_exp_shift(merged)
+    if merged["k"] is None:
+        raise ValueError("k is required")
+    return _sweep_spec(merged, "k", merged["k"], merged["shift"], merged["k"][0])
 
 
-def parse_config(argv=None):
-    """Parse flags plus optional config file into one request object.
+def _sweep_shift_request(merged: dict) -> SweepSpec:
+    if merged["dist"] == "exp":
+        raise ValueError("sweep-shift varies the shift; dist must be sexp")
+    if merged["c_values"] is None:
+        raise ValueError("c-values is required")
+    return _sweep_spec(merged, "c", merged["c_values"], 0.0, _single_k(merged))
 
-    Returns ``(command, request)`` where the request is a SweepSpec,
-    ValidateRequest or LedgerRequest.  Usage problems exit with code 2
-    and a message naming the offending field.
-    """
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    merged = _merge_options(args, parser)
-    return args.command, _build_request(args.command, merged, parser)
+
+def _validate_request(merged: dict) -> tuple:
+    """(settings, check names or None for all) of one validate run."""
+    settings = ValidationSettings(
+        seed=merged["seed"],
+        num_intervals=merged["intervals"],
+        replications=merged["replications"],
+        tolerance=merged["tolerance"],
+    )
+    return settings, merged["checks"]
+
+
+def _ledger_request(merged: dict) -> tuple:
+    """(law, k, num_intervals, seed, out path) of one ledger dump."""
+    _check_exp_shift(merged)
+    if merged["out"] is None:
+        raise ValueError("out is required for ledger dumps")
+    return (
+        ServiceDistribution(rate=merged["rate"], shift=merged["shift"]),
+        check_count("k", _single_k(merged)),
+        check_count("num_intervals", merged["intervals"]),
+        check_count("seed", merged["seed"], 0, MAX_SEED),
+        merged["out"],
+    )
 
 
 def _print_report(report, out_path) -> None:
@@ -286,9 +244,9 @@ def _print_report(report, out_path) -> None:
         print(f"wrote {out_path}")
 
 
-def _run_sweep(command: str, spec: SweepSpec) -> int:
+def _run_sweep(sweep, spec: SweepSpec) -> int:
     try:
-        report = sweep_k(spec) if command == "sweep-k" else sweep_shift(spec)
+        report = sweep(spec)
     except OSError as exc:
         print(f"agecast: cannot write output: {exc}", file=sys.stderr)
         return 2
@@ -302,8 +260,9 @@ def _run_sweep(command: str, spec: SweepSpec) -> int:
     return 0
 
 
-def _run_validate(request: ValidateRequest) -> int:
-    results = run_checks(request.settings, request.names)
+def _run_validate(request: tuple) -> int:
+    settings, names = request
+    results = run_checks(settings, names)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -313,28 +272,74 @@ def _run_validate(request: ValidateRequest) -> int:
     return 1 if failed else 0
 
 
-def _run_ledger(request: LedgerRequest) -> int:
-    rng = np.random.default_rng(np.random.SeedSequence(request.seed))
-    ledger = simulate_ledger(request.dist, request.k, request.num_intervals, rng)
+def _run_ledger(request: tuple) -> int:
+    dist, k, num_intervals, seed, out_path = request
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    ledger = simulate_ledger(dist, k, num_intervals, rng)
     try:
-        write_ledger_csv(ledger, request.out_path)
+        write_ledger_csv(ledger, out_path)
     except OSError as exc:
         print(f"agecast: cannot write output: {exc}", file=sys.stderr)
         return 2
     print(
-        f"wrote {request.out_path}: {ledger.num_intervals} intervals, "
+        f"wrote {out_path}: {ledger.num_intervals} intervals, "
         f"{int(ledger.delivered.sum())} deliveries"
     )
     return 0
 
 
+# subcommand -> (help, its option dests in --help order, request builder, runner).
+# A builder turns the merged options into its runner's request and raises
+# ValueError on a usage error.  Runners look sweep_k, sweep_shift, run_checks
+# and write_ledger_csv up when they run, so a patched module attribute is used.
+_COMMANDS = {
+    "sweep-k": (
+        "sweep the priority group size",
+        "dist rate shift k intervals replications seed out tolerance config",
+        _sweep_k_request,
+        lambda spec: _run_sweep(sweep_k, spec),
+    ),
+    "sweep-shift": (
+        "sweep the service-time shift",
+        "dist rate k c_values intervals replications seed out tolerance config",
+        _sweep_shift_request,
+        lambda spec: _run_sweep(sweep_shift, spec),
+    ),
+    "validate": (
+        "run the named self-checks",
+        "intervals replications seed tolerance checks config",
+        _validate_request,
+        _run_validate,
+    ),
+    "ledger": (
+        "dump per-interval draws to CSV",
+        "dist rate shift k intervals seed out config",
+        _ledger_request,
+        _run_ledger,
+    ),
+}
+
+
+def parse_config(argv=None):
+    """Parse flags plus optional config file into one request object.
+
+    Returns ``(command, request)``, where the request is what the
+    command's builder in ``_COMMANDS`` makes (a SweepSpec for the two
+    sweeps).  Usage problems exit with code 2 and a message naming the
+    offending field.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    merged = _merge_options(args, parser)
+    try:
+        return args.command, _COMMANDS[args.command][2](merged)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def main(argv=None) -> int:
     command, request = parse_config(argv)
-    if command in ("sweep-k", "sweep-shift"):
-        return _run_sweep(command, request)
-    if command == "validate":
-        return _run_validate(request)
-    return _run_ledger(request)
+    return _COMMANDS[command][3](request)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 The k-th smallest of n i.i.d. shifted-exponential draws has closed-form
 mean and variance built from truncated harmonic sums.  This module holds
-the harmonic-number cache, the two input validators every request object
+the harmonic-number tables, the two input validators every request object
 uses, the service-law abstraction used everywhere else, and the two
 order-statistic moment formulas.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "HarmonicCache",
+    "MAX_HARMONIC",
     "ServiceDistribution",
     "check_count",
     "check_real",
@@ -27,65 +27,41 @@ __all__ = [
     "order_stat_var",
 ]
 
-# Enough for second-order harmonic lookups H_{k^2} with k up to 2048.
-DEFAULT_CAPACITY = 1 << 22
+# The largest n whose H(n) and H2(n) the tables hold.
+MAX_HARMONIC = 1 << 22
+
+# H(n) and H2(n) at index n, grown on demand by _harmonic_index
+_H1 = np.zeros(1)
+_H2 = np.zeros(1)
 
 
-class HarmonicCache:
-    """Prefix sums of 1/j and 1/j**2, served as H(n) and H2(n).
-
-    The arrays are built lazily and grown geometrically on demand, so a
-    cache instance costs nothing until the first lookup.  Lookups beyond
-    ``capacity`` raise rather than silently approximate.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        capacity = operator.index(capacity)
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._h1 = np.zeros(1)
-        self._h2 = np.zeros(1)
-
-    def _ensure(self, n: int) -> int:
-        n = operator.index(n)
-        if n < 0:
-            raise ValueError(f"harmonic index must be nonnegative, got {n}")
-        if n > self.capacity:
-            raise ValueError(
-                f"harmonic index {n} exceeds cache capacity {self.capacity}"
-            )
-        if n >= self._h1.size:
-            size = min(self.capacity, max(n, 2 * (self._h1.size - 1), 1024))
-            j = np.arange(1, size + 1, dtype=np.float64)
-            # np.cumsum is pairwise-blocked: relative error stays near 1e-14
-            # even at the full default capacity.
-            self._h1 = np.concatenate(([0.0], np.cumsum(1.0 / j)))
-            self._h2 = np.concatenate(([0.0], np.cumsum(1.0 / j**2)))
-        return n
-
-    def harmonic(self, n: int) -> float:
-        """H(n) = sum_{j=1..n} 1/j, with H(0) = 0."""
-        n = self._ensure(n)
-        return float(self._h1[n])
-
-    def harmonic2(self, n: int) -> float:
-        """H2(n) = sum_{j=1..n} 1/j**2, with H2(0) = 0."""
-        n = self._ensure(n)
-        return float(self._h2[n])
-
-
-_CACHE = HarmonicCache()
+def _harmonic_index(n: int) -> int:
+    """``n`` as an index into the prefix-sum tables, growing them to cover it."""
+    global _H1, _H2
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"harmonic index must be nonnegative, got {n}")
+    if n > MAX_HARMONIC:
+        raise ValueError(f"harmonic index {n} exceeds MAX_HARMONIC {MAX_HARMONIC}")
+    if n >= _H1.size:
+        size = min(MAX_HARMONIC, max(n, 2 * (_H1.size - 1), 1024))
+        j = np.arange(1, size + 1, dtype=np.float64)
+        # np.cumsum adds left to right, so growing never changes an entry
+        _H1 = np.concatenate(([0.0], np.cumsum(1.0 / j)))
+        _H2 = np.concatenate(([0.0], np.cumsum(1.0 / j**2)))
+    return n
 
 
 def harmonic(n: int) -> float:
-    """H(n) = sum_{j=1..n} 1/j from the shared cache."""
-    return _CACHE.harmonic(n)
+    """H(n) = sum_{j=1..n} 1/j, with H(0) = 0."""
+    n = _harmonic_index(n)  # grows _H1 before it is read
+    return float(_H1[n])
 
 
 def harmonic2(n: int) -> float:
-    """H2(n) = sum_{j=1..n} 1/j**2 from the shared cache."""
-    return _CACHE.harmonic2(n)
+    """H2(n) = sum_{j=1..n} 1/j**2, with H2(0) = 0."""
+    n = _harmonic_index(n)
+    return float(_H2[n])
 
 
 def check_count(name: str, value, minimum: int = 1, maximum: int | None = None) -> int:

@@ -13,11 +13,11 @@ uniform feeds which node.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .order_stats import ServiceDistribution, check_count, check_real
 from .simulator import SimConfig, run_simulation
-from .theory import age_nonpriority, age_priority_lower_bound, priority_age
+from .theory import MAX_K, age_nonpriority, age_priority_lower_bound, priority_age
 
 __all__ = [
     "CSV_COLUMNS",
@@ -30,20 +30,6 @@ __all__ = [
     "write_report_csv",
 ]
 
-CSV_COLUMNS = (
-    "sweep_value",
-    "delta_p_theory",
-    "delta_p_sim",
-    "delta_p_stderr",
-    "delta_e_theory",
-    "delta_e_sim",
-    "delta_e_stderr",
-    "lower_bound",
-    "relerr_p",
-    "relerr_e",
-)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep request.
@@ -53,7 +39,7 @@ class SweepSpec:
     fixed group size and ``values`` enumerates shifts.  ``out_path`` of
     None keeps the report in memory only.  The law and run-size fields
     follow the rules of the ServiceDistribution and SimConfig each point
-    builds.
+    builds; every k is at most ``theory.MAX_K``.
     """
 
     variable: str
@@ -73,11 +59,11 @@ class SweepSpec:
         if len(self.values) == 0:
             raise ValueError("sweep values must be non-empty")
         if self.variable == "k":
-            values = tuple(check_count("k values", v) for v in self.values)
+            values = tuple(check_count("k values", v, 1, MAX_K) for v in self.values)
             k = values[0]
         else:
             values = tuple(check_real("c values", v) for v in self.values)
-            k = check_count("fixed k", self.k)
+            k = check_count("fixed k", self.k, 1, MAX_K)
             object.__setattr__(self, "k", k)
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError(f"sweep values must be strictly increasing, got {values}")
@@ -116,6 +102,10 @@ class AgeRow:
     relerr_e: float
 
 
+# the sweep CSV header: AgeRow's fields, in declaration order
+CSV_COLUMNS = tuple(field.name for field in fields(AgeRow))
+
+
 @dataclass(frozen=True)
 class AgeReport:
     """All rows of one sweep plus the tolerance they were run against."""
@@ -135,40 +125,45 @@ class AgeReport:
         return tuple(r.delta_e_theory - r.delta_p_theory for r in self.rows)
 
 
-def _sweep_point(
-    dist: ServiceDistribution,
-    k: int,
-    spec: SweepSpec,
-    sweep_value: float,
-    include_bound: bool,
-) -> AgeRow:
-    if include_bound:
-        bound = age_priority_lower_bound(dist.rate, dist.shift, k)
-    else:
+def _sweep(spec: SweepSpec, points) -> AgeReport:
+    """One row per (sweep value, law, k, include bound) point of ``points``.
+
+    The report is also written to ``spec.out_path`` when that is set.
+    """
+    rows = []
+    for sweep_value, dist, k, include_bound in points:
         bound = None
-    theory_p = priority_age(dist, k)
-    theory_e = age_nonpriority(dist, k)
-    sim = run_simulation(
-        SimConfig(
-            dist=dist,
-            k=k,
-            num_intervals=spec.num_intervals,
-            seed=spec.seed,
-            replications=spec.replications,
+        if include_bound:
+            bound = age_priority_lower_bound(dist.rate, dist.shift, k)
+        theory_p = priority_age(dist, k)
+        theory_e = age_nonpriority(dist, k)
+        sim = run_simulation(
+            SimConfig(
+                dist=dist,
+                k=k,
+                num_intervals=spec.num_intervals,
+                seed=spec.seed,
+                replications=spec.replications,
+            )
         )
-    )
-    return AgeRow(
-        sweep_value=sweep_value,
-        delta_p_theory=theory_p.value,
-        delta_p_sim=sim.age_priority_hat,
-        delta_p_stderr=sim.age_priority_se,
-        delta_e_theory=theory_e.value,
-        delta_e_sim=sim.age_nonpriority_hat,
-        delta_e_stderr=sim.age_nonpriority_se,
-        lower_bound=bound,
-        relerr_p=abs(sim.age_priority_hat - theory_p.value) / theory_p.value,
-        relerr_e=abs(sim.age_nonpriority_hat - theory_e.value) / theory_e.value,
-    )
+        rows.append(
+            AgeRow(
+                sweep_value=sweep_value,
+                delta_p_theory=theory_p.value,
+                delta_p_sim=sim.age_priority_hat,
+                delta_p_stderr=sim.age_priority_se,
+                delta_e_theory=theory_e.value,
+                delta_e_sim=sim.age_nonpriority_hat,
+                delta_e_stderr=sim.age_nonpriority_se,
+                lower_bound=bound,
+                relerr_p=abs(sim.age_priority_hat - theory_p.value) / theory_p.value,
+                relerr_e=abs(sim.age_nonpriority_hat - theory_e.value) / theory_e.value,
+            )
+        )
+    report = AgeReport(variable=spec.variable, rows=tuple(rows), tolerance=spec.tolerance)
+    if spec.out_path is not None:
+        write_report_csv(report, spec.out_path)
+    return report
 
 
 def sweep_k(spec: SweepSpec) -> AgeReport:
@@ -180,14 +175,7 @@ def sweep_k(spec: SweepSpec) -> AgeReport:
     if spec.variable != "k":
         raise ValueError(f"sweep_k needs a k-variable spec, got {spec.variable!r}")
     dist = ServiceDistribution(rate=spec.rate, shift=spec.shift)
-    rows = [
-        _sweep_point(dist, k, spec, float(k), include_bound=spec.shift > 0)
-        for k in spec.values
-    ]
-    report = AgeReport(variable="k", rows=tuple(rows), tolerance=spec.tolerance)
-    if spec.out_path is not None:
-        write_report_csv(report, spec.out_path)
-    return report
+    return _sweep(spec, ((float(k), dist, k, spec.shift > 0) for k in spec.values))
 
 
 def sweep_shift(spec: SweepSpec) -> AgeReport:
@@ -198,14 +186,11 @@ def sweep_shift(spec: SweepSpec) -> AgeReport:
     """
     if spec.variable != "c":
         raise ValueError(f"sweep_shift needs a c-variable spec, got {spec.variable!r}")
-    rows = []
-    for c in spec.values:
-        dist = ServiceDistribution(rate=spec.rate, shift=float(c))
-        rows.append(_sweep_point(dist, spec.k, spec, float(c), include_bound=True))
-    report = AgeReport(variable="c", rows=tuple(rows), tolerance=spec.tolerance)
-    if spec.out_path is not None:
-        write_report_csv(report, spec.out_path)
-    return report
+    points = (
+        (float(c), ServiceDistribution(rate=spec.rate, shift=float(c)), spec.k, True)
+        for c in spec.values
+    )
+    return _sweep(spec, points)
 
 
 def _format_cell(value: float | None) -> str:
@@ -218,34 +203,26 @@ def write_report_csv(report: AgeReport, path) -> None:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         for row in report.rows:
-            writer.writerow(
-                [
-                    _format_cell(getattr(row, column))
-                    for column in CSV_COLUMNS
-                ]
-            )
+            writer.writerow([_format_cell(getattr(row, column)) for column in CSV_COLUMNS])
 
 
 def read_report_csv(path, variable: str = "", tolerance: float = 0.0) -> AgeReport:
-    """Re-parse an emitted CSV into the identical row tuple."""
+    """Re-parse an emitted CSV into the identical row tuple.
+
+    Raises ValueError naming the line when the header or a row does not
+    follow the schema.
+    """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV header {header}")
+            raise ValueError(f"line 1: unexpected CSV header {header}")
         rows = []
         for record in reader:
-            values = dict(zip(CSV_COLUMNS, record))
-            rows.append(
-                AgeRow(
-                    **{
-                        column: (
-                            None
-                            if values[column] == ""
-                            else float(values[column])
-                        )
-                        for column in CSV_COLUMNS
-                    }
-                )
-            )
+            try:
+                if len(record) != len(CSV_COLUMNS):
+                    raise ValueError(f"expected {len(CSV_COLUMNS)} cells, got {len(record)}")
+                rows.append(AgeRow(*(float(c) if c else None for c in record)))
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
     return AgeReport(variable=variable, rows=tuple(rows), tolerance=tolerance)

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .order_stats import (
+    MAX_HARMONIC,
     ServiceDistribution,
     check_count,
     harmonic,
@@ -25,6 +26,7 @@ from .order_stats import (
 
 __all__ = [
     "EULER_GAMMA",
+    "MAX_K",
     "NonPriorityAge",
     "PriorityAge",
     "RenewalCycleMoments",
@@ -41,6 +43,9 @@ __all__ = [
 ]
 
 EULER_GAMMA = 0.5772156649015329
+
+# The largest k the closed forms take: interval_moments looks up H(k+1).
+MAX_K = MAX_HARMONIC - 1
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,7 @@ def age_priority(dist: ServiceDistribution, k: int) -> float:
     max of the k priority service times.  Valid for any service law with
     known order-statistic moments; independent of the total node count.
     """
-    k = check_count("k", k)
+    k = check_count("k", k, maximum=MAX_K)
     e = order_stat_mean(dist, k, k)
     v = order_stat_var(dist, k, k)
     return dist.mean() + 0.5 * e + 0.5 * v / e
@@ -113,7 +118,7 @@ def age_priority_shifted_exp(rate: float, shift: float, k: int) -> float:
     writing c for the shift.  Agrees with :func:`age_priority` to within
     floating roundoff.
     """
-    k = check_count("k", k)
+    k = check_count("k", k, maximum=MAX_K)
     law = ServiceDistribution(rate, shift)
     rate, shift = law.rate, law.shift
     hk = harmonic(k)
@@ -179,7 +184,7 @@ def interval_moments(dist: ServiceDistribution, k: int) -> RenewalCycleMoments:
     on a delivery it is the max itself.  Mixing the two with weight
     q = 1/(k+1) recovers the unconditional interval mean, the max of k.
     """
-    k = check_count("k", k)
+    k = check_count("k", k, maximum=MAX_K)
     q = failure_prob(k)
     m_mean, m2_mean = geometric_moments(k)
     yf_mean = order_stat_mean(dist, k, k + 1)
@@ -216,7 +221,7 @@ def xtilde_mean(dist: ServiceDistribution, k: int) -> float:
     A delivered copy cannot be the largest of the k+1 draws in play, so
     its law is a uniform mixture of the k lowest order statistics.
     """
-    k = check_count("k", k)
+    k = check_count("k", k, maximum=MAX_K)
     total = 0.0
     for i in range(1, k + 1):
         total += order_stat_mean(dist, i, k + 1)
@@ -230,7 +235,7 @@ def age_nonpriority(dist: ServiceDistribution, k: int) -> NonPriorityAge:
     interval variances; delta2 the squared-mean cross terms.  The sum
     equals E[W^2] / (2 E[W]) + E[xtilde], the renewal-reward form.
     """
-    k = check_count("k", k)
+    k = check_count("k", k, maximum=MAX_K)
     moments = interval_moments(dist, k)
     denom = 2.0 * (k + 1) * order_stat_mean(dist, k, k)
     delta0 = moments.xtilde_mean
@@ -254,7 +259,7 @@ def age_exponential(rate: float, k: int) -> float:
     1/rate + H(k)/(2 rate) + H2(k)/(2 rate H(k)).  With no shift the
     priority and non-priority ages coincide exactly.
     """
-    k = check_count("k", k)
+    k = check_count("k", k, maximum=MAX_K)
     rate = ServiceDistribution(rate).rate
     hk = harmonic(k)
     return (1.0 + 0.5 * hk + 0.5 * harmonic2(k) / hk) / rate

@@ -1,8 +1,10 @@
 """Named self-checks wiring the closed forms to independent evidence.
 
-Each check returns a pass/fail record with a one-line detail string.
-The CLI ``validate`` subcommand runs all of them with fixed seeds and
-turns any failure into a nonzero exit.  Tolerances for exact algebraic
+Each check returns whether it passed and a one-line detail string;
+``run_checks`` records both under the check's name, which is its
+function name without the ``check_`` prefix.  The CLI ``validate``
+subcommand runs all of them with fixed seeds and turns any failure into
+a nonzero exit.  Tolerances for exact algebraic
 identities are fixed; statistical checks use 4-standard-error windows
 and the age regression uses the configured relative tolerance.
 """
@@ -79,11 +81,7 @@ class ValidationSettings:
             object.__setattr__(self, name, value)
 
 
-def _result(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name=name, passed=bool(passed), detail=detail)
-
-
-def check_exponential_age_identity(settings: ValidationSettings) -> CheckResult:
+def check_exponential_age_identity(settings: ValidationSettings) -> tuple[bool, str]:
     """Priority and non-priority closed forms coincide with no shift."""
     worst = 0.0
     for rate in (0.5, 1.0, 2.0, 5.0):
@@ -95,14 +93,10 @@ def check_exponential_age_identity(settings: ValidationSettings) -> CheckResult:
                 abs(age_priority(dist, k) - base),
                 abs(age_nonpriority(dist, k).value - base),
             )
-    return _result(
-        "exponential_age_identity",
-        worst < 1e-10,
-        f"max deviation {worst:.3e} over k=1..200, four rates",
-    )
+    return worst < 1e-10, f"max deviation {worst:.3e} over k=1..200, four rates"
 
 
-def check_priority_bound_dominance(settings: ValidationSettings) -> CheckResult:
+def check_priority_bound_dominance(settings: ValidationSettings) -> tuple[bool, str]:
     """The asymptotic lower bound stays below the exact priority age."""
     violations = 0
     tighter = True
@@ -118,15 +112,14 @@ def check_priority_bound_dominance(settings: ValidationSettings) -> CheckResult:
                     gaps[k] = value - bound
             if gaps[1000] >= gaps[10]:
                 tighter = False
-    return _result(
-        "priority_bound_dominance",
+    return (
         violations == 0 and tighter,
         f"{violations} violations over 9000 grid points; "
         f"gap shrinks from k=10 to k=1000: {tighter}",
     )
 
 
-def check_shifted_exp_reduction(settings: ValidationSettings) -> CheckResult:
+def check_shifted_exp_reduction(settings: ValidationSettings) -> tuple[bool, str]:
     """The reduced shifted-exponential form matches the generic formula."""
     worst = 0.0
     for rate in (0.5, 1.0, 2.0, 5.0):
@@ -136,14 +129,10 @@ def check_shifted_exp_reduction(settings: ValidationSettings) -> CheckResult:
                 generic = age_priority(dist, k)
                 reduced = age_priority_shifted_exp(rate, shift, k)
                 worst = max(worst, abs(generic - reduced) / generic)
-    return _result(
-        "shifted_exp_reduction",
-        worst < 1e-12,
-        f"max relative deviation {worst:.3e}",
-    )
+    return worst < 1e-12, f"max relative deviation {worst:.3e}"
 
 
-def check_formula_path_equivalence(settings: ValidationSettings) -> CheckResult:
+def check_formula_path_equivalence(settings: ValidationSettings) -> tuple[bool, str]:
     """Theorem split and renewal-reward route give the same age."""
     rng = np.random.default_rng(settings.seed)
     worst = 0.0
@@ -156,14 +145,10 @@ def check_formula_path_equivalence(settings: ValidationSettings) -> CheckResult:
         moments = interval_moments(dist, k)
         renewal = 0.5 * moments.w2_mean / moments.w_mean + xtilde_mean(dist, k)
         worst = max(worst, abs(split - renewal) / split)
-    return _result(
-        "formula_path_equivalence",
-        worst < 1e-10,
-        f"max relative deviation {worst:.3e} over 50 random laws",
-    )
+    return worst < 1e-10, f"max relative deviation {worst:.3e} over 50 random laws"
 
 
-def check_conditional_interval_mixture(settings: ValidationSettings) -> CheckResult:
+def check_conditional_interval_mixture(settings: ValidationSettings) -> tuple[bool, str]:
     """Miss/delivery-conditioned means mix back to the interval mean."""
     worst = 0.0
     for rate in (0.5, 1.0, 2.0):
@@ -174,14 +159,10 @@ def check_conditional_interval_mixture(settings: ValidationSettings) -> CheckRes
                 mix = moments.q * moments.yf_mean + (1 - moments.q) * moments.ys_mean
                 target = order_stat_mean(dist, k, k)
                 worst = max(worst, abs(mix - target))
-    return _result(
-        "conditional_interval_mixture",
-        worst < 1e-10,
-        f"max deviation {worst:.3e} over k=1..200 grids",
-    )
+    return worst < 1e-10, f"max deviation {worst:.3e} over k=1..200 grids"
 
 
-def check_harmonic_series_identity(settings: ValidationSettings) -> CheckResult:
+def check_harmonic_series_identity(settings: ValidationSettings) -> tuple[bool, str]:
     """Partial sums of H follow (k+1)(H(k+1) - 1) exactly."""
     worst = 0.0
     running = 0.0
@@ -189,14 +170,10 @@ def check_harmonic_series_identity(settings: ValidationSettings) -> CheckResult:
         running += harmonic(k)
         target = (k + 1) * (harmonic(k + 1) - 1.0)
         worst = max(worst, abs(running - target) / target)
-    return _result(
-        "harmonic_series_identity",
-        worst < 1e-9,
-        f"max relative deviation {worst:.3e} up to k=10000",
-    )
+    return worst < 1e-9, f"max relative deviation {worst:.3e} up to k=10000"
 
 
-def check_order_stat_monotonicity(settings: ValidationSettings) -> CheckResult:
+def check_order_stat_monotonicity(settings: ValidationSettings) -> tuple[bool, str]:
     """Order-stat mean and variance increase with the rank."""
     ok = True
     for rate, shift in ((1.0, 0.0), (2.0, 1.0)):
@@ -208,10 +185,10 @@ def check_order_stat_monotonicity(settings: ValidationSettings) -> CheckResult:
                 ok = False
             if any(b < a for a, b in zip(variances, variances[1:])):
                 ok = False
-    return _result("order_stat_monotonicity", ok, "strict mean growth, var growth")
+    return ok, "strict mean growth, var growth"
 
 
-def check_order_stat_monte_carlo(settings: ValidationSettings) -> CheckResult:
+def check_order_stat_monte_carlo(settings: ValidationSettings) -> tuple[bool, str]:
     """Sorted-sample draws hit the closed-form moments within 4 se."""
     rng = np.random.default_rng(settings.seed + 1)
     draws = max(settings.num_intervals, 10_000)
@@ -229,8 +206,7 @@ def check_order_stat_monte_carlo(settings: ValidationSettings) -> CheckResult:
         centered = (col - col.mean()) ** 2
         var_se = centered.std(ddof=1) / math.sqrt(draws)
         worst = max(worst, abs(col.var(ddof=1) - order_stat_var(dist, k, n)) / var_se)
-    return _result(
-        "order_stat_monte_carlo",
+    return (
         worst < 4.0,
         f"worst moment deviation {worst:.2f} se over 20 laws, {draws} draws each",
     )
@@ -242,7 +218,7 @@ def _pooled_z(values: np.ndarray, target: float) -> float:
     return abs(float(values.mean()) - target) / se
 
 
-def check_simulation_moments(settings: ValidationSettings) -> CheckResult:
+def check_simulation_moments(settings: ValidationSettings) -> tuple[bool, str]:
     """Empirical cycle moments track the closed forms within 4 se.
 
     One long run per law with pooled per-sample standard errors, so each
@@ -274,14 +250,10 @@ def check_simulation_moments(settings: ValidationSettings) -> CheckResult:
                 if z > worst:
                     worst = z
                     label = f"{tag} at rate={rate}, shift={shift}, k={k}"
-    return _result(
-        "simulation_moments",
-        worst < 4.0,
-        f"worst deviation {worst:.2f} se ({label})",
-    )
+    return worst < 4.0, f"worst deviation {worst:.2f} se ({label})"
 
 
-def check_cycle_bookkeeping(settings: ValidationSettings) -> CheckResult:
+def check_cycle_bookkeeping(settings: ValidationSettings) -> tuple[bool, str]:
     """Cycle counts and spans tile the simulated horizon."""
     rng = np.random.default_rng(settings.seed + 17)
     dist = ServiceDistribution(rate=1.0, shift=0.5)
@@ -294,15 +266,14 @@ def check_cycle_bookkeeping(settings: ValidationSettings) -> CheckResult:
     span_ok = ledger.w.sum() <= ledger.y.sum()
     corr = float(np.corrcoef(ledger.m, ledger.y_success)[0, 1])
     corr_ok = abs(corr) < 4.0 / math.sqrt(ledger.num_cycles)
-    return _result(
-        "cycle_bookkeeping",
+    return (
         tiling_ok and span_ok and corr_ok,
         f"interval tiling {tiling_ok}, span bound {span_ok}, "
         f"|corr(M, closing Y)| = {abs(corr):.4f}",
     )
 
 
-def check_estimator_agreement(settings: ValidationSettings) -> CheckResult:
+def check_estimator_agreement(settings: ValidationSettings) -> tuple[bool, str]:
     """Polygon estimators match direct sawtooth integration."""
     num_intervals = min(settings.num_intervals, 50_000)
     worst = 0.0
@@ -333,14 +304,10 @@ def check_estimator_agreement(settings: ValidationSettings) -> CheckResult:
         ):
             allowance = 2.0 * math.hypot(se, other_se) + 100.0 / num_intervals
             worst = max(worst, abs(hat - other) / allowance)
-    return _result(
-        "estimator_agreement",
-        worst < 1.0,
-        f"worst deviation at {worst:.2f} of allowance",
-    )
+    return worst < 1.0, f"worst deviation at {worst:.2f} of allowance"
 
 
-def check_age_regression(settings: ValidationSettings) -> CheckResult:
+def check_age_regression(settings: ValidationSettings) -> tuple[bool, str]:
     """Simulated ages land within the relative tolerance of theory."""
     worst = 0.0
     label = ""
@@ -367,14 +334,13 @@ def check_age_regression(settings: ValidationSettings) -> CheckResult:
             if rel > worst:
                 worst = rel
                 label = f"{tag} {dist.kind} k={k}"
-    return _result(
-        "age_regression",
+    return (
         worst <= settings.tolerance,
         f"max relative error {worst:.5f} vs tolerance {settings.tolerance} ({label})",
     )
 
 
-def check_csv_round_trip(settings: ValidationSettings) -> CheckResult:
+def check_csv_round_trip(settings: ValidationSettings) -> tuple[bool, str]:
     """Emitted sweep files re-parse to identical rows, byte for byte."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "sweep.csv")
@@ -398,14 +364,13 @@ def check_csv_round_trip(settings: ValidationSettings) -> CheckResult:
         write_report_csv(parsed, path)
         with open(path, "rb") as handle:
             second = handle.read()
-    return _result(
-        "csv_round_trip",
+    return (
         rows_ok and first == second,
         f"rows identical {rows_ok}, bytes identical {first == second}",
     )
 
 
-def check_simulation_determinism(settings: ValidationSettings) -> CheckResult:
+def check_simulation_determinism(settings: ValidationSettings) -> tuple[bool, str]:
     """Same config, same result."""
     config = SimConfig(
         dist=ServiceDistribution(rate=2.0, shift=0.5),
@@ -416,8 +381,7 @@ def check_simulation_determinism(settings: ValidationSettings) -> CheckResult:
     )
     first = run_simulation(config)
     second = run_simulation(config)
-    return _result(
-        "simulation_determinism",
+    return (
         first == second,
         "bit-identical repeat" if first == second else "results diverged",
     )
@@ -452,7 +416,8 @@ def run_checks(
     if unknown:
         raise ValueError(f"unknown check names: {sorted(unknown)}")
     results = []
-    for fn in _CHECKS:
-        if fn.__name__.removeprefix("check_") in wanted:
-            results.append(fn(settings))
+    for name, fn in zip(CHECK_NAMES, _CHECKS):
+        if name in wanted:
+            passed, detail = fn(settings)
+            results.append(CheckResult(name=name, passed=bool(passed), detail=detail))
     return results

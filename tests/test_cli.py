@@ -69,10 +69,20 @@ class TestParsing:
             ["validate", "--tolerance", "nan"],
             ["validate", "--tolerance", "inf"],
             ["ledger", "--dist", "exp", "--shift", "1", "--k", "2", "--out", "x.csv"],
+            ["validate", "--checks", ","],
+            ["validate", "--checks", ""],
+            ["sweep-k", "--k", "4194304"],
+            ["sweep-shift", "--dist", "sexp", "--k", "4194304", "--c-values", "0,1"],
+            # refused from its end, before a billion-entry range is built
+            ["sweep-k", "--k", "1..1000000000"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
         expect_usage_error(argv)
+
+    def test_largest_k_accepted(self):
+        _, spec = parse_config(["sweep-k", "--k", "4194303"])
+        assert spec.values == (4194303,)
 
 
 class TestConfigFile:
@@ -110,6 +120,21 @@ class TestConfigFile:
         config = tmp_path / "run.cfg"
         config.write_text("lambda=-2\n", encoding="utf-8")
         expect_usage_error(["sweep-k", "--k", "1", "--config", str(config)])
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["ledger", "--k", "2", "--intervals", "10", "--out", "o.csv"], "replications=3"),
+            (["sweep-k", "--k", "1"], "c_values=1,2"),
+            (["validate"], "lambda=2"),
+        ],
+    )
+    def test_key_of_another_subcommand_rejected(self, tmp_path, capsys, argv, line):
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n", encoding="utf-8")
+        expect_usage_error(argv + ["--config", str(config)])
+        key = line.partition("=")[0].replace("lambda", "rate")
+        assert f"unknown key {key!r} for {argv[0]}" in capsys.readouterr().err
 
     def test_missing_file_rejected(self, tmp_path):
         expect_usage_error(

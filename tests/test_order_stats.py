@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agecast.order_stats import (
-    HarmonicCache,
+    MAX_HARMONIC,
     ServiceDistribution,
     harmonic,
     harmonic2,
@@ -41,10 +41,20 @@ class TestHarmonic:
         assert harmonic2(n) == pytest.approx(math.fsum(1.0 / j**2), rel=1e-12)
 
     def test_step_invariant(self):
-        cache = HarmonicCache()
         for n in (1, 2, 17, 1023, 1024, 1025, 4096, 50_000):
-            step = cache.harmonic(n) - cache.harmonic(n - 1)
+            step = harmonic(n) - harmonic(n - 1)
             assert step == pytest.approx(1.0 / n, abs=1e-12)
+
+    def test_matches_sequential_sum(self):
+        # the tables add left to right, so no growth changes an earlier entry
+        h1 = h2 = 0.0
+        for n in range(1, 5000):
+            h1 += 1.0 / n
+            h2 += 1.0 / float(n) ** 2
+            assert harmonic(n) == h1
+            assert harmonic2(n) == h2
+        harmonic(300_000)
+        assert (harmonic(4999), harmonic2(4999)) == (h1, h2)
 
     def test_harmonic2_bounded_by_zeta2(self):
         for n in (1, 5, 100, 10_000):
@@ -59,16 +69,10 @@ class TestHarmonic:
             harmonic2(-3)
 
     def test_capacity_exceeded_rejected(self):
-        cache = HarmonicCache(capacity=100)
-        assert cache.harmonic(100) > 0
-        with pytest.raises(ValueError, match="capacity"):
-            cache.harmonic(101)
-        with pytest.raises(ValueError, match="capacity"):
-            cache.harmonic2(101)
-
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(ValueError, match="capacity"):
-            HarmonicCache(capacity=0)
+        with pytest.raises(ValueError, match="exceeds MAX_HARMONIC"):
+            harmonic(MAX_HARMONIC + 1)
+        with pytest.raises(ValueError, match="exceeds MAX_HARMONIC"):
+            harmonic2(MAX_HARMONIC + 1)
 
 
 class TestServiceDistribution:

@@ -89,6 +89,8 @@ class TestSweepSpec:
             (dict(num_intervals=4000.0), "num_intervals"),
             (dict(replications=0), "replications"),
             (dict(seed=-1), "seed"),
+            (dict(values=(1, 4194304)), "k values must be at most 4194303"),
+            (dict(variable="c", values=(0.0, 1.0), k=4194304), "fixed k must be at most"),
         ],
     )
     def test_rejects_bad_specs(self, overrides, message):
@@ -199,6 +201,33 @@ class TestReportCsv:
         path = tmp_path / "bad.csv"
         path.write_text("alpha,beta\n1,2\n", encoding="utf-8")
         with pytest.raises(ValueError, match="header"):
+            read_report_csv(path)
+
+    def test_columns_follow_the_documented_header(self):
+        assert CSV_COLUMNS == (
+            "sweep_value", "delta_p_theory", "delta_p_sim", "delta_p_stderr",
+            "delta_e_theory", "delta_e_sim", "delta_e_stderr", "lower_bound",
+            "relerr_p", "relerr_e",
+        )
+
+    def test_rejects_truncated_row(self, tmp_path, exp_report):
+        path = tmp_path / "cut.csv"
+        write_report_csv(exp_report, path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[: text.index("\n", text.index("\n") + 1) - 30], encoding="utf-8")
+        with pytest.raises(ValueError, match="line 2: expected 10 cells"):
+            read_report_csv(path)
+
+    def test_rejects_bad_cell(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + "x," * 9 + "x\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 2: could not convert"):
+            read_report_csv(path)
+
+    def test_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 1: unexpected CSV header"):
             read_report_csv(path)
 
     def test_rerun_is_byte_identical(self, tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from agecast.order_stats import ServiceDistribution, harmonic
 from agecast.theory import (
     EULER_GAMMA,
+    MAX_K,
     age_exponential,
     age_nonpriority,
     age_priority,
@@ -255,6 +256,20 @@ class TestExponentialIdentity:
             age_exponential(-1.0, 1)
         with pytest.raises(ValueError, match="k"):
             age_exponential(1.0, 0)
+
+    def test_k_bounded_by_the_harmonic_tables(self):
+        # age_nonpriority looks up H(k+1), the last entry the tables hold at MAX_K
+        too_big = MAX_K + 1
+        for form in (
+            lambda: age_priority(EXP1, too_big),
+            lambda: age_priority_shifted_exp(1.0, 1.0, too_big),
+            lambda: age_exponential(1.0, too_big),
+            lambda: age_nonpriority(EXP1, too_big),
+            lambda: interval_moments(EXP1, too_big),
+            lambda: xtilde_mean(EXP1, too_big),
+        ):
+            with pytest.raises(ValueError, match=f"k must be at most {MAX_K}"):
+                form()
 
 
 class TestHarmonicSeriesIdentity:

@@ -17,6 +17,16 @@ class TestMachinery:
         assert "simulation_determinism" in CHECK_NAMES
         assert all("check_" not in name for name in CHECK_NAMES)
 
+    def test_names_in_validate_order(self):
+        assert CHECK_NAMES == (
+            "exponential_age_identity", "priority_bound_dominance",
+            "shifted_exp_reduction", "formula_path_equivalence",
+            "conditional_interval_mixture", "harmonic_series_identity",
+            "order_stat_monotonicity", "order_stat_monte_carlo",
+            "simulation_moments", "cycle_bookkeeping", "estimator_agreement",
+            "age_regression", "csv_round_trip", "simulation_determinism",
+        )
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown check"):
             run_checks(FAST_SETTINGS, ("age_regression", "bogus"))
