@@ -43,8 +43,12 @@ def _k_values(text: str) -> tuple[int, ...]:
             raise argparse.ArgumentTypeError(
                 f"k range must satisfy a <= b, got {text!r}"
             )
-        if hi > MAX_K:
-            raise argparse.ArgumentTypeError(f"k must be at most {MAX_K}, got {hi}")
+        # checked before the range is built; a longer range is never valid,
+        # since every k lies in 1..MAX_K (sweeps) or k is single (ledger)
+        if hi - lo >= MAX_K:
+            raise argparse.ArgumentTypeError(
+                f"k range must hold at most {MAX_K} values, got {text!r}"
+            )
         return tuple(range(lo, hi + 1))
     try:
         return (int(text),)
@@ -77,8 +81,9 @@ def _checks(text: str) -> tuple[str, ...]:
 
 
 # dest -> (flag, default, argparse keywords).  A config-file value
-# converts with the flag's ``type`` (str when it has none); range checks
-# belong to the request objects built from these values.
+# converts with the flag's ``type`` (str when it has none).  The types
+# check syntax, plus the guards that must run before a value is built;
+# the request objects built from these values own the domain ranges.
 _OPTIONS = {
     "dist": ("--dist", "exp", dict(choices=("exp", "sexp"), help="service law family")),
     "rate": ("--lambda", 1.0, dict(type=float, help="exponential rate lambda (> 0)")),

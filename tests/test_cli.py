@@ -73,8 +73,10 @@ class TestParsing:
             ["validate", "--checks", ""],
             ["sweep-k", "--k", "4194304"],
             ["sweep-shift", "--dist", "sexp", "--k", "4194304", "--c-values", "0,1"],
-            # refused from its end, before a billion-entry range is built
+            # refused from its length, before a billion-entry range is built
             ["sweep-k", "--k", "1..1000000000"],
+            ["sweep-k", "--k=-1000000000..1"],
+            ["ledger", "--k=-1000000000..1", "--out", "x.csv"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
@@ -83,6 +85,12 @@ class TestParsing:
     def test_largest_k_accepted(self):
         _, spec = parse_config(["sweep-k", "--k", "4194303"])
         assert spec.values == (4194303,)
+
+    def test_ledger_k_range_not_capped_by_sweeps(self):
+        # ledger has no MAX_K bound, in either spelling of a single k
+        for k in ("5000000", "5000000..5000000"):
+            _, (_, ledger_k, *_) = parse_config(["ledger", "--k", k, "--out", "x.csv"])
+            assert ledger_k == 5000000
 
 
 class TestConfigFile:

@@ -69,6 +69,8 @@ class TestHarmonic:
             harmonic2(-3)
 
     def test_capacity_exceeded_rejected(self):
+        # the bound is inclusive: theory.MAX_K leans on H(MAX_HARMONIC) existing
+        assert harmonic(MAX_HARMONIC) > 0 and harmonic2(MAX_HARMONIC) > 0
         with pytest.raises(ValueError, match="exceeds MAX_HARMONIC"):
             harmonic(MAX_HARMONIC + 1)
         with pytest.raises(ValueError, match="exceeds MAX_HARMONIC"):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agecast.order_stats import ServiceDistribution, harmonic
+from agecast.order_stats import ServiceDistribution, harmonic, order_stat_mean
 from agecast.theory import (
     EULER_GAMMA,
     MAX_K,
@@ -270,6 +270,10 @@ class TestExponentialIdentity:
         ):
             with pytest.raises(ValueError, match=f"k must be at most {MAX_K}"):
                 form()
+        # at MAX_K itself the forms run, and interval_moments' H(k+1) lookup is in range
+        assert age_priority(EXP1, MAX_K) == pytest.approx(age_exponential(1.0, MAX_K))
+        assert age_priority_shifted_exp(1.0, 1.0, MAX_K) > 0
+        assert order_stat_mean(EXP1, MAX_K + 1, MAX_K + 1) == harmonic(MAX_K + 1)
 
 
 class TestHarmonicSeriesIdentity:
