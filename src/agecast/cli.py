@@ -267,7 +267,11 @@ def _run_sweep(sweep, spec: SweepSpec) -> int:
 
 def _run_validate(request: tuple) -> int:
     settings, names = request
-    results = run_checks(settings, names)
+    try:
+        results = run_checks(settings, names)
+    except InsufficientDataError as exc:
+        print(f"agecast: {exc}", file=sys.stderr)
+        return 2
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"

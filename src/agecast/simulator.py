@@ -35,6 +35,9 @@ __all__ = [
 
 CROSS_CHECK_MAX_INTERVALS = 100_000
 
+# rows of uniforms the kernel and the ledger writer handle at a time
+_BLOCK_ROWS = 4096
+
 # master seeds are 64-bit unsigned integers
 MAX_SEED = 2**64 - 1
 
@@ -131,11 +134,17 @@ def generate_intervals(
     """Draw ``num_intervals`` service intervals for a k-node priority group.
 
     This is the one place that lays out the random stream.  Interval j
-    consumes row j of a row-major (num_intervals, k+1) block of uniforms
-    drawn in one ``dist.sample`` call: columns 0..k-1 are the priority
-    nodes and column k the tracked non-priority node.  So the call
-    consumes exactly ``num_intervals * (k + 1)`` uniforms, and a given
-    seed yields a bit-identical sample path on every run.
+    consumes row j of a row-major (num_intervals, k+1) block of uniforms:
+    columns 0..k-1 are the priority nodes and column k the tracked
+    non-priority node.  So the call consumes exactly
+    ``num_intervals * (k + 1)`` uniforms, and a given seed yields a
+    bit-identical sample path on every run.
+
+    The block is drawn ``_BLOCK_ROWS`` rows at a time, which yields the
+    same doubles as one draw, so memory is O(num_intervals + _BLOCK_ROWS
+    * k) rather than O(num_intervals * k).  The inverse CDF is
+    nondecreasing, so the row max is taken over the raw uniforms and only
+    three columns are transformed: two when k == 1, where x1 is y.
 
     Returns ``(y, x1, x_nonp, delivered)``: the interval lengths (max of
     the k priority service times), node 1's service times, the tracked
@@ -144,10 +153,22 @@ def generate_intervals(
     """
     num_intervals = check_count("num_intervals", num_intervals)
     k = check_count("k", k)
-    x = dist.sample(rng, (num_intervals, k + 1))
-    y = x[:, :k].max(axis=1)
-    x1 = np.ascontiguousarray(x[:, 0])
-    x_nonp = np.ascontiguousarray(x[:, k])
+    u_max = np.empty(num_intervals)
+    u_1 = np.empty(num_intervals)
+    u_nonp = np.empty(num_intervals)
+    for start in range(0, num_intervals, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, num_intervals)
+        block = rng.random((stop - start, k + 1))
+        # column-wise folds; a row reduction over k columns is far slower
+        m = u_max[start:stop]
+        m[:] = block[:, 0]
+        for c in range(1, k):
+            np.maximum(m, block[:, c], out=m)
+        u_1[start:stop] = block[:, 0]
+        u_nonp[start:stop] = block[:, k]
+    y = dist._inverse_cdf(u_max)
+    x1 = y if k == 1 else dist._inverse_cdf(u_1)
+    x_nonp = dist._inverse_cdf(u_nonp)
     return y, x1, x_nonp, x_nonp < y
 
 
@@ -172,7 +193,7 @@ def accumulate_priority(ledger: CycleLedger) -> float:
             f"{ledger.num_intervals}"
         )
     y, x1 = ledger.y, ledger.x1
-    area = y[:-1] @ x1[1:] + 0.5 * (y[1:] @ y[1:])
+    area = (y[:-1] * x1[1:]).sum() + 0.5 * (y[1:] * y[1:]).sum()
     return float(area / y[1:].sum())
 
 
@@ -190,7 +211,7 @@ def accumulate_nonpriority(ledger: CycleLedger) -> float:
             f"{int(np.count_nonzero(ledger.delivered))}"
         )
     w, xtilde = ledger.w, ledger.xtilde
-    area = 0.5 * (w @ w) + xtilde @ w
+    area = 0.5 * (w * w).sum() + (xtilde * w).sum()
     return float(area / w.sum())
 
 
@@ -267,7 +288,7 @@ def run_simulation(config: SimConfig) -> SimResult:
                 accumulate_nonpriority(ledger),
                 float(ledger.y.mean()),
                 float(ledger.w.mean()),
-                float(ledger.w @ ledger.w / ledger.num_cycles),
+                float((ledger.w * ledger.w).sum() / ledger.num_cycles),
                 float(ledger.xtilde.mean()),
                 float(ledger.m.mean()),
                 float(np.mean(~ledger.delivered)),
@@ -305,7 +326,7 @@ def _integrate_age(ledger: CycleLedger, events: np.ndarray, reset: np.ndarray) -
     starts = np.concatenate(([0.0], np.cumsum(ledger.y)[:-1]))
     t = starts[events] + reset
     dt = np.diff(t)
-    area = reset[:-1] @ dt + 0.5 * (dt @ dt)
+    area = (reset[:-1] * dt).sum() + 0.5 * (dt * dt).sum()
     return float(area / (t[-1] - t[0]))
 
 
@@ -334,11 +355,20 @@ def sample_path_cross_check(config: SimConfig) -> CrossCheck:
 
 
 def write_ledger_csv(ledger: CycleLedger, path) -> None:
-    """Dump one row per interval: j, Y_j, X_1j, X_nonp_j, delivered."""
+    """Dump one row per interval: j, Y_j, X_1j, X_nonp_j, delivered.
+
+    Floats are written with ``repr``, so they read back exactly.  Rows are
+    formatted a block at a time, column by column.
+    """
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("j,Y_j,X_1j,X_nonp_j,delivered\n")
-        for j in range(ledger.num_intervals):
-            handle.write(
-                f"{j + 1},{float(ledger.y[j])!r},{float(ledger.x1[j])!r},"
-                f"{float(ledger.x_nonp[j])!r},{int(ledger.delivered[j])}\n"
+        for start in range(0, ledger.num_intervals, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, ledger.num_intervals)
+            cols = (
+                map(str, range(start + 1, stop + 1)),
+                map(repr, ledger.y[start:stop].tolist()),
+                map(repr, ledger.x1[start:stop].tolist()),
+                map(repr, ledger.x_nonp[start:stop].tolist()),
+                map(str, ledger.delivered[start:stop].view(np.uint8).tolist()),
             )
+            handle.write("\n".join(map(",".join, zip(*cols))) + "\n")

@@ -26,7 +26,12 @@ from .order_stats import (
     order_stat_var,
 )
 from .simulator import (
-    MAX_SEED, SimConfig, run_simulation, sample_path_cross_check, simulate_ledger,
+    MAX_SEED,
+    InsufficientDataError,
+    SimConfig,
+    run_simulation,
+    sample_path_cross_check,
+    simulate_ledger,
 )
 from .sweeps import SweepSpec, read_report_csv, sweep_k, write_report_csv
 from .theory import (
@@ -259,6 +264,10 @@ def check_cycle_bookkeeping(settings: ValidationSettings) -> tuple[bool, str]:
     dist = ServiceDistribution(rate=1.0, shift=0.5)
     ledger = simulate_ledger(dist, 2, settings.num_intervals, rng)
     deliveries = np.flatnonzero(ledger.delivered)
+    if ledger.num_cycles < 1:
+        raise InsufficientDataError(
+            f"cycle bookkeeping needs at least 2 deliveries, got {deliveries.size}"
+        )
     trailing = ledger.num_intervals - 1 - deliveries[-1]
     counted = int(ledger.m.sum() + trailing)
     expect = ledger.num_intervals - 1 - deliveries[0]

@@ -1,15 +1,24 @@
 """Argument parsing, config files, exit codes and end-to-end runs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import agecast
 from agecast.cli import main, parse_config
 from agecast.sweeps import CSV_COLUMNS, SweepSpec, read_report_csv
 
 
 def expect_usage_error(argv):
-    with pytest.raises(SystemExit) as excinfo:
-        parse_config(argv)
-    assert excinfo.value.code == 2
+    # refused while parsing (SystemExit) or by the run before any output
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
 
 
 class TestParsing:
@@ -77,6 +86,12 @@ class TestParsing:
             ["sweep-k", "--k", "1..1000000000"],
             ["sweep-k", "--k=-1000000000..1"],
             ["ledger", "--k=-1000000000..1", "--out", "x.csv"],
+            # too short to form a cycle or both delivery outcomes
+            ["validate", "--intervals", "2", "--replications", "2"],
+            [
+                "validate", "--intervals", "3", "--replications", "1",
+                "--checks", "estimator_agreement",
+            ],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
@@ -184,6 +199,31 @@ class TestSweepCommands:
         again = tmp_path / "again.csv"
         assert main(argv[:-1] + [str(again)]) == 0
         assert again.read_bytes() == out.read_bytes()
+
+    def test_csv_independent_of_blas_threads(self, tmp_path):
+        # each run is a fresh process, since BLAS reads its thread count
+        # once at load time
+        package_root = str(Path(agecast.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, (package_root, env.get("PYTHONPATH")))
+            )
+            subprocess.run(
+                [
+                    sys.executable, "-m", "agecast.cli", "sweep-k",
+                    "--dist", "sexp", "--lambda", "1", "--shift", "1",
+                    "--k", "1..3", "--intervals", "20000",
+                    "--replications", "2", "--seed", "7", "--out", str(out),
+                ],
+                env=env,
+                check=True,
+                capture_output=True,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_sweep_shift_end_to_end(self, tmp_path):
         out = tmp_path / "by_c.csv"

@@ -1,12 +1,23 @@
 """The interval kernel: shapes, stream layout, budget and determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from agecast.order_stats import ServiceDistribution
-from agecast.simulator import generate_intervals
+from agecast.simulator import _BLOCK_ROWS, generate_intervals
 
 EXP1 = ServiceDistribution.exponential(1.0)
+
+
+def whole_block_intervals(rng, dist, num_intervals, k):
+    """The kernel's outputs from one whole-block draw, transformed in full."""
+    x = dist.sample(rng, (num_intervals, k + 1))
+    y = x[:, :k].max(axis=1)
+    x1 = np.ascontiguousarray(x[:, 0])
+    x_nonp = np.ascontiguousarray(x[:, k])
+    return y, x1, x_nonp, x_nonp < y
 
 
 class _ScriptedRng:
@@ -77,3 +88,25 @@ class TestGenerateIntervals:
         assert x1 == pytest.approx([1.0, 4.0], rel=1e-12)
         assert x_nonp == pytest.approx([5.0, 0.5], rel=1e-12)
         assert delivered.tolist() == [False, True]
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 20, 100])
+    @pytest.mark.parametrize(
+        "num_intervals", [1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 17]
+    )
+    def test_bitwise_equal_to_whole_block_oracle(self, k, num_intervals):
+        dist = ServiceDistribution(rate=1.5, shift=0.25)
+        got = generate_intervals(np.random.default_rng(k), dist, num_intervals, k)
+        want = whole_block_intervals(np.random.default_rng(k), dist, num_intervals, k)
+        for left, right in zip(got, want):
+            assert left.dtype == right.dtype and left.shape == right.shape
+            assert left.tobytes() == right.tobytes()
+
+    def test_memory_does_not_grow_with_the_uniform_block(self):
+        k, num = 200, 50_000
+        tracemalloc.start()
+        try:
+            generate_intervals(np.random.default_rng(2), EXP1, num, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < num * (k + 1) * 8 / 4
