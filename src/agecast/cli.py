@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .order_stats import ServiceDistribution, check_count
+from .order_stats import MAX_K, ServiceDistribution, check_count
 from .simulator import (
     MAX_SEED,
     InsufficientDataError,
@@ -21,7 +21,6 @@ from .simulator import (
     write_ledger_csv,
 )
 from .sweeps import SweepSpec, sweep_k, sweep_shift
-from .theory import MAX_K
 from .validation import CHECK_NAMES, ValidationSettings, run_checks
 
 import numpy as np
@@ -44,7 +43,7 @@ def _k_values(text: str) -> tuple[int, ...]:
                 f"k range must satisfy a <= b, got {text!r}"
             )
         # checked before the range is built; a longer range is never valid,
-        # since every k lies in 1..MAX_K (sweeps) or k is single (ledger)
+        # since every k lies in 1..MAX_K
         if hi - lo >= MAX_K:
             raise argparse.ArgumentTypeError(
                 f"k range must hold at most {MAX_K} values, got {text!r}"
@@ -226,7 +225,7 @@ def _ledger_request(merged: dict) -> tuple:
         raise ValueError("out is required for ledger dumps")
     return (
         ServiceDistribution(rate=merged["rate"], shift=merged["shift"]),
-        check_count("k", _single_k(merged)),
+        check_count("k", _single_k(merged), maximum=MAX_K),
         check_count("num_intervals", merged["intervals"]),
         check_count("seed", merged["seed"], 0, MAX_SEED),
         merged["out"],
@@ -250,14 +249,7 @@ def _print_report(report, out_path) -> None:
 
 
 def _run_sweep(sweep, spec: SweepSpec) -> int:
-    try:
-        report = sweep(spec)
-    except OSError as exc:
-        print(f"agecast: cannot write output: {exc}", file=sys.stderr)
-        return 2
-    except InsufficientDataError as exc:
-        print(f"agecast: {exc}", file=sys.stderr)
-        return 2
+    report = sweep(spec)
     _print_report(report, spec.out_path)
     if not report.within_tolerance():
         print("tolerance exceeded", file=sys.stderr)
@@ -267,11 +259,7 @@ def _run_sweep(sweep, spec: SweepSpec) -> int:
 
 def _run_validate(request: tuple) -> int:
     settings, names = request
-    try:
-        results = run_checks(settings, names)
-    except InsufficientDataError as exc:
-        print(f"agecast: {exc}", file=sys.stderr)
-        return 2
+    results = run_checks(settings, names)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -285,11 +273,7 @@ def _run_ledger(request: tuple) -> int:
     dist, k, num_intervals, seed, out_path = request
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     ledger = simulate_ledger(dist, k, num_intervals, rng)
-    try:
-        write_ledger_csv(ledger, out_path)
-    except OSError as exc:
-        print(f"agecast: cannot write output: {exc}", file=sys.stderr)
-        return 2
+    write_ledger_csv(ledger, out_path)
     print(
         f"wrote {out_path}: {ledger.num_intervals} intervals, "
         f"{int(ledger.delivered.sum())} deliveries"
@@ -347,8 +331,15 @@ def parse_config(argv=None):
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; an unwritable output or too short a run exits 2."""
     command, request = parse_config(argv)
-    return _COMMANDS[command][3](request)
+    try:
+        return _COMMANDS[command][3](request)
+    except OSError as exc:
+        print(f"agecast: cannot write output: {exc}", file=sys.stderr)
+    except InsufficientDataError as exc:
+        print(f"agecast: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "MAX_HARMONIC",
+    "MAX_K",
     "ServiceDistribution",
     "check_count",
     "check_real",
@@ -29,6 +30,10 @@ __all__ = [
 
 # The largest n whose H(n) and H2(n) the tables hold.
 MAX_HARMONIC = 1 << 22
+
+# The largest group size k anywhere: the closed forms look up H(k+1), and
+# one kernel block of k+1 uniforms per row stays within 2**22 doubles.
+MAX_K = MAX_HARMONIC - 1
 
 # H(n) and H2(n) at index n, grown on demand by _harmonic_index
 _H1 = np.zeros(1)
@@ -107,14 +112,23 @@ class ServiceDistribution:
 
     ``shift == 0`` recovers the plain exponential.  The CDF is
     F(x) = 1 - exp(-rate * (x - shift)) for x >= shift and 0 below.
+    The rate lies in [1e-100, 1e100] and the shift in [0, 1e100]; in that
+    range every closed form is finite at every k up to ``MAX_K``.
     """
 
     rate: float
     shift: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rate", check_real("rate", self.rate, positive=True))
-        object.__setattr__(self, "shift", check_real("shift", self.shift))
+        rate = check_real("rate", self.rate, positive=True)
+        shift = check_real("shift", self.shift)
+        # the one finite-range rule: every closed form stays finite inside it
+        if not 1e-100 <= rate <= 1e100:
+            raise ValueError(f"rate must lie in [1e-100, 1e100], got {rate}")
+        if shift > 1e100:
+            raise ValueError(f"shift must be at most 1e100, got {shift}")
+        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "shift", shift)
 
     @classmethod
     def exponential(cls, rate: float) -> "ServiceDistribution":

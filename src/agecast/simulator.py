@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .order_stats import ServiceDistribution, check_count
+from .order_stats import MAX_K, ServiceDistribution, check_count
 
 __all__ = [
     "CrossCheck",
@@ -37,6 +37,10 @@ CROSS_CHECK_MAX_INTERVALS = 100_000
 
 # rows of uniforms the kernel and the ledger writer handle at a time
 _BLOCK_ROWS = 4096
+
+# the widest priority group the kernel folds column by column; wider rows
+# are reduced row by row, which is faster once a block outgrows the cache
+_COLUMN_FOLD_MAX_K = 64
 
 # master seeds are 64-bit unsigned integers
 MAX_SEED = 2**64 - 1
@@ -61,7 +65,7 @@ class SimConfig:
     replications: int = 8
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k", check_count("k", self.k))
+        object.__setattr__(self, "k", check_count("k", self.k, maximum=MAX_K))
         # the priority area estimator needs a preceding interval
         object.__setattr__(
             self, "num_intervals", check_count("num_intervals", self.num_intervals, 2)
@@ -140,11 +144,13 @@ def generate_intervals(
     ``num_intervals * (k + 1)`` uniforms, and a given seed yields a
     bit-identical sample path on every run.
 
-    The block is drawn ``_BLOCK_ROWS`` rows at a time, which yields the
-    same doubles as one draw, so memory is O(num_intervals + _BLOCK_ROWS
-    * k) rather than O(num_intervals * k).  The inverse CDF is
-    nondecreasing, so the row max is taken over the raw uniforms and only
-    three columns are transformed: two when k == 1, where x1 is y.
+    k is at most ``MAX_K``.  The block is drawn ``_BLOCK_ROWS`` rows at a
+    time, or fewer when k > 1023 so that one block never holds more than
+    MAX_K + 1 = 2**22 doubles (32 MiB).  That yields the same doubles as
+    one draw, so memory is O(num_intervals + min(_BLOCK_ROWS * k, 2**22))
+    rather than O(num_intervals * k).  The inverse CDF is nondecreasing,
+    so the row max is taken over the raw uniforms and only three columns
+    are transformed: two when k == 1, where x1 is y.
 
     Returns ``(y, x1, x_nonp, delivered)``: the interval lengths (max of
     the k priority service times), node 1's service times, the tracked
@@ -152,20 +158,25 @@ def generate_intervals(
     (``x_nonp < y``).
     """
     num_intervals = check_count("num_intervals", num_intervals)
-    k = check_count("k", k)
+    k = check_count("k", k, maximum=MAX_K)
+    rows = min(_BLOCK_ROWS, (MAX_K + 1) // (k + 1))
     u_max = np.empty(num_intervals)
     u_1 = np.empty(num_intervals)
     u_nonp = np.empty(num_intervals)
-    for start in range(0, num_intervals, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, num_intervals)
+    for start in range(0, num_intervals, rows):
+        stop = min(start + rows, num_intervals)
         block = rng.random((stop - start, k + 1))
-        # column-wise folds; a row reduction over k columns is far slower
         m = u_max[start:stop]
-        m[:] = block[:, 0]
-        for c in range(1, k):
-            np.maximum(m, block[:, c], out=m)
+        if k <= _COLUMN_FOLD_MAX_K:
+            # column-wise folds; a row reduction over few columns is far slower
+            m[:] = block[:, 0]
+            for c in range(1, k):
+                np.maximum(m, block[:, c], out=m)
+        else:
+            block[:, :k].max(axis=1, out=m)
         u_1[start:stop] = block[:, 0]
         u_nonp[start:stop] = block[:, k]
+        del block  # released before the next draw, so one block is live at a time
     y = dist._inverse_cdf(u_max)
     x1 = y if k == 1 else dist._inverse_cdf(u_1)
     x_nonp = dist._inverse_cdf(u_nonp)

@@ -15,9 +15,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, fields
 
-from .order_stats import ServiceDistribution, check_count, check_real
+from .order_stats import MAX_K, ServiceDistribution, check_count, check_real
 from .simulator import SimConfig, run_simulation
-from .theory import MAX_K, age_nonpriority, age_priority_lower_bound, priority_age
+from .theory import age_nonpriority, age_priority_lower_bound, priority_age
 
 __all__ = [
     "CSV_COLUMNS",
@@ -39,7 +39,8 @@ class SweepSpec:
     fixed group size and ``values`` enumerates shifts.  ``out_path`` of
     None keeps the report in memory only.  The law and run-size fields
     follow the rules of the ServiceDistribution and SimConfig each point
-    builds; every k is at most ``theory.MAX_K``.
+    builds, so each c value is a valid shift; every k is at most
+    ``MAX_K``.
     """
 
     variable: str
@@ -62,7 +63,10 @@ class SweepSpec:
             values = tuple(check_count("k values", v, 1, MAX_K) for v in self.values)
             k = values[0]
         else:
-            values = tuple(check_real("c values", v) for v in self.values)
+            values = tuple(
+                ServiceDistribution(self.rate, check_real("c values", v)).shift
+                for v in self.values
+            )
             k = check_count("fixed k", self.k, 1, MAX_K)
             object.__setattr__(self, "k", k)
         if any(b <= a for a, b in zip(values, values[1:])):

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .order_stats import (
-    MAX_HARMONIC,
+    MAX_K,
     ServiceDistribution,
     check_count,
     harmonic,
@@ -43,9 +43,6 @@ __all__ = [
 ]
 
 EULER_GAMMA = 0.5772156649015329
-
-# The largest k the closed forms take: interval_moments looks up H(k+1).
-MAX_K = MAX_HARMONIC - 1
 
 
 @dataclass(frozen=True)
@@ -219,13 +216,13 @@ def xtilde_mean(dist: ServiceDistribution, k: int) -> float:
     """Mean service time of an update that actually gets delivered.
 
     A delivered copy cannot be the largest of the k+1 draws in play, so
-    its law is a uniform mixture of the k lowest order statistics.
+    its law is a uniform mixture of the k lowest order statistics.  The
+    means of all k+1 order statistics sum to (k+1) E[X], so the k lowest
+    sum to (k+1) E[X] - E[X_(k+1:k+1)], which gives
+    shift + ((k+1) - H(k+1)) / (rate k).
     """
     k = check_count("k", k, maximum=MAX_K)
-    total = 0.0
-    for i in range(1, k + 1):
-        total += order_stat_mean(dist, i, k + 1)
-    return total / k
+    return dist.shift + ((k + 1) - harmonic(k + 1)) / (dist.rate * k)
 
 
 def age_nonpriority(dist: ServiceDistribution, k: int) -> NonPriorityAge:

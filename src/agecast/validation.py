@@ -217,10 +217,18 @@ def check_order_stat_monte_carlo(settings: ValidationSettings) -> tuple[bool, st
     )
 
 
-def _pooled_z(values: np.ndarray, target: float) -> float:
+def _pooled_z(values: np.ndarray, target: float, tag: str) -> float:
+    """|mean - target| in standard errors; inf or 0 when the values have no spread."""
     values = np.asarray(values, dtype=np.float64)
-    se = values.std(ddof=1) / math.sqrt(values.size)
-    return abs(float(values.mean()) - target) / se
+    if values.size < 2:
+        raise InsufficientDataError(
+            f"simulation moments need at least 2 samples of {tag}, got {values.size}"
+        )
+    gap = abs(float(values.mean()) - target)
+    se = float(values.std(ddof=1)) / math.sqrt(values.size)
+    if se == 0.0:
+        return math.inf if gap > 0.0 else 0.0
+    return gap / se
 
 
 def check_simulation_moments(settings: ValidationSettings) -> tuple[bool, str]:
@@ -251,7 +259,7 @@ def check_simulation_moments(settings: ValidationSettings) -> tuple[bool, str]:
                 (ledger.y[ledger.delivered], moments.ys_mean, "ys"),
             ]
             for values, target, tag in comparisons:
-                z = _pooled_z(values, target)
+                z = _pooled_z(values, target, tag)
                 if z > worst:
                     worst = z
                     label = f"{tag} at rate={rate}, shift={shift}, k={k}"

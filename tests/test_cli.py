@@ -92,6 +92,19 @@ class TestParsing:
                 "validate", "--intervals", "3", "--replications", "1",
                 "--checks", "estimator_agreement",
             ],
+            [
+                "validate", "--intervals", "2", "--replications", "1",
+                "--checks", "simulation_moments",
+            ],
+            # laws whose closed forms would overflow
+            [
+                "sweep-k", "--k", "1", "--lambda", "1e-320",
+                "--intervals", "100", "--replications", "2",
+            ],
+            [
+                "sweep-shift", "--dist", "sexp", "--k", "2", "--c-values", "0,1e308",
+                "--intervals", "100", "--replications", "2",
+            ],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
@@ -101,11 +114,15 @@ class TestParsing:
         _, spec = parse_config(["sweep-k", "--k", "4194303"])
         assert spec.values == (4194303,)
 
-    def test_ledger_k_range_not_capped_by_sweeps(self):
-        # ledger has no MAX_K bound, in either spelling of a single k
+    def test_ledger_k_capped_like_sweeps(self, capsys):
+        # parsed only: a run at this k would draw blocks of k+1 doubles
         for k in ("5000000", "5000000..5000000"):
-            _, (_, ledger_k, *_) = parse_config(["ledger", "--k", k, "--out", "x.csv"])
-            assert ledger_k == 5000000
+            with pytest.raises(SystemExit) as exc:
+                parse_config(["ledger", "--k", k, "--out", "x.csv"])
+            assert exc.value.code == 2
+            assert "k must be at most 4194303, got 5000000" in capsys.readouterr().err
+        _, (_, ledger_k, *_) = parse_config(["ledger", "--k", "4194303", "--out", "x.csv"])
+        assert ledger_k == 4194303
 
 
 class TestConfigFile:

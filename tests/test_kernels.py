@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from agecast.order_stats import ServiceDistribution
+from agecast.order_stats import MAX_K, ServiceDistribution
 from agecast.simulator import _BLOCK_ROWS, generate_intervals
 
 EXP1 = ServiceDistribution.exponential(1.0)
@@ -67,6 +67,8 @@ class TestGenerateIntervals:
             generate_intervals(rng, EXP1, 0, 1)
         with pytest.raises(ValueError, match="k"):
             generate_intervals(rng, EXP1, 10, 0)
+        with pytest.raises(ValueError, match=f"k must be at most {MAX_K}"):
+            generate_intervals(rng, EXP1, 10, MAX_K + 1)
 
     def test_scripted_draws_k1(self):
         # one interval: node 1 draws 2, the tracked node 1, so it delivers
@@ -100,6 +102,25 @@ class TestGenerateIntervals:
         for left, right in zip(got, want):
             assert left.dtype == right.dtype and left.shape == right.shape
             assert left.tobytes() == right.tobytes()
+
+    @pytest.mark.parametrize("k, num_intervals", [(4095, 3000), (MAX_K, 2)])
+    def test_bitwise_equal_to_whole_block_oracle_at_wide_rows(self, k, num_intervals):
+        # fewer than _BLOCK_ROWS rows per block, folded row by row
+        dist = ServiceDistribution(rate=0.5, shift=2.0)
+        got = generate_intervals(np.random.default_rng(k), dist, num_intervals, k)
+        want = whole_block_intervals(np.random.default_rng(k), dist, num_intervals, k)
+        for left, right in zip(got, want):
+            assert left.tobytes() == right.tobytes()
+
+    def test_memory_bounded_at_the_largest_k(self):
+        # one block holds at most MAX_K + 1 doubles (32 MiB), whatever N
+        tracemalloc.start()
+        try:
+            generate_intervals(np.random.default_rng(4), EXP1, 3, MAX_K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
     def test_memory_does_not_grow_with_the_uniform_block(self):
         k, num = 200, 50_000

@@ -133,6 +133,17 @@ class TestServiceDistribution:
             with pytest.raises(ValueError, match="shift"):
                 ServiceDistribution(rate=1.0, shift=bad)
 
+    def test_finite_range(self):
+        # the bounds are inclusive
+        for rate, shift in ((1e-100, 0.0), (1e100, 1e100), (1.0, 5e-324)):
+            assert ServiceDistribution(rate, shift).rate == rate
+        for rate in (1e-320, 9.9e-101, 1.1e100, 1e300):
+            with pytest.raises(ValueError, match="rate must lie in"):
+                ServiceDistribution(rate)
+        for shift in (1.1e100, 1e308):
+            with pytest.raises(ValueError, match="shift must be at most"):
+                ServiceDistribution(1.0, shift)
+
     def test_sample_scalar_and_shape(self):
         dist = ServiceDistribution(rate=2.0, shift=1.0)
         rng = np.random.default_rng(42)

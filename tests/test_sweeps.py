@@ -91,6 +91,8 @@ class TestSweepSpec:
             (dict(seed=-1), "seed"),
             (dict(values=(1, 4194304)), "k values must be at most 4194303"),
             (dict(variable="c", values=(0.0, 1.0), k=4194304), "fixed k must be at most"),
+            (dict(rate=1e-320), "rate must lie in"),
+            (dict(variable="c", values=(0.0, 1e308)), "shift must be at most"),
         ],
     )
     def test_rejects_bad_specs(self, overrides, message):

@@ -177,6 +177,11 @@ class TestCycleMoments:
         )
 
 
+def order_stat_xtilde(dist, k):
+    """E[xtilde] by its definition: the mean of the k lowest of k+1 draws."""
+    return sum(order_stat_mean(dist, i, k + 1) for i in range(1, k + 1)) / k
+
+
 class TestXtilde:
     def test_frozen_values(self):
         assert xtilde_mean(EXP1, 1) == pytest.approx(0.5, rel=1e-12)
@@ -186,12 +191,14 @@ class TestXtilde:
     @given(**random_law)
     @settings(max_examples=100, deadline=None)
     def test_closed_form_route(self, rate, shift, k):
-        # averaging the k lowest order-stat means collapses to
-        # shift + (k + 1 - H(k+1)) / (rate k)
+        # the closed form against the order-statistic sum it replaces
         dist = ServiceDistribution(rate=rate, shift=shift)
-        direct = xtilde_mean(dist, k)
-        closed = shift + (k + 1 - harmonic(k + 1)) / (rate * k)
-        assert direct == pytest.approx(closed, rel=1e-10)
+        assert xtilde_mean(dist, k) == pytest.approx(order_stat_xtilde(dist, k), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 1000, 5000])
+    def test_closed_form_route_at_fixed_k(self, k):
+        for dist in (EXP1, SEXP11, ServiceDistribution(rate=0.3, shift=4.0)):
+            assert xtilde_mean(dist, k) == pytest.approx(order_stat_xtilde(dist, k), rel=1e-12)
 
 
 class TestAgeNonPriority:
@@ -270,10 +277,15 @@ class TestExponentialIdentity:
         ):
             with pytest.raises(ValueError, match=f"k must be at most {MAX_K}"):
                 form()
-        # at MAX_K itself the forms run, and interval_moments' H(k+1) lookup is in range
-        assert age_priority(EXP1, MAX_K) == pytest.approx(age_exponential(1.0, MAX_K))
+        # at MAX_K itself every form runs and keeps its identities
+        exp_age = age_exponential(1.0, MAX_K)
+        assert age_priority(EXP1, MAX_K) == pytest.approx(exp_age, abs=1e-10)
+        assert age_nonpriority(EXP1, MAX_K).value == pytest.approx(exp_age, abs=1e-10)
         assert age_priority_shifted_exp(1.0, 1.0, MAX_K) > 0
-        assert order_stat_mean(EXP1, MAX_K + 1, MAX_K + 1) == harmonic(MAX_K + 1)
+        gap = age_nonpriority(SEXP11, MAX_K).value - age_priority(SEXP11, MAX_K)
+        assert gap == pytest.approx(1.0 / MAX_K, abs=1e-10)
+        moments = interval_moments(SEXP11, MAX_K)
+        assert moments.ys_mean == 1.0 + harmonic(MAX_K + 1)
 
 
 class TestHarmonicSeriesIdentity:

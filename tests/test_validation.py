@@ -1,9 +1,18 @@
 """Self-check machinery and a reduced-size full sweep of the checks."""
 
+import math
+
+import numpy as np
 import pytest
 
-from agecast.simulator import MAX_SEED
-from agecast.validation import CHECK_NAMES, CheckResult, ValidationSettings, run_checks
+from agecast.simulator import MAX_SEED, InsufficientDataError
+from agecast.validation import (
+    CHECK_NAMES,
+    CheckResult,
+    ValidationSettings,
+    _pooled_z,
+    run_checks,
+)
 
 FAST_SETTINGS = ValidationSettings(
     seed=1729, num_intervals=10_000, replications=4, tolerance=0.05
@@ -50,6 +59,17 @@ class TestMachinery:
         results = run_checks(FAST_SETTINGS, ("shifted_exp_reduction",))
         assert all(isinstance(r, CheckResult) for r in results)
         assert all(r.detail for r in results)
+
+
+class TestPooledZ:
+    def test_too_few_samples_refused(self):
+        for values in ([], [1.0]):
+            with pytest.raises(InsufficientDataError, match="2 samples of w2, got"):
+                _pooled_z(np.array(values), 1.0, "w2")
+
+    def test_zero_spread_needs_no_division(self):
+        assert _pooled_z(np.ones(2), 0.5, "q") == math.inf
+        assert _pooled_z(np.ones(2), 1.0, "q") == 0.0
 
 
 @pytest.fixture(scope="module")
