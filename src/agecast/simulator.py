@@ -38,10 +38,6 @@ CROSS_CHECK_MAX_INTERVALS = 100_000
 # rows of uniforms the kernel and the ledger writer handle at a time
 _BLOCK_ROWS = 4096
 
-# the widest priority group the kernel folds column by column; wider rows
-# are reduced row by row, which is faster once a block outgrows the cache
-_COLUMN_FOLD_MAX_K = 64
-
 # master seeds are 64-bit unsigned integers
 MAX_SEED = 2**64 - 1
 
@@ -166,14 +162,11 @@ def generate_intervals(
     for start in range(0, num_intervals, rows):
         stop = min(start + rows, num_intervals)
         block = rng.random((stop - start, k + 1))
+        # column-wise folds; a row reduction over k columns is far slower
         m = u_max[start:stop]
-        if k <= _COLUMN_FOLD_MAX_K:
-            # column-wise folds; a row reduction over few columns is far slower
-            m[:] = block[:, 0]
-            for c in range(1, k):
-                np.maximum(m, block[:, c], out=m)
-        else:
-            block[:, :k].max(axis=1, out=m)
+        m[:] = block[:, 0]
+        for c in range(1, k):
+            np.maximum(m, block[:, c], out=m)
         u_1[start:stop] = block[:, 0]
         u_nonp[start:stop] = block[:, k]
         del block  # released before the next draw, so one block is live at a time

@@ -306,3 +306,15 @@ class TestValidateCommand:
         printed = capsys.readouterr().out
         assert "FAIL" in printed
         assert "0/1 checks passed" in printed
+
+    def test_closed_stdout_exits_2(self, monkeypatch, capsys):
+        # a reader that went away (agecast validate | head -1) is an
+        # unwritable output like any other, not a traceback
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["validate", "--checks", "harmonic_series_identity"])
+        assert code == 2
+        assert "cannot write output: [Errno 32] Broken pipe" in capsys.readouterr().err

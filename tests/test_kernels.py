@@ -10,6 +10,10 @@ from agecast.simulator import _BLOCK_ROWS, generate_intervals
 
 EXP1 = ServiceDistribution.exponential(1.0)
 
+# a priority group wide enough that a kernel block holds 64 rows, not
+# _BLOCK_ROWS; the column fold makes k = MAX_K itself too slow to test here
+WIDE_K = (MAX_K + 1) // 64 - 1
+
 
 def whole_block_intervals(rng, dist, num_intervals, k):
     """The kernel's outputs from one whole-block draw, transformed in full."""
@@ -103,20 +107,21 @@ class TestGenerateIntervals:
             assert left.dtype == right.dtype and left.shape == right.shape
             assert left.tobytes() == right.tobytes()
 
-    @pytest.mark.parametrize("k, num_intervals", [(4095, 3000), (MAX_K, 2)])
+    @pytest.mark.parametrize("k, num_intervals", [(4095, 3000), (WIDE_K, 129)])
     def test_bitwise_equal_to_whole_block_oracle_at_wide_rows(self, k, num_intervals):
-        # fewer than _BLOCK_ROWS rows per block, folded row by row
+        # fewer than _BLOCK_ROWS rows per block: 1024 at k = 4095, 64 at WIDE_K
         dist = ServiceDistribution(rate=0.5, shift=2.0)
         got = generate_intervals(np.random.default_rng(k), dist, num_intervals, k)
         want = whole_block_intervals(np.random.default_rng(k), dist, num_intervals, k)
         for left, right in zip(got, want):
             assert left.tobytes() == right.tobytes()
 
-    def test_memory_bounded_at_the_largest_k(self):
-        # one block holds at most MAX_K + 1 doubles (32 MiB), whatever N
+    def test_memory_bounded_at_wide_rows(self):
+        # one block holds at most MAX_K + 1 doubles (32 MiB), whatever N;
+        # a 128-row block at WIDE_K would hold 64 MiB
         tracemalloc.start()
         try:
-            generate_intervals(np.random.default_rng(4), EXP1, 3, MAX_K)
+            generate_intervals(np.random.default_rng(4), EXP1, 128, WIDE_K)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
