@@ -17,6 +17,7 @@ from .order_stats import MAX_K, ServiceDistribution, check_count
 from .simulator import (
     MAX_SEED,
     InsufficientDataError,
+    check_simulable,
     simulate_ledger,
     write_ledger_csv,
 )
@@ -224,7 +225,7 @@ def _ledger_request(merged: dict) -> tuple:
     if merged["out"] is None:
         raise ValueError("out is required for ledger dumps")
     return (
-        ServiceDistribution(rate=merged["rate"], shift=merged["shift"]),
+        check_simulable(ServiceDistribution(rate=merged["rate"], shift=merged["shift"])),
         check_count("k", _single_k(merged), maximum=MAX_K),
         check_count("num_intervals", merged["intervals"]),
         check_count("seed", merged["seed"], 0, MAX_SEED),

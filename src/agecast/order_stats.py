@@ -31,8 +31,7 @@ __all__ = [
 # The largest n whose H(n) and H2(n) the tables hold.
 MAX_HARMONIC = 1 << 22
 
-# The largest group size k anywhere: the closed forms look up H(k+1), and
-# one kernel block of k+1 uniforms per row stays within 2**22 doubles.
+# The largest group size k anywhere: the closed forms look up H(k+1).
 MAX_K = MAX_HARMONIC - 1
 
 # H(n) and H2(n) at index n, grown on demand by _harmonic_index

@@ -11,8 +11,8 @@ integration of the age sawtooth cross-checks the bookkeeping.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,11 +22,15 @@ __all__ = [
     "CrossCheck",
     "CycleLedger",
     "InsufficientDataError",
+    "STREAM_VERSION",
     "SimConfig",
     "SimResult",
     "accumulate_nonpriority",
     "accumulate_priority",
+    "check_simulable",
+    "generate_interval_sweep",
     "generate_intervals",
+    "run_k_sweep",
     "run_simulation",
     "sample_path_cross_check",
     "simulate_ledger",
@@ -35,11 +39,30 @@ __all__ = [
 
 CROSS_CHECK_MAX_INTERVALS = 100_000
 
-# rows of uniforms the kernel and the ledger writer handle at a time
+# rows the ledger writer formats at a time
 _BLOCK_ROWS = 4096
 
 # master seeds are 64-bit unsigned integers
 MAX_SEED = 2**64 - 1
+
+# above this rate * shift, one ulp of the shift exceeds about 2**-20 of the
+# mean tail 1/rate, so simulated service times start to round to the shift
+# and tie
+MAX_RATE_SHIFT = 2.0**32
+
+
+def check_simulable(dist: ServiceDistribution) -> ServiceDistribution:
+    """``dist``, if its simulated service times stay distinct.
+
+    Raises ValueError naming rate and shift when rate * shift exceeds
+    ``MAX_RATE_SHIFT``.  The closed forms accept every law in range.
+    """
+    if dist.rate * dist.shift > MAX_RATE_SHIFT:
+        raise ValueError(
+            "rate * shift must be at most 2**32 to simulate, got rate "
+            f"{dist.rate} and shift {dist.shift}"
+        )
+    return dist
 
 
 class InsufficientDataError(ValueError):
@@ -51,7 +74,8 @@ class SimConfig:
     """One simulation request.
 
     ``seed`` is the master seed; each of the ``replications`` runs draws
-    from its own child stream spawned deterministically from it.
+    from its own child stream spawned deterministically from it.  The law
+    must pass :func:`check_simulable`.
     """
 
     dist: ServiceDistribution
@@ -61,6 +85,7 @@ class SimConfig:
     replications: int = 8
 
     def __post_init__(self) -> None:
+        check_simulable(self.dist)
         object.__setattr__(self, "k", check_count("k", self.k, maximum=MAX_K))
         # the priority area estimator needs a preceding interval
         object.__setattr__(
@@ -128,52 +153,66 @@ class CycleLedger:
         return self.w.size
 
 
+# the version of the random-stream layout below; every seeded output
+# depends on it.  1 was row-major by interval, 2 is column-major by node.
+STREAM_VERSION = 2
+
+
+def generate_interval_sweep(
+    rng: np.random.Generator, dist: ServiceDistribution, num_intervals: int, ks
+) -> Iterator[tuple]:
+    """Draw ``num_intervals`` service intervals at each group size in ``ks``.
+
+    This is the one place that lays out the random stream.  It is
+    column-major by node: the first ``num_intervals`` uniforms serve the
+    tracked non-priority node, the next ``num_intervals`` node 1, then
+    node 2 and so on.  Node i's service times are therefore the same at
+    every k >= i, so one pass serves a strictly increasing ``ks``, and
+    the interval length y_{k+1} = max(y_k, X_{k+1}) grows pathwise.  The
+    pass consumes exactly ``num_intervals * (max(ks) + 1)`` uniforms, and
+    a given seed yields a bit-identical sample path on every run.
+
+    Each node is drawn as one length-N column and folded into a running
+    max of the raw uniforms, which the nondecreasing inverse CDF maps to
+    y; memory is O(num_intervals) at every k.  x_nonp and x1 are
+    transformed once and y once per k (never at k == 1, where y is x1).
+
+    Yields ``(y, x1, x_nonp, delivered)`` per k, in the order of ``ks``:
+    the interval lengths (max of the k priority service times), node 1's
+    service times, the tracked non-priority node's service times and its
+    delivery flags (``x_nonp < y``).  A yielded array is never changed
+    afterwards.
+    """
+    num_intervals = check_count("num_intervals", num_intervals)
+    ks = tuple(check_count("k", k, maximum=MAX_K) for k in ks)
+    if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError(f"ks must be nonempty and strictly increasing, got {ks}")
+    x_nonp = dist._inverse_cdf(rng.random(num_intervals))
+    u_max = rng.random(num_intervals)
+    x1 = dist._inverse_cdf(u_max)
+    column = np.empty(num_intervals)
+    drawn = 1
+    for k in ks:
+        for _ in range(drawn, k):
+            rng.random(out=column)
+            np.maximum(u_max, column, out=u_max)
+        drawn = k
+        if k == ks[-1]:
+            column = None  # released before the last transform
+        y = x1 if k == 1 else dist._inverse_cdf(u_max)
+        yield y, x1, x_nonp, x_nonp < y
+
+
 def generate_intervals(
     rng: np.random.Generator, dist: ServiceDistribution, num_intervals: int, k: int
 ):
     """Draw ``num_intervals`` service intervals for a k-node priority group.
 
-    This is the one place that lays out the random stream.  Interval j
-    consumes row j of a row-major (num_intervals, k+1) block of uniforms:
-    columns 0..k-1 are the priority nodes and column k the tracked
-    non-priority node.  So the call consumes exactly
-    ``num_intervals * (k + 1)`` uniforms, and a given seed yields a
-    bit-identical sample path on every run.
-
-    k is at most ``MAX_K``.  The block is drawn ``_BLOCK_ROWS`` rows at a
-    time, or fewer when k > 1023 so that one block never holds more than
-    MAX_K + 1 = 2**22 doubles (32 MiB).  That yields the same doubles as
-    one draw, so memory is O(num_intervals + min(_BLOCK_ROWS * k, 2**22))
-    rather than O(num_intervals * k).  The inverse CDF is nondecreasing,
-    so the row max is taken over the raw uniforms and only three columns
-    are transformed: two when k == 1, where x1 is y.
-
-    Returns ``(y, x1, x_nonp, delivered)``: the interval lengths (max of
-    the k priority service times), node 1's service times, the tracked
-    non-priority node's service times and its delivery flags
-    (``x_nonp < y``).
+    The single-k case of :func:`generate_interval_sweep`: it consumes
+    exactly ``num_intervals * (k + 1)`` uniforms and returns
+    ``(y, x1, x_nonp, delivered)``.
     """
-    num_intervals = check_count("num_intervals", num_intervals)
-    k = check_count("k", k, maximum=MAX_K)
-    rows = min(_BLOCK_ROWS, (MAX_K + 1) // (k + 1))
-    u_max = np.empty(num_intervals)
-    u_1 = np.empty(num_intervals)
-    u_nonp = np.empty(num_intervals)
-    for start in range(0, num_intervals, rows):
-        stop = min(start + rows, num_intervals)
-        block = rng.random((stop - start, k + 1))
-        # column-wise folds; a row reduction over k columns is far slower
-        m = u_max[start:stop]
-        m[:] = block[:, 0]
-        for c in range(1, k):
-            np.maximum(m, block[:, c], out=m)
-        u_1[start:stop] = block[:, 0]
-        u_nonp[start:stop] = block[:, k]
-        del block  # released before the next draw, so one block is live at a time
-    y = dist._inverse_cdf(u_max)
-    x1 = y if k == 1 else dist._inverse_cdf(u_1)
-    x_nonp = dist._inverse_cdf(u_nonp)
-    return y, x1, x_nonp, x_nonp < y
+    return next(generate_interval_sweep(rng, dist, num_intervals, (k,)))
 
 
 def simulate_ledger(
@@ -262,51 +301,75 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(values.size))
 
 
-def _replication_ledgers(config: SimConfig) -> Iterator[CycleLedger]:
+def _replication_ledgers(config: SimConfig, ks) -> Iterator[Iterator[CycleLedger]]:
+    """Per replication, the ledgers of ``config``'s law at each k in ``ks``."""
     # child streams are spawned from the master seed, so replication r is
     # reproducible on its own and independent of the others
     for child in np.random.SeedSequence(config.seed).spawn(config.replications):
         rng = np.random.default_rng(child)
-        yield simulate_ledger(config.dist, config.k, config.num_intervals, rng)
+        intervals = generate_interval_sweep(rng, config.dist, config.num_intervals, ks)
+        yield (CycleLedger.from_intervals(*drawn) for drawn in intervals)
+
+
+def _estimates(ledger: CycleLedger) -> list[float]:
+    """One replication's estimates, in SimResult's field order."""
+    failed = ledger.y[~ledger.delivered]
+    succeeded = ledger.y[ledger.delivered]
+    if failed.size == 0 or ledger.num_cycles < 1:
+        raise InsufficientDataError(
+            "replication too short to observe both delivery outcomes"
+        )
+    return [
+        accumulate_priority(ledger),
+        accumulate_nonpriority(ledger),
+        float(ledger.y.mean()),
+        float(ledger.w.mean()),
+        float((ledger.w * ledger.w).sum() / ledger.num_cycles),
+        float(ledger.xtilde.mean()),
+        float(ledger.m.mean()),
+        float(np.mean(~ledger.delivered)),
+        float(failed.mean()),
+        float(succeeded.mean()),
+    ]
+
+
+def run_k_sweep(configs: Sequence[SimConfig]) -> tuple[SimResult, ...]:
+    """Run configs that differ only in a strictly increasing k.
+
+    Each replication makes one pass of :func:`generate_interval_sweep`
+    that adds one node per k, so the points share their draws (common
+    random numbers), and each result equals ``run_simulation`` of its
+    config.  Raises :class:`InsufficientDataError` if any replication at
+    any k sees fewer than two deliveries or not a single miss, which at
+    practical run lengths only happens for tiny ``num_intervals``.
+    """
+    configs = tuple(configs)
+    if not configs:
+        raise ValueError("a k sweep needs at least one config")
+    first = configs[0]
+    if any(replace(config, k=first.k) != first for config in configs):
+        raise ValueError("the configs of a k sweep must differ only in k")
+    per_k: list[list[list[float]]] = [[] for _ in configs]
+    for ledgers in _replication_ledgers(first, [config.k for config in configs]):
+        for per_rep, ledger in zip(per_k, ledgers):
+            per_rep.append(_estimates(ledger))
+    results = []
+    for per_rep in per_k:
+        columns = np.asarray(per_rep, dtype=np.float64).T
+        flattened = [value for col in columns for value in _mean_se(col)]
+        results.append(
+            SimResult(*flattened, intervals_used=first.replications * first.num_intervals)
+        )
+    return tuple(results)
 
 
 def run_simulation(config: SimConfig) -> SimResult:
     """Run R independent replications and aggregate their estimates.
 
-    Identical configs give identical results.  Raises
-    :class:`InsufficientDataError` if any replication sees fewer than two
-    deliveries or not a single miss, which at practical run lengths only
-    happens for tiny ``num_intervals``.
+    The one-k case of :func:`run_k_sweep`.  Identical configs give
+    identical results.
     """
-    per_rep: list[list[float]] = []
-    for ledger in _replication_ledgers(config):
-        failed = ledger.y[~ledger.delivered]
-        succeeded = ledger.y[ledger.delivered]
-        if failed.size == 0 or ledger.num_cycles < 1:
-            raise InsufficientDataError(
-                "replication too short to observe both delivery outcomes"
-            )
-        per_rep.append(
-            [
-                accumulate_priority(ledger),
-                accumulate_nonpriority(ledger),
-                float(ledger.y.mean()),
-                float(ledger.w.mean()),
-                float((ledger.w * ledger.w).sum() / ledger.num_cycles),
-                float(ledger.xtilde.mean()),
-                float(ledger.m.mean()),
-                float(np.mean(~ledger.delivered)),
-                float(failed.mean()),
-                float(succeeded.mean()),
-            ]
-        )
-    columns = np.asarray(per_rep, dtype=np.float64).T
-    stats = [_mean_se(col) for col in columns]
-    flattened = [value for pair in stats for value in pair]
-    return SimResult(
-        *flattened,
-        intervals_used=config.replications * config.num_intervals,
-    )
+    return run_k_sweep((config,))[0]
 
 
 @dataclass(frozen=True)
@@ -349,7 +412,7 @@ def sample_path_cross_check(config: SimConfig) -> CrossCheck:
         )
     ages_p = []
     ages_e = []
-    for ledger in _replication_ledgers(config):
+    for (ledger,) in _replication_ledgers(config, (config.k,)):
         # node 1 receives every update; the tracked node only its deliveries
         every = np.arange(ledger.num_intervals)
         ages_p.append(_integrate_age(ledger, every, ledger.x1))

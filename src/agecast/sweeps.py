@@ -3,11 +3,12 @@
 A sweep walks the priority group size k or the service-time shift c,
 evaluates both closed forms at each point, runs the simulator with the
 same master seed, and emits one CSV row per point under a fixed schema.
-Points of a c sweep share their draws (common random numbers), so those
-curves move smoothly.  Points of a k sweep share only the seed: each k
-draws a (num_intervals, k+1) block laid out by
-``agecast.simulator.generate_intervals``, so a change of k changes which
-uniform feeds which node.
+The points of either sweep share their draws (common random numbers), so
+the curves move smoothly.  A c sweep reuses the same raw uniforms at each
+shift.  A k sweep runs all its points in one pass per replication
+(``agecast.simulator.run_k_sweep``): node i's service times are the same
+at every k >= i, so each point adds one node to the previous one's
+priority group.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import csv
 from dataclasses import dataclass, fields
 
 from .order_stats import MAX_K, ServiceDistribution, check_count, check_real
-from .simulator import SimConfig, run_simulation
+from .simulator import SimConfig, check_simulable, run_k_sweep, run_simulation
 from .theory import age_nonpriority, age_priority_lower_bound, priority_age
 
 __all__ = [
@@ -64,7 +65,9 @@ class SweepSpec:
             k = values[0]
         else:
             values = tuple(
-                ServiceDistribution(self.rate, check_real("c values", v)).shift
+                check_simulable(
+                    ServiceDistribution(self.rate, check_real("c values", v))
+                ).shift
                 for v in self.values
             )
             k = check_count("fixed k", self.k, 1, MAX_K)
@@ -129,30 +132,22 @@ class AgeReport:
         return tuple(r.delta_e_theory - r.delta_p_theory for r in self.rows)
 
 
-def _sweep(spec: SweepSpec, points) -> AgeReport:
-    """One row per (sweep value, law, k, include bound) point of ``points``.
+def _sweep(spec: SweepSpec, configs, sims, include_bound: bool) -> AgeReport:
+    """One row per sweep value, from its SimConfig and its SimResult.
 
     The report is also written to ``spec.out_path`` when that is set.
     """
     rows = []
-    for sweep_value, dist, k, include_bound in points:
+    for sweep_value, config, sim in zip(spec.values, configs, sims):
+        dist, k = config.dist, config.k
         bound = None
         if include_bound:
             bound = age_priority_lower_bound(dist.rate, dist.shift, k)
         theory_p = priority_age(dist, k)
         theory_e = age_nonpriority(dist, k)
-        sim = run_simulation(
-            SimConfig(
-                dist=dist,
-                k=k,
-                num_intervals=spec.num_intervals,
-                seed=spec.seed,
-                replications=spec.replications,
-            )
-        )
         rows.append(
             AgeRow(
-                sweep_value=sweep_value,
+                sweep_value=float(sweep_value),
                 delta_p_theory=theory_p.value,
                 delta_p_sim=sim.age_priority_hat,
                 delta_p_stderr=sim.age_priority_se,
@@ -170,31 +165,43 @@ def _sweep(spec: SweepSpec, points) -> AgeReport:
     return report
 
 
+def _config(spec: SweepSpec, dist: ServiceDistribution, k: int) -> SimConfig:
+    return SimConfig(
+        dist=dist,
+        k=k,
+        num_intervals=spec.num_intervals,
+        seed=spec.seed,
+        replications=spec.replications,
+    )
+
+
 def sweep_k(spec: SweepSpec) -> AgeReport:
     """Sweep the priority group size at a fixed service law.
 
-    The lower-bound column is filled for shifted laws and left empty for
-    the plain exponential.
+    One simulator pass per replication serves every k.  The lower-bound
+    column is filled for shifted laws and left empty for the plain
+    exponential.
     """
     if spec.variable != "k":
         raise ValueError(f"sweep_k needs a k-variable spec, got {spec.variable!r}")
     dist = ServiceDistribution(rate=spec.rate, shift=spec.shift)
-    return _sweep(spec, ((float(k), dist, k, spec.shift > 0) for k in spec.values))
+    configs = [_config(spec, dist, k) for k in spec.values]
+    return _sweep(spec, configs, run_k_sweep(configs), spec.shift > 0)
 
 
 def sweep_shift(spec: SweepSpec) -> AgeReport:
     """Sweep the service-time shift at a fixed group size.
 
-    Rows keep the lower-bound column populated even at c = 0 so the
-    whole sweep shares one schema.
+    Each c runs its own simulation.  Rows keep the lower-bound column
+    populated even at c = 0 so the whole sweep shares one schema.
     """
     if spec.variable != "c":
         raise ValueError(f"sweep_shift needs a c-variable spec, got {spec.variable!r}")
-    points = (
-        (float(c), ServiceDistribution(rate=spec.rate, shift=float(c)), spec.k, True)
+    configs = [
+        _config(spec, ServiceDistribution(rate=spec.rate, shift=c), spec.k)
         for c in spec.values
-    )
-    return _sweep(spec, points)
+    ]
+    return _sweep(spec, configs, map(run_simulation, configs), True)
 
 
 def _format_cell(value: float | None) -> str:

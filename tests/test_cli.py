@@ -105,6 +105,19 @@ class TestParsing:
                 "sweep-shift", "--dist", "sexp", "--k", "2", "--c-values", "0,1e308",
                 "--intervals", "100", "--replications", "2",
             ],
+            # laws whose simulated service times round to the shift
+            [
+                "ledger", "--dist", "sexp", "--lambda", "1e100", "--shift", "1",
+                "--k", "2", "--intervals", "5", "--out", "x.csv",
+            ],
+            [
+                "sweep-k", "--dist", "sexp", "--lambda", "1e100", "--shift", "1e100",
+                "--k", "1", "--intervals", "100", "--replications", "2",
+            ],
+            [
+                "sweep-shift", "--dist", "sexp", "--lambda", "1e6", "--k", "2",
+                "--c-values", "0,1e4", "--intervals", "100", "--replications", "2",
+            ],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
@@ -115,7 +128,7 @@ class TestParsing:
         assert spec.values == (4194303,)
 
     def test_ledger_k_capped_like_sweeps(self, capsys):
-        # parsed only: a run at this k would draw blocks of k+1 doubles
+        # parsed only: a run at this k would draw k+1 columns per interval
         for k in ("5000000", "5000000..5000000"):
             with pytest.raises(SystemExit) as exc:
                 parse_config(["ledger", "--k", k, "--out", "x.csv"])

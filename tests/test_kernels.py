@@ -6,37 +6,57 @@ import numpy as np
 import pytest
 
 from agecast.order_stats import MAX_K, ServiceDistribution
-from agecast.simulator import _BLOCK_ROWS, generate_intervals
+from agecast.simulator import generate_interval_sweep, generate_intervals
 
 EXP1 = ServiceDistribution.exponential(1.0)
 
-# a priority group wide enough that a kernel block holds 64 rows, not
-# _BLOCK_ROWS; the column fold makes k = MAX_K itself too slow to test here
+# a priority group of 65535 nodes; MAX_K itself draws too many columns to
+# test here
 WIDE_K = (MAX_K + 1) // 64 - 1
 
 
 def whole_block_intervals(rng, dist, num_intervals, k):
-    """The kernel's outputs from one whole-block draw, transformed in full."""
-    x = dist.sample(rng, (num_intervals, k + 1))
-    y = x[:, :k].max(axis=1)
-    x1 = np.ascontiguousarray(x[:, 0])
-    x_nonp = np.ascontiguousarray(x[:, k])
+    """The kernel's outputs from one column-major draw, transformed in full.
+
+    Row 0 of the (k+1, N) block is the tracked non-priority node, row i
+    priority node i.
+    """
+    x = dist.sample(rng, (k + 1, num_intervals))
+    y = x[1:].max(axis=0)
+    x1 = x[1]
+    x_nonp = x[0]
     return y, x1, x_nonp, x_nonp < y
 
 
 class _ScriptedRng:
-    """Stand-in generator that replays preset uniforms in row-major order."""
+    """Stand-in generator that replays preset uniforms in draw order."""
 
     def __init__(self, values):
         self._values = list(values)
 
-    def random(self, size=None):
-        if size is None:
+    def random(self, size=None, out=None):
+        if size is None and out is None:
             return self._values.pop(0)
-        count = int(np.prod(size))
+        shape = size if out is None else out.shape
+        count = int(np.prod(shape))
         block, self._values = self._values[:count], self._values[count:]
         assert len(block) == count, "script ran out of uniforms"
-        return np.reshape(np.array(block, dtype=np.float64), size)
+        block = np.reshape(np.array(block, dtype=np.float64), shape)
+        if out is None:
+            return block
+        out[...] = block
+        return out
+
+
+def _kernel_peak(num_intervals, k):
+    # the generator is made first: its first seeding imports modules
+    rng = np.random.default_rng(4)
+    tracemalloc.start()
+    try:
+        generate_intervals(rng, EXP1, num_intervals, k)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestGenerateIntervals:
@@ -75,8 +95,9 @@ class TestGenerateIntervals:
             generate_intervals(rng, EXP1, 10, MAX_K + 1)
 
     def test_scripted_draws_k1(self):
-        # one interval: node 1 draws 2, the tracked node 1, so it delivers
-        targets = np.array([2.0, 1.0])
+        # one interval: the tracked node draws 1 first, then node 1 draws 2,
+        # so the tracked copy lands first and is delivered
+        targets = np.array([1.0, 2.0])
         rng = _ScriptedRng(-np.expm1(-targets))
         y, x1, x_nonp, delivered = generate_intervals(rng, EXP1, 1, 1)
         assert y == pytest.approx([2.0], rel=1e-12)
@@ -85,9 +106,9 @@ class TestGenerateIntervals:
         assert delivered.tolist() == [True]
 
     def test_scripted_draws_k2(self):
-        # two intervals of k+1 = 3 uniforms each, one row per interval:
-        # priority nodes in columns 0..1, the tracked node in column 2
-        targets = np.array([1.0, 3.0, 5.0, 4.0, 2.0, 0.5])
+        # two intervals, one column of 2 uniforms per node: the tracked
+        # node first, then priority nodes 1 and 2
+        targets = np.array([5.0, 0.5, 1.0, 4.0, 3.0, 2.0])
         rng = _ScriptedRng(-np.expm1(-targets))
         y, x1, x_nonp, delivered = generate_intervals(rng, EXP1, 2, 2)
         assert y == pytest.approx([3.0, 4.0], rel=1e-12)
@@ -97,7 +118,7 @@ class TestGenerateIntervals:
 
     @pytest.mark.parametrize("k", [1, 2, 5, 20, 100])
     @pytest.mark.parametrize(
-        "num_intervals", [1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 17]
+        "num_intervals", [1, 4096, 4097, 3 * 4096 + 17]
     )
     def test_bitwise_equal_to_whole_block_oracle(self, k, num_intervals):
         dist = ServiceDistribution(rate=1.5, shift=0.25)
@@ -109,7 +130,6 @@ class TestGenerateIntervals:
 
     @pytest.mark.parametrize("k, num_intervals", [(4095, 3000), (WIDE_K, 129)])
     def test_bitwise_equal_to_whole_block_oracle_at_wide_rows(self, k, num_intervals):
-        # fewer than _BLOCK_ROWS rows per block: 1024 at k = 4095, 64 at WIDE_K
         dist = ServiceDistribution(rate=0.5, shift=2.0)
         got = generate_intervals(np.random.default_rng(k), dist, num_intervals, k)
         want = whole_block_intervals(np.random.default_rng(k), dist, num_intervals, k)
@@ -117,22 +137,54 @@ class TestGenerateIntervals:
             assert left.tobytes() == right.tobytes()
 
     def test_memory_bounded_at_wide_rows(self):
-        # one block holds at most MAX_K + 1 doubles (32 MiB), whatever N;
-        # a 128-row block at WIDE_K would hold 64 MiB
-        tracemalloc.start()
-        try:
-            generate_intervals(np.random.default_rng(4), EXP1, 128, WIDE_K)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 40 * 2**20
+        # a few length-N columns plus a fixed overhead that shows at this
+        # small N, whatever k; one (k+1, N) block would be 64 MiB here
+        num = 128
+        assert _kernel_peak(num, WIDE_K) < 16 * num * 8
 
     def test_memory_does_not_grow_with_the_uniform_block(self):
-        k, num = 200, 50_000
-        tracemalloc.start()
-        try:
-            generate_intervals(np.random.default_rng(2), EXP1, num, k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < num * (k + 1) * 8 / 4
+        # a few length-N columns, not the N * (k+1) uniforms drawn
+        num = 50_000
+        assert _kernel_peak(num, 200) < 8 * num * 8
+
+
+class TestGenerateIntervalSweep:
+    KS = (1, 2, 3, 5, 8, 13)
+
+    def test_each_point_equals_a_single_k_draw(self):
+        dist = ServiceDistribution(rate=1.5, shift=0.25)
+        points = generate_interval_sweep(np.random.default_rng(6), dist, 3000, self.KS)
+        for k, got in zip(self.KS, points, strict=True):
+            want = generate_intervals(np.random.default_rng(6), dist, 3000, k)
+            for left, right in zip(got, want):
+                assert left.tobytes() == right.tobytes()
+
+    def test_intervals_grow_and_deliveries_persist_pathwise(self):
+        # node i's draws serve every k >= i, so adding a node can only
+        # delay the preemption: intervals lengthen, and a tracked copy that
+        # landed before it at k still lands before it at k + 1
+        dist = ServiceDistribution(rate=1.0, shift=1.0)
+        points = list(
+            generate_interval_sweep(np.random.default_rng(8), dist, 5000, range(1, 9))
+        )
+        for (y, x1, x_nonp, delivered), (y_next, x1_next, x_nonp_next, delivered_next) in zip(
+            points, points[1:]
+        ):
+            assert np.array_equal(x1, x1_next) and np.array_equal(x_nonp, x_nonp_next)
+            assert np.all(y_next >= y)
+            assert np.any(y_next > y)
+            assert np.all(delivered_next[delivered])
+            assert np.any(delivered_next & ~delivered)
+
+    def test_consumes_the_budget_of_its_largest_k(self):
+        rng_a = np.random.default_rng(9)
+        for _ in generate_interval_sweep(rng_a, EXP1, 321, (2, 4, 7)):
+            pass
+        rng_b = np.random.default_rng(9)
+        rng_b.random((8, 321))
+        assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("ks", [(), (2, 2), (3, 1)])
+    def test_refuses_group_sizes_out_of_order(self, ks):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            next(generate_interval_sweep(np.random.default_rng(1), EXP1, 10, ks))

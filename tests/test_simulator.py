@@ -15,13 +15,14 @@ from agecast.simulator import (
     SimConfig,
     accumulate_nonpriority,
     accumulate_priority,
+    run_k_sweep,
     run_simulation,
     sample_path_cross_check,
     simulate_ledger,
     write_ledger_csv,
 )
 from agecast.simulator import _integrate_age
-from agecast.theory import age_exponential
+from agecast.theory import age_exponential, age_nonpriority, age_priority
 
 EXP1 = ServiceDistribution.exponential(1.0)
 
@@ -133,6 +134,36 @@ class TestSimConfig:
             for bad in ("1", None, math.nan, math.inf, 2.0, -1):
                 with pytest.raises(ValueError, match=name):
                     SimConfig(**{**good, name: bad})
+
+    def test_refuses_a_law_whose_draws_round_to_the_shift(self):
+        # one ulp of the shift would exceed 2**-20 of the mean tail 1/rate
+        law = ServiceDistribution(rate=2.0**32, shift=1.5)
+        with pytest.raises(ValueError, match=r"rate \* shift must be at most 2\*\*32"):
+            SimConfig(dist=law, k=2, num_intervals=10, seed=1)
+        SimConfig(dist=ServiceDistribution(rate=2.0**32, shift=1.0), k=2, num_intervals=10, seed=1)
+        # the closed forms still take the law
+        assert math.isfinite(age_priority(law, 2) + age_nonpriority(law, 2).value)
+
+
+class TestRunKSweep:
+    SEXP = ServiceDistribution(rate=1.0, shift=1.0)
+
+    def configs(self, ks, **overrides):
+        base = dict(dist=self.SEXP, num_intervals=3000, seed=31, replications=3)
+        return [SimConfig(k=k, **{**base, **overrides}) for k in ks]
+
+    @pytest.mark.parametrize("ks", [range(1, 9), range(3, 7)])
+    def test_each_point_equals_its_own_run(self, ks):
+        configs = self.configs(ks)
+        assert run_k_sweep(configs) == tuple(run_simulation(c) for c in configs)
+
+    def test_refuses_configs_that_differ_beyond_k(self):
+        with pytest.raises(ValueError, match="differ only in k"):
+            run_k_sweep([*self.configs([1]), *self.configs([2], seed=32)])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            run_k_sweep(self.configs([3, 2]))
+        with pytest.raises(ValueError, match="at least one config"):
+            run_k_sweep([])
 
 
 class TestRunSimulation:

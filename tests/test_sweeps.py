@@ -93,6 +93,9 @@ class TestSweepSpec:
             (dict(variable="c", values=(0.0, 1.0), k=4194304), "fixed k must be at most"),
             (dict(rate=1e-320), "rate must lie in"),
             (dict(variable="c", values=(0.0, 1e308)), "shift must be at most"),
+            # service times that round to the shift, at k and at each c
+            (dict(rate=1e100, shift=1e100), "rate \\* shift must be at most"),
+            (dict(variable="c", values=(0.0, 1e10), rate=1.0), "rate \\* shift"),
         ],
     )
     def test_rejects_bad_specs(self, overrides, message):
@@ -128,6 +131,14 @@ class TestSweepSpec:
 
 
 class TestSweepK:
+    @pytest.mark.parametrize("values", [tuple(range(1, 9)), (3, 4, 5, 6)])
+    def test_one_pass_rows_equal_separate_runs(self, values):
+        # a one-value sweep is one run_simulation at that k
+        sizes = dict(shift=1.0, num_intervals=2000, replications=3)
+        report = sweep_k(k_spec(values=values, **sizes))
+        for k, row in zip(values, report.rows, strict=True):
+            assert row == sweep_k(k_spec(values=(k,), **sizes)).rows[0]
+
     def test_row_shape(self, exp_report):
         assert exp_report.variable == "k"
         assert [row.sweep_value for row in exp_report.rows] == [1.0, 2.0, 5.0]
