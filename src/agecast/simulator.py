@@ -104,8 +104,7 @@ class CycleLedger:
     Per interval: length ``y``, node 1's service time ``x1``, the tracked
     non-priority service time ``x_nonp`` and its ``delivered`` flag.  Per
     complete cycle (delivery to delivery): interval count ``m``, summed
-    length ``w``, opening delivered service time ``xtilde`` and the
-    closing interval's length ``y_success``.
+    length ``w`` and opening delivered service time ``xtilde``.
     """
 
     y: np.ndarray
@@ -115,34 +114,41 @@ class CycleLedger:
     m: np.ndarray
     w: np.ndarray
     xtilde: np.ndarray
-    y_success: np.ndarray
 
     @classmethod
     def from_intervals(cls, y, x1, x_nonp, delivered) -> "CycleLedger":
         d = np.flatnonzero(delivered)
-        if d.size >= 2:
-            ends = np.cumsum(y)
-            # cycle l covers intervals d[l-1]+1 .. d[l]; its span is the
-            # difference of interval end times at the two deliveries
-            w = ends[d[1:]] - ends[d[:-1]]
-            m = np.diff(d)
-            xtilde = x_nonp[d[:-1]]
-            y_success = y[d[1:]]
-        else:
-            w = np.empty(0)
-            m = np.empty(0, dtype=np.int64)
-            xtilde = np.empty(0)
-            y_success = np.empty(0)
+        ends = np.cumsum(y)
+        # cycle l covers intervals d[l-1]+1 .. d[l]; its span is the
+        # difference of interval end times at the two deliveries.  With
+        # fewer than two deliveries every cycle array is empty.
         return cls(
             y=y,
             x1=x1,
             x_nonp=x_nonp,
             delivered=delivered,
-            m=m,
-            w=w,
-            xtilde=xtilde,
-            y_success=y_success,
+            m=np.diff(d),
+            w=ends[d[1:]] - ends[d[:-1]],
+            xtilde=x_nonp[d[:-1]],
         )
+
+    def moment_samples(self) -> dict[str, np.ndarray]:
+        """Per-sample arrays whose means estimate the cycle moments.
+
+        Keyed by the :class:`agecast.theory.RenewalCycleMoments` field each
+        one estimates, in SimResult's order.
+        """
+        miss = ~self.delivered
+        return {
+            "y_mean": self.y,
+            "w_mean": self.w,
+            "w2_mean": self.w * self.w,
+            "xtilde_mean": self.xtilde,
+            "m_mean": self.m,
+            "q": miss,
+            "yf_mean": self.y[miss],
+            "ys_mean": self.y[self.delivered],
+        }
 
     @property
     def num_intervals(self) -> int:
@@ -311,26 +317,19 @@ def _replication_ledgers(config: SimConfig, ks) -> Iterator[Iterator[CycleLedger
         yield (CycleLedger.from_intervals(*drawn) for drawn in intervals)
 
 
-def _estimates(ledger: CycleLedger) -> list[float]:
-    """One replication's estimates, in SimResult's field order."""
-    failed = ledger.y[~ledger.delivered]
-    succeeded = ledger.y[ledger.delivered]
-    if failed.size == 0 or ledger.num_cycles < 1:
+def _estimates(ledger: CycleLedger) -> dict[str, float]:
+    """One replication's estimates, keyed by SimResult field without suffix."""
+    samples = ledger.moment_samples()
+    if samples["yf_mean"].size == 0 or ledger.num_cycles < 1:
         raise InsufficientDataError(
             "replication too short to observe both delivery outcomes"
         )
-    return [
-        accumulate_priority(ledger),
-        accumulate_nonpriority(ledger),
-        float(ledger.y.mean()),
-        float(ledger.w.mean()),
-        float((ledger.w * ledger.w).sum() / ledger.num_cycles),
-        float(ledger.xtilde.mean()),
-        float(ledger.m.mean()),
-        float(np.mean(~ledger.delivered)),
-        float(failed.mean()),
-        float(succeeded.mean()),
-    ]
+    estimates = {
+        "age_priority": accumulate_priority(ledger),
+        "age_nonpriority": accumulate_nonpriority(ledger),
+    }
+    estimates.update((name, float(values.mean())) for name, values in samples.items())
+    return estimates
 
 
 def run_k_sweep(configs: Sequence[SimConfig]) -> tuple[SimResult, ...]:
@@ -349,16 +348,18 @@ def run_k_sweep(configs: Sequence[SimConfig]) -> tuple[SimResult, ...]:
     first = configs[0]
     if any(replace(config, k=first.k) != first for config in configs):
         raise ValueError("the configs of a k sweep must differ only in k")
-    per_k: list[list[list[float]]] = [[] for _ in configs]
+    per_k: list[list[dict[str, float]]] = [[] for _ in configs]
     for ledgers in _replication_ledgers(first, [config.k for config in configs]):
         for per_rep, ledger in zip(per_k, ledgers):
             per_rep.append(_estimates(ledger))
     results = []
     for per_rep in per_k:
-        columns = np.asarray(per_rep, dtype=np.float64).T
-        flattened = [value for col in columns for value in _mean_se(col)]
+        fields = {}
+        for name in per_rep[0]:
+            values = [estimates[name] for estimates in per_rep]
+            fields[f"{name}_hat"], fields[f"{name}_se"] = _mean_se(values)
         results.append(
-            SimResult(*flattened, intervals_used=first.replications * first.num_intervals)
+            SimResult(**fields, intervals_used=first.replications * first.num_intervals)
         )
     return tuple(results)
 

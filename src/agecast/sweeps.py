@@ -40,8 +40,8 @@ class SweepSpec:
     fixed group size and ``values`` enumerates shifts.  ``out_path`` of
     None keeps the report in memory only.  The law and run-size fields
     follow the rules of the ServiceDistribution and SimConfig each point
-    builds, so each c value is a valid shift; every k is at most
-    ``MAX_K``.
+    builds, so each c value is a valid shift; ``k`` is a valid group size
+    for either variable, and every k is at most ``MAX_K``.
     """
 
     variable: str
@@ -62,7 +62,6 @@ class SweepSpec:
             raise ValueError("sweep values must be non-empty")
         if self.variable == "k":
             values = tuple(check_count("k values", v, 1, MAX_K) for v in self.values)
-            k = values[0]
         else:
             values = tuple(
                 check_simulable(
@@ -70,8 +69,7 @@ class SweepSpec:
                 ).shift
                 for v in self.values
             )
-            k = check_count("fixed k", self.k, 1, MAX_K)
-            object.__setattr__(self, "k", k)
+        k = check_count("fixed k", self.k, 1, MAX_K)
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError(f"sweep values must be strictly increasing, got {values}")
         config = SimConfig(
@@ -83,6 +81,7 @@ class SweepSpec:
         )
         for name, value in (
             ("values", values),
+            ("k", k),
             ("rate", config.dist.rate),
             ("shift", config.dist.shift),
             ("num_intervals", config.num_intervals),

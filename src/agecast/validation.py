@@ -40,7 +40,6 @@ from .theory import (
     age_priority,
     age_priority_lower_bound,
     age_priority_shifted_exp,
-    failure_prob,
     interval_moments,
     xtilde_mean,
 )
@@ -235,8 +234,9 @@ def check_simulation_moments(settings: ValidationSettings) -> tuple[bool, str]:
     """Empirical cycle moments track the closed forms within 4 se.
 
     One long run per law with pooled per-sample standard errors, so each
-    comparison is an effectively normal z-score and the whole check
-    false-alarms on well under 1% of seeds.
+    comparison is an effectively normal z-score.  At the ``validate``
+    defaults the check failed on 0 of the seeds 1..100
+    (``tests/gate_seeds.py``, stream version 2).
     """
     rng = np.random.default_rng(settings.seed + 3)
     num_intervals = settings.num_intervals * settings.replications
@@ -247,19 +247,9 @@ def check_simulation_moments(settings: ValidationSettings) -> tuple[bool, str]:
             dist = ServiceDistribution(rate=rate, shift=shift)
             ledger = simulate_ledger(dist, k, num_intervals, rng)
             moments = interval_moments(dist, k)
-            miss = ~ledger.delivered
-            comparisons = [
-                (miss, failure_prob(k), "q"),
-                (ledger.y, moments.y_mean, "y"),
-                (ledger.m, moments.m_mean, "m"),
-                (ledger.w, moments.w_mean, "w"),
-                (ledger.w**2, moments.w2_mean, "w2"),
-                (ledger.xtilde, moments.xtilde_mean, "xtilde"),
-                (ledger.y[miss], moments.yf_mean, "yf"),
-                (ledger.y[ledger.delivered], moments.ys_mean, "ys"),
-            ]
-            for values, target, tag in comparisons:
-                z = _pooled_z(values, target, tag)
+            for name, values in ledger.moment_samples().items():
+                tag = name.removesuffix("_mean")
+                z = _pooled_z(values, getattr(moments, name), tag)
                 if z > worst:
                     worst = z
                     label = f"{tag} at rate={rate}, shift={shift}, k={k}"
@@ -272,16 +262,22 @@ def check_cycle_bookkeeping(settings: ValidationSettings) -> tuple[bool, str]:
     dist = ServiceDistribution(rate=1.0, shift=0.5)
     ledger = simulate_ledger(dist, 2, settings.num_intervals, rng)
     deliveries = np.flatnonzero(ledger.delivered)
-    if ledger.num_cycles < 1:
+    if ledger.num_cycles < 2:
         raise InsufficientDataError(
-            f"cycle bookkeeping needs at least 2 deliveries, got {deliveries.size}"
+            f"cycle bookkeeping needs at least 3 deliveries, got {deliveries.size}"
         )
     trailing = ledger.num_intervals - 1 - deliveries[-1]
     counted = int(ledger.m.sum() + trailing)
     expect = ledger.num_intervals - 1 - deliveries[0]
     tiling_ok = counted == expect
     span_ok = ledger.w.sum() <= ledger.y.sum()
-    corr = float(np.corrcoef(ledger.m, ledger.y_success)[0, 1])
+    closing_y = ledger.y[deliveries[1:]]
+    # a constant series has no correlation to estimate, and corrcoef would
+    # divide by its zero spread
+    if np.ptp(ledger.m) == 0 or np.ptp(closing_y) == 0:
+        corr = 0.0
+    else:
+        corr = float(np.corrcoef(ledger.m, closing_y)[0, 1])
     corr_ok = abs(corr) < 4.0 / math.sqrt(ledger.num_cycles)
     return (
         tiling_ok and span_ok and corr_ok,

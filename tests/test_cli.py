@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,11 @@ class TestParsing:
             [
                 "sweep-shift", "--dist", "sexp", "--lambda", "1e6", "--k", "2",
                 "--c-values", "0,1e4", "--intervals", "100", "--replications", "2",
+            ],
+            # one cycle, too few to correlate M with the closing interval
+            [
+                "validate", "--intervals", "3", "--replications", "1",
+                "--checks", "cycle_bookkeeping",
             ],
         ],
     )
@@ -319,6 +325,18 @@ class TestValidateCommand:
         printed = capsys.readouterr().out
         assert "FAIL" in printed
         assert "0/1 checks passed" in printed
+
+    @pytest.mark.parametrize("intervals", ["4", "5"])
+    def test_constant_cycle_counts_pass_without_warnings(self, intervals, capsys):
+        # 2 or 3 cycles of one interval each at the default seed: a
+        # constant M has no correlation to estimate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(
+                ["validate", "--intervals", intervals, "--checks", "cycle_bookkeeping"]
+            )
+        assert code == 0
+        assert "|corr(M, closing Y)| = 0.0000" in capsys.readouterr().out
 
     def test_closed_stdout_exits_2(self, monkeypatch, capsys):
         # a reader that went away (agecast validate | head -1) is an

@@ -13,6 +13,7 @@ from agecast.simulator import (
     CycleLedger,
     InsufficientDataError,
     SimConfig,
+    SimResult,
     accumulate_nonpriority,
     accumulate_priority,
     run_k_sweep,
@@ -22,7 +23,12 @@ from agecast.simulator import (
     write_ledger_csv,
 )
 from agecast.simulator import _integrate_age
-from agecast.theory import age_exponential, age_nonpriority, age_priority
+from agecast.theory import (
+    RenewalCycleMoments,
+    age_exponential,
+    age_nonpriority,
+    age_priority,
+)
 
 EXP1 = ServiceDistribution.exponential(1.0)
 
@@ -45,7 +51,6 @@ class TestCycleLedger:
         np.testing.assert_array_equal(ledger.m, [3, 1])
         np.testing.assert_allclose(ledger.w, [12.0, 6.0])
         np.testing.assert_allclose(ledger.xtilde, [x_nonp[1], x_nonp[4]])
-        np.testing.assert_allclose(ledger.y_success, [5.0, 6.0])
         assert ledger.num_intervals == 7
         assert ledger.num_cycles == 2
 
@@ -64,6 +69,21 @@ class TestCycleLedger:
         ends = np.cumsum(ledger.y)
         assert ledger.w.sum() == pytest.approx(ends[d[-1]] - ends[d[0]], rel=1e-12)
         assert ledger.w.sum() <= ledger.y.sum()
+
+    def test_moment_samples(self):
+        y = np.arange(1.0, 8.0)
+        delivered = np.array([False, True, False, False, True, True, False])
+        ledger = CycleLedger.from_intervals(y, y, y + 10.0, delivered)
+        samples = ledger.moment_samples()
+        # each key names the theory moment it estimates, in SimResult order
+        theory = {field.name for field in dataclasses.fields(RenewalCycleMoments)}
+        assert set(samples) <= theory
+        hats = [f.name for f in dataclasses.fields(SimResult) if f.name.endswith("_hat")]
+        assert hats[2:] == [f"{name}_hat" for name in samples]
+        np.testing.assert_array_equal(samples["w2_mean"], [144.0, 36.0])
+        np.testing.assert_array_equal(samples["q"], ~delivered)
+        np.testing.assert_array_equal(samples["yf_mean"], [1.0, 3.0, 4.0, 7.0])
+        np.testing.assert_array_equal(samples["ys_mean"], [2.0, 5.0, 6.0])
 
 
 class TestAccumulators:

@@ -96,6 +96,9 @@ class TestSweepSpec:
             # service times that round to the shift, at k and at each c
             (dict(rate=1e100, shift=1e100), "rate \\* shift must be at most"),
             (dict(variable="c", values=(0.0, 1e10), rate=1.0), "rate \\* shift"),
+            # unused by a k sweep, but checked like the c sweep's
+            (dict(k="junk"), "fixed k"),
+            (dict(k=0), "fixed k"),
         ],
     )
     def test_rejects_bad_specs(self, overrides, message):
