@@ -233,16 +233,25 @@ def _ledger_request(merged: dict) -> tuple:
     )
 
 
+def _age_text(value: float) -> str:
+    """``value`` to 6 decimals, or to 7 significant digits where 6 decimals
+    show no nonzero digit or more than 16 integer digits."""
+    text = f"{value:.6f}"
+    if value and (not text.strip("-0.") or abs(value) >= 1e16):
+        return f"{value:.6e}"
+    return text
+
+
 def _print_report(report, out_path) -> None:
     label = report.variable
     for row in report.rows:
-        bound = "" if row.lower_bound is None else f"  bound={row.lower_bound:.6f}"
+        bound = "" if row.lower_bound is None else f"  bound={_age_text(row.lower_bound)}"
         print(
             f"{label}={row.sweep_value:g}"
-            f"  delta_p={row.delta_p_theory:.6f} (sim {row.delta_p_sim:.6f}"
-            f" +- {row.delta_p_stderr:.6f})"
-            f"  delta_e={row.delta_e_theory:.6f} (sim {row.delta_e_sim:.6f}"
-            f" +- {row.delta_e_stderr:.6f}){bound}"
+            f"  delta_p={_age_text(row.delta_p_theory)} (sim {_age_text(row.delta_p_sim)}"
+            f" +- {_age_text(row.delta_p_stderr)})"
+            f"  delta_e={_age_text(row.delta_e_theory)} (sim {_age_text(row.delta_e_sim)}"
+            f" +- {_age_text(row.delta_e_stderr)}){bound}"
         )
     print(f"max relative error {report.max_relerr():.6f} (tolerance {report.tolerance:g})")
     if out_path is not None:

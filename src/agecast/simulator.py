@@ -11,8 +11,12 @@ integration of the age sawtooth cross-checks the bookkeeping.
 
 from __future__ import annotations
 
+import os
+import signal
 from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -41,6 +45,13 @@ CROSS_CHECK_MAX_INTERVALS = 100_000
 
 # rows the ledger writer formats at a time
 _BLOCK_ROWS = 4096
+
+# from this many rows on, the ledger writer formats on a worker pool; below
+# it, starting the workers costs more than they save
+_POOL_MIN_ROWS = 16 * _BLOCK_ROWS
+
+# blocks a pool worker formats per task
+_POOL_CHUNK_BLOCKS = 4
 
 # master seeds are 64-bit unsigned integers
 MAX_SEED = 2**64 - 1
@@ -422,21 +433,87 @@ def sample_path_cross_check(config: SimConfig) -> CrossCheck:
     return CrossCheck(*_mean_se(ages_p), *_mean_se(ages_e))
 
 
+def _ledger_rows(columns: tuple, start: int) -> str:
+    """CSV lines of the ledger rows in the block that begins at row ``start``."""
+    y, x1, x_nonp, delivered = columns
+    stop = min(start + _BLOCK_ROWS, y.size)
+    cols = (
+        map(str, range(start + 1, stop + 1)),
+        map(repr, y[start:stop].tolist()),
+        map(repr, x1[start:stop].tolist()),
+        map(repr, x_nonp[start:stop].tolist()),
+        map(str, delivered[start:stop].view(np.uint8).tolist()),
+    )
+    return "\n".join(map(",".join, zip(*cols))) + "\n"
+
+
+# a pool worker's ledger columns, set by _start_worker in the worker only
+_worker_columns: tuple = ()
+
+
+def _start_worker(columns: tuple) -> None:
+    global _worker_columns
+    _worker_columns = columns
+    # Ctrl-C reaches the whole process group; only the parent acts on it
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _worker_rows(start: int) -> str:
+    return _ledger_rows(_worker_columns, start)
+
+
+def _pool_size(num_rows: int) -> int:
+    """Processes that format a ledger of ``num_rows`` rows; 1 means this one alone."""
+    if num_rows < _POOL_MIN_ROWS or not hasattr(os, "sched_getaffinity"):
+        return 1
+    import multiprocessing  # here, so that importing agecast stays as fast
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    tasks = -(-num_rows // (_POOL_CHUNK_BLOCKS * _BLOCK_ROWS))
+    return min(len(os.sched_getaffinity(0)), tasks)
+
+
+@contextmanager
+def _formatted_blocks(columns: tuple, num_rows: int) -> Iterator[Iterator[str]]:
+    """An iterator over the CSV text of each block of rows, in row order.
+
+    A pool's workers are joined when the ``with`` statement ends, and
+    terminated if it ends in an exception.
+    """
+    starts = range(0, num_rows, _BLOCK_ROWS)
+    workers = _pool_size(num_rows)
+    if workers == 1:
+        yield map(partial(_ledger_rows, columns), starts)
+        return
+    import multiprocessing
+
+    # under fork the workers inherit the columns instead of unpickling them
+    # (spawn would import agecast and copy the columns into each worker,
+    # about half again the peak memory).  The workers are forked before the
+    # pool starts its own threads, and they call no BLAS routine.
+    context = multiprocessing.get_context("fork")
+    with context.Pool(workers, _start_worker, (columns,)) as pool:
+        yield pool.imap(_worker_rows, starts, _POOL_CHUNK_BLOCKS)
+        pool.close()
+        pool.join()
+
+
 def write_ledger_csv(ledger: CycleLedger, path) -> None:
     """Dump one row per interval: j, Y_j, X_1j, X_nonp_j, delivered.
 
     Floats are written with ``repr``, so they read back exactly.  Rows are
-    formatted a block at a time, column by column.
+    formatted a block of 4096 at a time, column by column.  From
+    ``_POOL_MIN_ROWS`` = 65536 rows on, where the ``fork`` start method
+    exists and the process may run on more than one CPU, the blocks are
+    formatted on a pool of forked workers, at most one per CPU of the
+    affinity mask, and written here in row order as they arrive.  The bytes do not
+    depend on the path taken or on the CPU count.
     """
+    columns = (ledger.y, ledger.x1, ledger.x_nonp, ledger.delivered)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("j,Y_j,X_1j,X_nonp_j,delivered\n")
-        for start in range(0, ledger.num_intervals, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, ledger.num_intervals)
-            cols = (
-                map(str, range(start + 1, stop + 1)),
-                map(repr, ledger.y[start:stop].tolist()),
-                map(repr, ledger.x1[start:stop].tolist()),
-                map(repr, ledger.x_nonp[start:stop].tolist()),
-                map(str, ledger.delivered[start:stop].view(np.uint8).tolist()),
-            )
-            handle.write("\n".join(map(",".join, zip(*cols))) + "\n")
+        with _formatted_blocks(columns, ledger.num_intervals) as blocks:
+            # written after the fork, so no worker inherits it unflushed
+            handle.write("j,Y_j,X_1j,X_nonp_j,delivered\n")
+            for text in blocks:
+                handle.write(text)

@@ -1,5 +1,7 @@
 """Argument parsing, config files, exit codes and end-to-end runs."""
 
+import faulthandler
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import agecast
-from agecast.cli import main, parse_config
+from agecast.cli import _age_text, main, parse_config
 from agecast.sweeps import CSV_COLUMNS, SweepSpec, read_report_csv
 
 
@@ -216,6 +218,33 @@ class TestLedgerCommand:
         assert len(lines) == 51
         assert f"wrote {out}" in capsys.readouterr().out
 
+    # 100000 rows are formatted on a worker pool; two CPUs make one on any host
+    POOLED = ["ledger", "--k", "3", "--intervals", "100000", "--seed", "13"]
+
+    @pytest.fixture(autouse=True)
+    def no_hang(self):
+        # a pool that hangs ends the test run with every thread's traceback
+        faulthandler.dump_traceback_later(120, exit=True)
+        yield
+        faulthandler.cancel_dump_traceback_later()
+
+    def test_pooled_dump_leaves_no_workers(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        out = tmp_path / "draws.csv"
+        assert main(self.POOLED + ["--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        # the forked workers flush none of the parent's output
+        assert capsys.readouterr().out.count("wrote") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exits_2_and_leaves_no_workers(self, monkeypatch, capsys):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert main(self.POOLED + ["--out", "/dev/full"]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write output" in err
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
+
 
 class TestSweepCommands:
     def test_sweep_k_end_to_end(self, tmp_path, capsys):
@@ -287,6 +316,42 @@ class TestSweepCommands:
         assert code == 1
         assert out.exists()
         assert "tolerance exceeded" in capsys.readouterr().err
+
+    def test_ages_out_of_fixed_point_range_print_in_e_notation(self, capsys):
+        argv = ["sweep-k", "--k", "1..2", "--intervals", "1000", "--replications", "2"]
+        # 6 decimals showed 0.000000 at rate 1e100, and 101-digit integers at 1e-100
+        assert main(argv + ["--lambda", "1e100"]) == 1
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == (
+            "k=1  delta_p=2.000000e-100 (sim 1.893185e-100 +- 2.819715e-102)"
+            "  delta_e=2.000000e-100 (sim 1.877555e-100 +- 1.611431e-102)"
+        )
+        # the across-replication variance of the W^2 samples, about 1e400,
+        # overflows; the printed ages do not depend on it
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(argv + ["--lambda", "1e-100"]) == 1
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == (
+            "k=1  delta_p=2.000000e+100 (sim 1.893185e+100 +- 2.819715e+98)"
+            "  delta_e=2.000000e+100 (sim 1.877555e+100 +- 1.611431e+98)"
+        )
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (0.0, "0.000000"),
+            (3.25, "3.250000"),
+            (5.000001e-7, "0.000001"),
+            (5e-7, "5.000000e-07"),
+            (4e-7, "4.000000e-07"),
+            (9999999999999998.0, "9999999999999998.000000"),
+            (1e16, "1.000000e+16"),
+            (float("inf"), "inf"),
+            (float("nan"), "nan"),
+        ],
+    )
+    def test_age_text(self, value, text):
+        assert _age_text(value) == text
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir.csv"

@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from agecast.simulator import (
     simulate_ledger,
     write_ledger_csv,
 )
-from agecast.simulator import _integrate_age
+from agecast.simulator import _POOL_MIN_ROWS, _integrate_age, _pool_size
 from agecast.theory import (
     RenewalCycleMoments,
     age_exponential,
@@ -322,3 +324,49 @@ class TestLedgerCsv:
         np.testing.assert_array_equal(
             np.array([float(r["X_nonp_j"]) for r in rows]), ledger.x_nonp
         )
+
+
+def set_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+class TestLedgerWorkerPool:
+    def test_pool_size(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        assert _pool_size(_POOL_MIN_ROWS - 1) == 1
+        assert _pool_size(_POOL_MIN_ROWS) == 2
+        set_cpus(monkeypatch, 1)
+        assert _pool_size(10 * _POOL_MIN_ROWS) == 1
+        # never more workers than tasks of four blocks
+        set_cpus(monkeypatch, 64)
+        assert _pool_size(_POOL_MIN_ROWS) == 4
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert _pool_size(_POOL_MIN_ROWS) == 1
+
+    @pytest.mark.parametrize(
+        "k, num_intervals",
+        [
+            (3, 1),
+            (3, 4095),
+            (3, 4096),
+            (3, 4097),
+            (3, _POOL_MIN_ROWS - 1),
+            (3, _POOL_MIN_ROWS),
+            (3, _POOL_MIN_ROWS + 1),
+            # y and x1 are one array at k = 1
+            (1, _POOL_MIN_ROWS),
+        ],
+    )
+    def test_same_bytes_on_one_cpu_and_two(self, tmp_path, monkeypatch, k, num_intervals):
+        ledger = simulate_ledger(EXP1, k, num_intervals, np.random.default_rng(num_intervals))
+        dumps = []
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            path = tmp_path / f"cpus{cpus}.csv"
+            write_ledger_csv(ledger, path)
+            dumps.append(path.read_bytes())
+        assert dumps[0] == dumps[1]
+        lines = dumps[0].decode().splitlines()
+        assert len(lines) == num_intervals + 1
+        assert lines[-1].split(",")[:2] == [str(num_intervals), repr(float(ledger.y[-1]))]
+        assert multiprocessing.active_children() == []
