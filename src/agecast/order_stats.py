@@ -151,10 +151,17 @@ class ServiceDistribution:
         out = np.where(arr > self.shift, -np.expm1(-self.rate * (arr - self.shift)), 0.0)
         return float(out) if out.ndim == 0 else out
 
-    def _inverse_cdf(self, u):
-        # the one inverse-CDF transform; u must already lie in [0, 1)
-        out = self.shift - np.log1p(-u) / self.rate
-        return float(out) if np.ndim(out) == 0 else out
+    def _inverse_cdf(self, u, out=None):
+        # the one inverse-CDF transform; u must already lie in [0, 1).  The
+        # ufuncs of shift - log1p(-u) / rate run in place on ``out`` (a new
+        # array when None; it may be ``u``), so an array makes no temporaries
+        if out is None:
+            out = np.empty(np.shape(u))
+        np.negative(u, out=out)
+        np.log1p(out, out=out)
+        np.divide(out, self.rate, out=out)
+        np.subtract(self.shift, out, out=out)
+        return float(out) if out.ndim == 0 else out
 
     def quantile(self, u):
         """Inverse CDF on [0, 1), elementwise for array input."""

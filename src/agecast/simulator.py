@@ -17,6 +17,7 @@ from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import starmap
 
 import numpy as np
 
@@ -45,6 +46,10 @@ CROSS_CHECK_MAX_INTERVALS = 100_000
 
 # rows the ledger writer formats at a time
 _BLOCK_ROWS = 4096
+
+# uniforms the interval kernel draws into its buffer at a time when it
+# folds a node into the running max; the same stream as a whole column
+_COLUMN_CHUNK = 16384
 
 # from this many rows on, the ledger writer formats on a worker pool; below
 # it, starting the workers costs more than they save
@@ -147,7 +152,9 @@ class CycleLedger:
         """Per-sample arrays whose means estimate the cycle moments.
 
         Keyed by the :class:`agecast.theory.RenewalCycleMoments` field each
-        one estimates, in SimResult's order.
+        one estimates, in SimResult's order.  A sweep reads the same means
+        off the interval columns without building these arrays
+        (``_replication_estimates``, tested bit-equal to these).
         """
         miss = ~self.delivered
         return {
@@ -189,35 +196,38 @@ def generate_interval_sweep(
     pass consumes exactly ``num_intervals * (max(ks) + 1)`` uniforms, and
     a given seed yields a bit-identical sample path on every run.
 
-    Each node is drawn as one length-N column and folded into a running
-    max of the raw uniforms, which the nondecreasing inverse CDF maps to
-    y; memory is O(num_intervals) at every k.  x_nonp and x1 are
-    transformed once and y once per k (never at k == 1, where y is x1).
+    Each node after node 1 is drawn ``_COLUMN_CHUNK`` uniforms at a time
+    and folded into a running max of the raw uniforms, which the
+    nondecreasing inverse CDF maps to y; memory is four length-N arrays
+    at every k.  x_nonp and x1 are transformed once and y once per k
+    (never at k == 1, where y is x1).
 
     Yields ``(y, x1, x_nonp, delivered)`` per k, in the order of ``ks``:
     the interval lengths (max of the k priority service times), node 1's
     service times, the tracked non-priority node's service times and its
     delivery flags (``x_nonp < y``).  A yielded array is never changed
-    afterwards.
+    afterwards, and the pass keeps no reference to a k's ``y`` or
+    ``delivered`` once it resumes.
     """
     num_intervals = check_count("num_intervals", num_intervals)
     ks = tuple(check_count("k", k, maximum=MAX_K) for k in ks)
     if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError(f"ks must be nonempty and strictly increasing, got {ks}")
-    x_nonp = dist._inverse_cdf(rng.random(num_intervals))
+    x_nonp = rng.random(num_intervals)
+    dist._inverse_cdf(x_nonp, out=x_nonp)
     u_max = rng.random(num_intervals)
     x1 = dist._inverse_cdf(u_max)
-    column = np.empty(num_intervals)
+    chunk = np.empty(min(num_intervals, _COLUMN_CHUNK))
     drawn = 1
     for k in ks:
         for _ in range(drawn, k):
-            rng.random(out=column)
-            np.maximum(u_max, column, out=u_max)
+            for start in range(0, num_intervals, chunk.size):
+                part = u_max[start : start + chunk.size]
+                np.maximum(part, rng.random(out=chunk[: part.size]), out=part)
         drawn = k
-        if k == ks[-1]:
-            column = None  # released before the last transform
         y = x1 if k == 1 else dist._inverse_cdf(u_max)
         yield y, x1, x_nonp, x_nonp < y
+        del y  # so the caller can free it before the next draw
 
 
 def generate_intervals(
@@ -252,7 +262,10 @@ def accumulate_priority(ledger: CycleLedger) -> float:
             "priority age needs at least 2 intervals, got "
             f"{ledger.num_intervals}"
         )
-    y, x1 = ledger.y, ledger.x1
+    return _priority_age(ledger.y, ledger.x1)
+
+
+def _priority_age(y: np.ndarray, x1: np.ndarray) -> float:
     area = (y[:-1] * x1[1:]).sum() + 0.5 * (y[1:] * y[1:]).sum()
     return float(area / y[1:].sum())
 
@@ -270,9 +283,15 @@ def accumulate_nonpriority(ledger: CycleLedger) -> float:
             "non-priority age needs at least 2 deliveries, got "
             f"{int(np.count_nonzero(ledger.delivered))}"
         )
-    w, xtilde = ledger.w, ledger.xtilde
-    area = 0.5 * (w * w).sum() + (xtilde * w).sum()
-    return float(area / w.sum())
+    return _nonpriority_age(ledger.w, ledger.xtilde)[0]
+
+
+def _nonpriority_age(w: np.ndarray, xtilde: np.ndarray) -> tuple[float, float, float]:
+    """The non-priority age estimate, the sum of w**2 and the sum of w."""
+    w_sq_sum = (w * w).sum()
+    w_sum = w.sum()
+    area = 0.5 * w_sq_sum + (xtilde * w).sum()
+    return float(area / w_sum), w_sq_sum, w_sum
 
 
 @dataclass(frozen=True)
@@ -315,32 +334,86 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     values = np.asarray(values, dtype=np.float64)
     if values.size == 1:
         return float(values[0]), float("nan")
-    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(values.size))
+    # std squares the deviations, which overflow for values near 1e200;
+    # scaling by a power of two first and back afterwards is exact
+    exponent = np.frexp(np.abs(values).max())[1]
+    spread = np.ldexp(np.ldexp(values, -exponent).std(ddof=1), exponent)
+    return float(values.mean()), float(spread / np.sqrt(values.size))
 
 
-def _replication_ledgers(config: SimConfig, ks) -> Iterator[Iterator[CycleLedger]]:
-    """Per replication, the ledgers of ``config``'s law at each k in ``ks``."""
-    # child streams are spawned from the master seed, so replication r is
-    # reproducible on its own and independent of the others
-    for child in np.random.SeedSequence(config.seed).spawn(config.replications):
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, or 1 without one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _map_replications(config: SimConfig, ks, fn) -> list[list]:
+    """Per replication, ``fn(y, x1, x_nonp, delivered)`` at each k in ``ks``.
+
+    Replication r draws from child stream r spawned from the master seed,
+    so it is reproducible on its own and independent of the others.  The
+    replications run on one thread per usable CPU, at most one per
+    replication (numpy releases the GIL while it draws, transforms and
+    sums), and their results come back in replication order, so they do
+    not depend on the thread count.  ``fn`` runs on the pool's threads.
+    If a replication raises, the queued ones are cancelled and the first
+    exception in replication order reaches the caller once the threads
+    have stopped.
+    """
+    children = np.random.SeedSequence(config.seed).spawn(config.replications)
+
+    def replicate(child) -> list:
         rng = np.random.default_rng(child)
         intervals = generate_interval_sweep(rng, config.dist, config.num_intervals, ks)
-        yield (CycleLedger.from_intervals(*drawn) for drawn in intervals)
+        # starmap drops a k's arrays once fn returns, before the next draw
+        return list(starmap(fn, intervals))
+
+    # here, so that importing agecast stays as fast
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(min(_usable_cpus(), len(children)))
+    try:
+        return list(pool.map(replicate, children))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def _estimates(ledger: CycleLedger) -> dict[str, float]:
-    """One replication's estimates, keyed by SimResult field without suffix."""
-    samples = ledger.moment_samples()
-    if samples["yf_mean"].size == 0 or ledger.num_cycles < 1:
+def _replication_estimates(y, x1, x_nonp, delivered) -> dict[str, float]:
+    """One replication's estimates at one k, keyed by SimResult field without suffix.
+
+    Read straight off the interval columns, with fewer length-N arrays
+    alive than a CycleLedger holds.  Each value equals, bit for bit,
+    ``accumulate_priority``, ``accumulate_nonpriority`` or the mean of
+    the ``moment_samples()`` entry of the same name for
+    ``CycleLedger.from_intervals`` of the same columns.
+    """
+    num_intervals = y.size
+    d = np.flatnonzero(delivered)
+    if d.size == num_intervals or d.size < 2:
         raise InsufficientDataError(
             "replication too short to observe both delivery outcomes"
         )
-    estimates = {
-        "age_priority": accumulate_priority(ledger),
-        "age_nonpriority": accumulate_nonpriority(ledger),
+    ys_sum = y[d].sum()
+    # the integer cycle lengths diff(d) sum exactly in float64
+    m_mean = float(d[-1] - d[0]) / (d.size - 1)
+    # the cycle spans, with the same subtraction pairs as from_intervals
+    w = np.diff(np.cumsum(y)[d])
+    xtilde = x_nonp[d[:-1]]
+    deliveries = d.size
+    del d
+    age_nonpriority, w_sq_sum, w_sum = _nonpriority_age(w, xtilde)
+    misses = num_intervals - deliveries
+    return {
+        "age_priority": _priority_age(y, x1),
+        "age_nonpriority": age_nonpriority,
+        "y_mean": float(y.sum() / num_intervals),
+        "w_mean": float(w_sum / w.size),
+        "w2_mean": float(w_sq_sum / w.size),
+        "xtilde_mean": float(xtilde.sum() / xtilde.size),
+        "m_mean": m_mean,
+        "q": misses / num_intervals,
+        "yf_mean": float(y[~delivered].sum() / misses),
+        "ys_mean": float(ys_sum / deliveries),
     }
-    estimates.update((name, float(values.mean())) for name, values in samples.items())
-    return estimates
 
 
 def run_k_sweep(configs: Sequence[SimConfig]) -> tuple[SimResult, ...]:
@@ -352,6 +425,12 @@ def run_k_sweep(configs: Sequence[SimConfig]) -> tuple[SimResult, ...]:
     config.  Raises :class:`InsufficientDataError` if any replication at
     any k sees fewer than two deliveries or not a single miss, which at
     practical run lengths only happens for tiny ``num_intervals``.
+
+    The replications run on one thread per CPU of the affinity mask, at
+    most one per replication, and are combined in replication order, so
+    the results do not depend on the CPU count.  Memory is about the
+    thread count times one replication's arrays: a few length-N columns
+    at any k (tracemalloc: 7.3 of them at N = 100 000, k = 1..20).
     """
     configs = tuple(configs)
     if not configs:
@@ -359,15 +438,15 @@ def run_k_sweep(configs: Sequence[SimConfig]) -> tuple[SimResult, ...]:
     first = configs[0]
     if any(replace(config, k=first.k) != first for config in configs):
         raise ValueError("the configs of a k sweep must differ only in k")
-    per_k: list[list[dict[str, float]]] = [[] for _ in configs]
-    for ledgers in _replication_ledgers(first, [config.k for config in configs]):
-        for per_rep, ledger in zip(per_k, ledgers):
-            per_rep.append(_estimates(ledger))
+    per_rep = _map_replications(
+        first, [config.k for config in configs], _replication_estimates
+    )
     results = []
-    for per_rep in per_k:
+    # each point's estimates, in replication order
+    for point in zip(*per_rep):
         fields = {}
-        for name in per_rep[0]:
-            values = [estimates[name] for estimates in per_rep]
+        for name in point[0]:
+            values = [estimates[name] for estimates in point]
             fields[f"{name}_hat"], fields[f"{name}_se"] = _mean_se(values)
         results.append(
             SimResult(**fields, intervals_used=first.replications * first.num_intervals)
@@ -394,7 +473,7 @@ class CrossCheck:
     age_nonpriority_se: float
 
 
-def _integrate_age(ledger: CycleLedger, events: np.ndarray, reset: np.ndarray) -> float:
+def _integrate_age(y: np.ndarray, events: np.ndarray, reset: np.ndarray) -> float:
     # the node receives update events[i] at (start of interval events[i])
     # + reset[i] and its age resets to reset[i]; integrate the sawtooth
     # trapezoid by trapezoid between the first and last reception
@@ -402,7 +481,7 @@ def _integrate_age(ledger: CycleLedger, events: np.ndarray, reset: np.ndarray) -
         raise InsufficientDataError(
             f"need at least 2 receptions to integrate, got {events.size}"
         )
-    starts = np.concatenate(([0.0], np.cumsum(ledger.y)[:-1]))
+    starts = np.concatenate(([0.0], np.cumsum(y)[:-1]))
     t = starts[events] + reset
     dt = np.diff(t)
     area = (reset[:-1] * dt).sum() + 0.5 * (dt * dt).sum()
@@ -422,15 +501,18 @@ def sample_path_cross_check(config: SimConfig) -> CrossCheck:
             "cross-check is limited to "
             f"{CROSS_CHECK_MAX_INTERVALS} intervals, got {config.num_intervals}"
         )
-    ages_p = []
-    ages_e = []
-    for (ledger,) in _replication_ledgers(config, (config.k,)):
-        # node 1 receives every update; the tracked node only its deliveries
-        every = np.arange(ledger.num_intervals)
-        ages_p.append(_integrate_age(ledger, every, ledger.x1))
-        d = np.flatnonzero(ledger.delivered)
-        ages_e.append(_integrate_age(ledger, d, ledger.x_nonp[d]))
+    per_rep = _map_replications(config, (config.k,), _integrated_ages)
+    ages_p, ages_e = zip(*(ages for (ages,) in per_rep))
     return CrossCheck(*_mean_se(ages_p), *_mean_se(ages_e))
+
+
+def _integrated_ages(y, x1, x_nonp, delivered) -> tuple[float, float]:
+    # node 1 receives every update; the tracked node only its deliveries
+    d = np.flatnonzero(delivered)
+    return (
+        _integrate_age(y, np.arange(y.size), x1),
+        _integrate_age(y, d, x_nonp[d]),
+    )
 
 
 def _ledger_rows(columns: tuple, start: int) -> str:
@@ -464,14 +546,14 @@ def _worker_rows(start: int) -> str:
 
 def _pool_size(num_rows: int) -> int:
     """Processes that format a ledger of ``num_rows`` rows; 1 means this one alone."""
-    if num_rows < _POOL_MIN_ROWS or not hasattr(os, "sched_getaffinity"):
+    if num_rows < _POOL_MIN_ROWS:
         return 1
     import multiprocessing  # here, so that importing agecast stays as fast
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return 1
     tasks = -(-num_rows // (_POOL_CHUNK_BLOCKS * _BLOCK_ROWS))
-    return min(len(os.sched_getaffinity(0)), tasks)
+    return min(_usable_cpus(), tasks)
 
 
 @contextmanager

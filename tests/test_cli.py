@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -317,6 +318,14 @@ class TestSweepCommands:
         assert out.exists()
         assert "tolerance exceeded" in capsys.readouterr().err
 
+    def test_too_short_sweep_exits_2_and_leaves_no_thread(self, capsys):
+        before = threading.active_count()
+        assert main(["sweep-k", "--k", "1..3", "--intervals", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "agecast: replication too short to observe both delivery outcomes\n"
+        assert captured.out == ""
+        assert threading.active_count() == before
+
     def test_ages_out_of_fixed_point_range_print_in_e_notation(self, capsys):
         argv = ["sweep-k", "--k", "1..2", "--intervals", "1000", "--replications", "2"]
         # 6 decimals showed 0.000000 at rate 1e100, and 101-digit integers at 1e-100
@@ -326,9 +335,10 @@ class TestSweepCommands:
             "k=1  delta_p=2.000000e-100 (sim 1.893185e-100 +- 2.819715e-102)"
             "  delta_e=2.000000e-100 (sim 1.877555e-100 +- 1.611431e-102)"
         )
-        # the across-replication variance of the W^2 samples, about 1e400,
-        # overflows; the printed ages do not depend on it
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        # the W^2 samples, about 1e200, have a variance about 1e400 that
+        # must not overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(argv + ["--lambda", "1e-100"]) == 1
         first = capsys.readouterr().out.splitlines()[0]
         assert first == (

@@ -5,6 +5,9 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,13 +21,21 @@ from agecast.simulator import (
     SimResult,
     accumulate_nonpriority,
     accumulate_priority,
+    generate_intervals,
     run_k_sweep,
     run_simulation,
     sample_path_cross_check,
     simulate_ledger,
     write_ledger_csv,
 )
-from agecast.simulator import _POOL_MIN_ROWS, _integrate_age, _pool_size
+from agecast.simulator import (
+    _POOL_MIN_ROWS,
+    _integrate_age,
+    _map_replications,
+    _mean_se,
+    _pool_size,
+    _replication_estimates,
+)
 from agecast.theory import (
     RenewalCycleMoments,
     age_exponential,
@@ -188,6 +199,117 @@ class TestRunKSweep:
             run_k_sweep([])
 
 
+@pytest.mark.parametrize("shift", [0.0, 1.0])
+@pytest.mark.parametrize("k", [1, 2, 5, 20])
+@pytest.mark.parametrize("seed, num_intervals", [(3, 2_000), (17, 20_011), (2026, 100_000)])
+def test_replication_estimates_equal_the_ledger_estimates(shift, k, seed, num_intervals):
+    # bit for bit: the sweep reads its estimates off the columns, the
+    # simulation_moments gate reads moment_samples() of a ledger
+    columns = generate_intervals(
+        np.random.default_rng(seed), ServiceDistribution(1.0, shift), num_intervals, k
+    )
+    ledger = CycleLedger.from_intervals(*columns)
+    expected = {
+        "age_priority": accumulate_priority(ledger),
+        "age_nonpriority": accumulate_nonpriority(ledger),
+    }
+    expected.update((name, float(values.mean())) for name, values in ledger.moment_samples().items())
+    estimates = _replication_estimates(*columns)
+    assert list(estimates) == list(expected)
+    assert estimates == expected
+
+
+class TestReplicationThreads:
+    SEXP = ServiceDistribution(rate=1.0, shift=1.0)
+
+    def on_one_cpu_and_two(self, monkeypatch, run):
+        results = []
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            results.append(run())
+        return results
+
+    @pytest.mark.parametrize("ks", [range(1, 9), range(3, 7)])
+    def test_k_sweep_does_not_depend_on_the_cpu_count(self, monkeypatch, ks):
+        configs = [
+            SimConfig(dist=self.SEXP, k=k, num_intervals=3000, seed=31, replications=3)
+            for k in ks
+        ]
+        one, two = self.on_one_cpu_and_two(monkeypatch, lambda: run_k_sweep(configs))
+        assert one == two
+
+    def test_simulation_and_cross_check_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        config = SimConfig(dist=self.SEXP, k=2, num_intervals=5000, seed=8, replications=5)
+        one, two = self.on_one_cpu_and_two(
+            monkeypatch, lambda: (run_simulation(config), sample_path_cross_check(config))
+        )
+        assert one == two
+
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    def test_one_thread_per_cpu_at_most_one_per_replication(self, monkeypatch, cpus):
+        set_cpus(monkeypatch, cpus)
+        config = SimConfig(dist=EXP1, k=1, num_intervals=100, seed=1, replications=4)
+        threads = _map_replications(config, (1, 2), lambda *columns: threading.get_ident())
+        assert len(threads) == 4 and all(len(per_k) == 2 for per_k in threads)
+        used = {ident for per_k in threads for ident in per_k}
+        assert len(used) <= min(cpus, 4)
+        assert threading.get_ident() not in used
+
+    def test_a_failing_replication_cancels_the_queued_ones(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        config = SimConfig(dist=EXP1, k=1, num_intervals=100, seed=1, replications=8)
+        error = InsufficientDataError("replication too short")
+        calls = []
+        lock = threading.Lock()
+
+        def estimate(*columns):
+            with lock:
+                calls.append(None)
+                first = len(calls) == 1
+            if first:
+                raise error
+            # long enough for the caller to cancel what is still queued
+            time.sleep(0.2)
+
+        before = threading.active_count()
+        with pytest.raises(InsufficientDataError) as caught:
+            _map_replications(config, (1,), estimate)
+        assert caught.value is error
+        assert len(calls) < config.replications
+        # the pool's threads are joined before the error reaches the caller
+        assert threading.active_count() == before
+
+    def test_one_cpu_sweep_holds_at_most_ten_arrays(self, monkeypatch):
+        set_cpus(monkeypatch, 1)
+        num_intervals = 100_000
+        configs = [
+            SimConfig(dist=self.SEXP, k=k, num_intervals=num_intervals, seed=2026, replications=2)
+            for k in range(1, 21)
+        ]
+        # imports made on the first call stay out of the traced peak
+        run_k_sweep(configs[:1])
+        tracemalloc.start()
+        try:
+            run_k_sweep(configs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured 7.3 arrays; a CycleLedger per k needed about 14
+        assert peak <= 10 * 8 * num_intervals
+
+
+def test_standard_error_keeps_its_bits_and_does_not_overflow():
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        size = int(rng.integers(2, 9))
+        values = rng.standard_normal(size) * 10.0 ** rng.uniform(-150, 150, size)
+        assert _mean_se(values)[1] == float(values.std(ddof=1) / np.sqrt(size))
+    # the squared deviations of these, about 1e400, overflowed
+    with np.errstate(all="raise"):
+        assert _mean_se(np.array([1e200, 3e200])) == (2e200, 1e200)
+        assert _mean_se(np.array([0.0, 0.0])) == (0.0, 0.0)
+
+
 class TestRunSimulation:
     def test_moments_near_theory(self):
         config = SimConfig(
@@ -241,13 +363,13 @@ class TestRunSimulation:
 
 def integrate_priority(ledger):
     # node 1 receives every update, as in sample_path_cross_check
-    return _integrate_age(ledger, np.arange(ledger.num_intervals), ledger.x1)
+    return _integrate_age(ledger.y, np.arange(ledger.num_intervals), ledger.x1)
 
 
 def integrate_nonpriority(ledger):
     # the tracked node receives only its deliveries
     d = np.flatnonzero(ledger.delivered)
-    return _integrate_age(ledger, d, ledger.x_nonp[d])
+    return _integrate_age(ledger.y, d, ledger.x_nonp[d])
 
 
 class TestCrossCheck:
