@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,38 +35,47 @@ MAX_HARMONIC = 1 << 22
 # The largest group size k anywhere: the closed forms look up H(k+1).
 MAX_K = MAX_HARMONIC - 1
 
-# H(n) and H2(n) at index n, grown on demand by _harmonic_index
-_H1 = np.zeros(1)
-_H2 = np.zeros(1)
+# (H, H2): H(n) and H2(n) at index n, grown on demand by _harmonic_tables.
+# Both are replaced in one assignment, so a reader never sees one table
+# longer than the other.
+_TABLES = (np.zeros(1), np.zeros(1))
+_GROW_LOCK = threading.Lock()
 
 
-def _harmonic_index(n: int) -> int:
-    """``n`` as an index into the prefix-sum tables, growing them to cover it."""
-    global _H1, _H2
+def _harmonic_tables(n: int) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
+    """``n`` as an index, and tables that cover it, grown if they did not."""
+    global _TABLES
     n = operator.index(n)
     if n < 0:
         raise ValueError(f"harmonic index must be nonnegative, got {n}")
     if n > MAX_HARMONIC:
         raise ValueError(f"harmonic index {n} exceeds MAX_HARMONIC {MAX_HARMONIC}")
-    if n >= _H1.size:
-        size = min(MAX_HARMONIC, max(n, 2 * (_H1.size - 1), 1024))
-        j = np.arange(1, size + 1, dtype=np.float64)
-        # np.cumsum adds left to right, so growing never changes an entry
-        _H1 = np.concatenate(([0.0], np.cumsum(1.0 / j)))
-        _H2 = np.concatenate(([0.0], np.cumsum(1.0 / j**2)))
-    return n
+    tables = _TABLES
+    if n >= tables[0].size:
+        with _GROW_LOCK:
+            tables = _TABLES
+            # another thread may have grown them while this one waited
+            if n >= tables[0].size:
+                size = min(MAX_HARMONIC, max(n, 2 * (tables[0].size - 1), 1024))
+                j = np.arange(1, size + 1, dtype=np.float64)
+                # np.cumsum adds left to right, so growing never changes an entry
+                tables = _TABLES = (
+                    np.concatenate(([0.0], np.cumsum(1.0 / j))),
+                    np.concatenate(([0.0], np.cumsum(1.0 / j**2))),
+                )
+    return n, tables
 
 
 def harmonic(n: int) -> float:
     """H(n) = sum_{j=1..n} 1/j, with H(0) = 0."""
-    n = _harmonic_index(n)  # grows _H1 before it is read
-    return float(_H1[n])
+    n, (h1, _) = _harmonic_tables(n)
+    return float(h1[n])
 
 
 def harmonic2(n: int) -> float:
     """H2(n) = sum_{j=1..n} 1/j**2, with H2(0) = 0."""
-    n = _harmonic_index(n)
-    return float(_H2[n])
+    n, (_, h2) = _harmonic_tables(n)
+    return float(h2[n])
 
 
 def check_count(name: str, value, minimum: int = 1, maximum: int | None = None) -> int:

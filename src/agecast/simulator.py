@@ -346,18 +346,37 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+def _ordered_map(fn, items: Sequence) -> list:
+    """``[fn(item) for item in items]``, on one thread per usable CPU.
+
+    The pool has one thread per CPU of the affinity mask, at most one per
+    item; with one thread, ``fn`` runs in the caller's thread instead.
+    Results come back in item order, so they do not depend on the thread
+    count.  If a call raises, the queued ones are cancelled and the first
+    exception in item order reaches the caller once the threads have
+    stopped.
+    """
+    workers = min(_usable_cpus(), len(items))
+    if workers <= 1:
+        return list(map(fn, items))
+    # here, so that importing agecast stays as fast
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _map_replications(config: SimConfig, ks, fn) -> list[list]:
     """Per replication, ``fn(y, x1, x_nonp, delivered)`` at each k in ``ks``.
 
     Replication r draws from child stream r spawned from the master seed,
     so it is reproducible on its own and independent of the others.  The
-    replications run on one thread per usable CPU, at most one per
-    replication (numpy releases the GIL while it draws, transforms and
-    sums), and their results come back in replication order, so they do
-    not depend on the thread count.  ``fn`` runs on the pool's threads.
-    If a replication raises, the queued ones are cancelled and the first
-    exception in replication order reaches the caller once the threads
-    have stopped.
+    replications run through :func:`_ordered_map`, one thread per usable
+    CPU and at most one per replication (numpy releases the GIL while it
+    draws, transforms and sums), and come back in replication order.
     """
     children = np.random.SeedSequence(config.seed).spawn(config.replications)
 
@@ -367,14 +386,7 @@ def _map_replications(config: SimConfig, ks, fn) -> list[list]:
         # starmap drops a k's arrays once fn returns, before the next draw
         return list(starmap(fn, intervals))
 
-    # here, so that importing agecast stays as fast
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(min(_usable_cpus(), len(children)))
-    try:
-        return list(pool.map(replicate, children))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    return _ordered_map(replicate, children)
 
 
 def _replication_estimates(y, x1, x_nonp, delivered) -> dict[str, float]:

@@ -401,6 +401,16 @@ class TestValidateCommand:
         assert "FAIL" in printed
         assert "0/1 checks passed" in printed
 
+    def test_too_short_run_exits_2_and_leaves_no_thread(self, monkeypatch, capsys):
+        # several checks raise on two CPUs; the first in check order is reported
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        before = threading.active_count()
+        assert main(["validate", "--intervals", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "agecast: simulation moments need at least 2 samples of yf, got 1\n"
+        assert captured.out == ""
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize("intervals", ["4", "5"])
     def test_constant_cycle_counts_pass_without_warnings(self, intervals, capsys):
         # 2 or 3 cycles of one interval each at the default seed: a

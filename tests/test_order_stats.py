@@ -1,12 +1,16 @@
 """Harmonic sums, the service law and order-statistic moments."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agecast import order_stats
 from agecast.order_stats import (
     MAX_HARMONIC,
     ServiceDistribution,
@@ -55,6 +59,29 @@ class TestHarmonic:
             assert harmonic2(n) == h2
         harmonic(300_000)
         assert (harmonic(4999), harmonic2(4999)) == (h1, h2)
+
+    def test_tables_grow_safely_under_threads(self, monkeypatch):
+        # threads grow fresh tables to different sizes at once; none may
+        # index a table shorter than the one it checked
+        threads = 4
+        ns = [20_000 * (t + 1) for t in range(threads)]
+        want = [[(harmonic(n), harmonic2(n))] * 5 for n in ns]
+
+        def read(barrier, n):
+            barrier.wait()
+            return [(harmonic(n), harmonic2(n)) for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        # switch threads often, so that a race shows within a few trials
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(threads) as pool:
+                for _ in range(300):
+                    monkeypatch.setattr(order_stats, "_TABLES", (np.zeros(1), np.zeros(1)))
+                    barrier = threading.Barrier(threads, timeout=10)
+                    assert list(pool.map(read, [barrier] * threads, ns)) == want
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_harmonic2_bounded_by_zeta2(self):
         for n in (1, 5, 100, 10_000):

@@ -253,7 +253,8 @@ class TestReplicationThreads:
         assert len(threads) == 4 and all(len(per_k) == 2 for per_k in threads)
         used = {ident for per_k in threads for ident in per_k}
         assert len(used) <= min(cpus, 4)
-        assert threading.get_ident() not in used
+        # a pool of one thread is the caller's own; a larger one never uses it
+        assert (threading.get_ident() in used) == (min(cpus, 4) == 1)
 
     def test_a_failing_replication_cancels_the_queued_ones(self, monkeypatch):
         set_cpus(monkeypatch, 2)

@@ -1,16 +1,23 @@
 """Self-check machinery and a reduced-size full sweep of the checks."""
 
 import math
+import os
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from agecast import validation
+from agecast.cli import main
 from agecast.simulator import MAX_SEED, InsufficientDataError
 from agecast.validation import (
     CHECK_NAMES,
     CheckResult,
     ValidationSettings,
     _pooled_z,
+    check_simulation_moments,
     run_checks,
 )
 
@@ -70,6 +77,70 @@ class TestPooledZ:
     def test_zero_spread_needs_no_division(self):
         assert _pooled_z(np.ones(2), 0.5, "q") == math.inf
         assert _pooled_z(np.ones(2), 1.0, "q") == 0.0
+
+
+def set_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+class TestCheckThreads:
+    def test_results_do_not_depend_on_the_cpu_count(self, monkeypatch, capsys):
+        argv = ["validate", "--intervals", "10000", "--replications", "4", "--tolerance", "0.05"]
+        runs = []
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            results = run_checks(FAST_SETTINGS)
+            code = main(argv)
+            runs.append((results, code, capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        assert [r.name for r in runs[0][0]] == list(CHECK_NAMES)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_failing_check_cancels_the_queued_ones(self, monkeypatch, cpus):
+        set_cpus(monkeypatch, cpus)
+        first = InsufficientDataError("first in check order")
+        sooner = InsufficientDataError("raised sooner, later in check order")
+        calls = []
+
+        def check(index):
+            def run(settings):
+                calls.append(index)
+                # long enough for the caller to cancel what is still queued
+                time.sleep(0.2)
+                if index == 0:
+                    raise first
+                return True, "ran"
+
+            return run
+
+        def fails_at_once(settings):
+            calls.append(1)
+            raise sooner
+
+        checks = [check(i) for i in range(len(CHECK_NAMES))]
+        checks[1] = fails_at_once
+        monkeypatch.setattr(validation, "_CHECKS", tuple(checks))
+        before = threading.active_count()
+        with pytest.raises(InsufficientDataError) as caught:
+            run_checks(FAST_SETTINGS)
+        assert caught.value is first
+        assert len(calls) < len(CHECK_NAMES)
+        # the pool's threads are joined before the error reaches the caller
+        assert threading.active_count() == before
+
+    def test_simulation_moments_holds_at_most_ten_arrays(self):
+        settings = ValidationSettings(num_intervals=20_000, replications=2)
+        # imports made on the first call stay out of the traced peak
+        check_simulation_moments(settings)
+        tracemalloc.start()
+        try:
+            check_simulation_moments(settings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured 7.6 length-(N R) float64 arrays; a whole ledger and its
+        # moment samples alive at once took 13.3
+        assert peak <= 10 * 8 * settings.num_intervals * settings.replications
 
 
 @pytest.fixture(scope="module")
