@@ -124,7 +124,7 @@ def _read_config_file(path: str, parser: argparse.ArgumentParser) -> dict[str, s
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         parser.error(f"config file: {exc}")
     values = {}
     for number, raw in enumerate(lines, 1):

@@ -115,57 +115,42 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class CycleLedger:
-    """Raw per-interval draws plus the derived non-priority cycle records.
+    """The per-interval draws of one simulated run, and nothing derived.
 
     Per interval: length ``y``, node 1's service time ``x1``, the tracked
-    non-priority service time ``x_nonp`` and its ``delivered`` flag.  Per
-    complete cycle (delivery to delivery): interval count ``m``, summed
-    length ``w`` and opening delivered service time ``xtilde``.
+    non-priority service time ``x_nonp`` and its ``delivered`` flag.  The
+    renewal cycles are read off these columns by :func:`_cycles` where
+    they are needed.
     """
 
     y: np.ndarray
     x1: np.ndarray
     x_nonp: np.ndarray
     delivered: np.ndarray
-    m: np.ndarray
-    w: np.ndarray
-    xtilde: np.ndarray
 
     @classmethod
     def from_intervals(cls, y, x1, x_nonp, delivered) -> "CycleLedger":
-        d = np.flatnonzero(delivered)
-        ends = np.cumsum(y)
-        # cycle l covers intervals d[l-1]+1 .. d[l]; its span is the
-        # difference of interval end times at the two deliveries.  With
-        # fewer than two deliveries every cycle array is empty.
-        return cls(
-            y=y,
-            x1=x1,
-            x_nonp=x_nonp,
-            delivered=delivered,
-            m=np.diff(d),
-            w=ends[d[1:]] - ends[d[:-1]],
-            xtilde=x_nonp[d[:-1]],
-        )
+        return cls(y, x1, x_nonp, delivered)
 
     def moment_samples(self) -> dict[str, np.ndarray]:
         """Per-sample arrays whose means estimate the cycle moments.
 
         Keyed by the :class:`agecast.theory.RenewalCycleMoments` field each
-        one estimates, in SimResult's order.  A sweep reads the same means
-        off the interval columns without building these arrays
+        one estimates, in SimResult's order; the cycle samples come from
+        :func:`_cycles`.  A sweep reads the same means off the columns
         (``_replication_estimates``, tested bit-equal to these).
         """
+        d, w, xtilde = _cycles(self.y, self.x_nonp, self.delivered)
         miss = ~self.delivered
         return {
             "y_mean": self.y,
-            "w_mean": self.w,
-            "w2_mean": self.w * self.w,
-            "xtilde_mean": self.xtilde,
-            "m_mean": self.m,
+            "w_mean": w,
+            "w2_mean": w * w,
+            "xtilde_mean": xtilde,
+            "m_mean": np.diff(d),
             "q": miss,
             "yf_mean": self.y[miss],
-            "ys_mean": self.y[self.delivered],
+            "ys_mean": self.y[d],
         }
 
     @property
@@ -174,7 +159,21 @@ class CycleLedger:
 
     @property
     def num_cycles(self) -> int:
-        return self.w.size
+        return max(int(np.count_nonzero(self.delivered)) - 1, 0)
+
+
+def _cycles(y, x_nonp, delivered) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The complete renewal cycles of one run: ``(d, w, xtilde)``.
+
+    The one place that turns deliveries into cycles.  ``d`` indexes the
+    delivering intervals, and cycle l covers intervals d[l-1]+1 .. d[l]
+    (``np.diff(d)`` counts them).  Its span ``w`` is the difference of the
+    interval end times at its two deliveries, and ``xtilde`` is the
+    service time of the delivery that opened it.  A trailing incomplete
+    cycle is dropped, so with fewer than two deliveries both are empty.
+    """
+    d = np.flatnonzero(delivered)
+    return d, np.diff(np.cumsum(y)[d]), x_nonp[d[:-1]]
 
 
 # the version of the random-stream layout below; every seeded output
@@ -273,17 +272,15 @@ def _priority_age(y: np.ndarray, x1: np.ndarray) -> float:
 def accumulate_nonpriority(ledger: CycleLedger) -> float:
     """Renewal-reward age estimate for the tracked non-priority node.
 
-    Cycles end at successful deliveries; the first cycle opens at the
-    first delivery and a trailing incomplete cycle is dropped.  Each
-    complete cycle contributes area w**2 / 2 + xtilde * w, where xtilde
-    is the service time of the delivery that opened the cycle.
+    Each complete cycle of :func:`_cycles` contributes area
+    w**2 / 2 + xtilde * w over its span w.
     """
-    if ledger.num_cycles < 1:
+    d, w, xtilde = _cycles(ledger.y, ledger.x_nonp, ledger.delivered)
+    if w.size < 1:
         raise InsufficientDataError(
-            "non-priority age needs at least 2 deliveries, got "
-            f"{int(np.count_nonzero(ledger.delivered))}"
+            f"non-priority age needs at least 2 deliveries, got {d.size}"
         )
-    return _nonpriority_age(ledger.w, ledger.xtilde)[0]
+    return _nonpriority_age(w, xtilde)[0]
 
 
 def _nonpriority_age(w: np.ndarray, xtilde: np.ndarray) -> tuple[float, float, float]:
@@ -392,25 +389,22 @@ def _map_replications(config: SimConfig, ks, fn) -> list[list]:
 def _replication_estimates(y, x1, x_nonp, delivered) -> dict[str, float]:
     """One replication's estimates at one k, keyed by SimResult field without suffix.
 
-    Read straight off the interval columns, with fewer length-N arrays
-    alive than a CycleLedger holds.  Each value equals, bit for bit,
-    ``accumulate_priority``, ``accumulate_nonpriority`` or the mean of
-    the ``moment_samples()`` entry of the same name for
-    ``CycleLedger.from_intervals`` of the same columns.
+    Read straight off the interval columns and their :func:`_cycles`, with
+    fewer length-N arrays alive than ``moment_samples()`` builds.  Each
+    value equals, bit for bit, ``accumulate_priority``,
+    ``accumulate_nonpriority`` or the mean of the ``moment_samples()``
+    entry of the same name for a CycleLedger of the same columns.
     """
     num_intervals = y.size
-    d = np.flatnonzero(delivered)
-    if d.size == num_intervals or d.size < 2:
+    d, w, xtilde = _cycles(y, x_nonp, delivered)
+    deliveries = d.size
+    if deliveries == num_intervals or deliveries < 2:
         raise InsufficientDataError(
             "replication too short to observe both delivery outcomes"
         )
     ys_sum = y[d].sum()
     # the integer cycle lengths diff(d) sum exactly in float64
-    m_mean = float(d[-1] - d[0]) / (d.size - 1)
-    # the cycle spans, with the same subtraction pairs as from_intervals
-    w = np.diff(np.cumsum(y)[d])
-    xtilde = x_nonp[d[:-1]]
-    deliveries = d.size
+    m_mean = float(d[-1] - d[0]) / (deliveries - 1)
     del d
     age_nonpriority, w_sq_sum, w_sum = _nonpriority_age(w, xtilde)
     misses = num_intervals - deliveries

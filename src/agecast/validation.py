@@ -29,6 +29,7 @@ from .simulator import (
     MAX_SEED,
     InsufficientDataError,
     SimConfig,
+    _cycles,
     _ordered_map,
     run_simulation,
     sample_path_cross_check,
@@ -265,24 +266,25 @@ def check_cycle_bookkeeping(settings: ValidationSettings) -> tuple[bool, str]:
     rng = np.random.default_rng(settings.seed + 17)
     dist = ServiceDistribution(rate=1.0, shift=0.5)
     ledger = simulate_ledger(dist, 2, settings.num_intervals, rng)
-    deliveries = np.flatnonzero(ledger.delivered)
-    if ledger.num_cycles < 2:
+    deliveries, w, _ = _cycles(ledger.y, ledger.x_nonp, ledger.delivered)
+    m = np.diff(deliveries)
+    if m.size < 2:
         raise InsufficientDataError(
             f"cycle bookkeeping needs at least 3 deliveries, got {deliveries.size}"
         )
     trailing = ledger.num_intervals - 1 - deliveries[-1]
-    counted = int(ledger.m.sum() + trailing)
+    counted = int(m.sum() + trailing)
     expect = ledger.num_intervals - 1 - deliveries[0]
     tiling_ok = counted == expect
-    span_ok = ledger.w.sum() <= ledger.y.sum()
+    span_ok = w.sum() <= ledger.y.sum()
     closing_y = ledger.y[deliveries[1:]]
     # a constant series has no correlation to estimate, and corrcoef would
     # divide by its zero spread
-    if np.ptp(ledger.m) == 0 or np.ptp(closing_y) == 0:
+    if np.ptp(m) == 0 or np.ptp(closing_y) == 0:
         corr = 0.0
     else:
-        corr = float(np.corrcoef(ledger.m, closing_y)[0, 1])
-    corr_ok = abs(corr) < 4.0 / math.sqrt(ledger.num_cycles)
+        corr = float(np.corrcoef(m, closing_y)[0, 1])
+    corr_ok = abs(corr) < 4.0 / math.sqrt(m.size)
     return (
         tiling_ok and span_ok and corr_ok,
         f"interval tiling {tiling_ok}, span bound {span_ok}, "
