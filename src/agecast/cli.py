@@ -11,12 +11,15 @@ tolerance or self-check fails, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .order_stats import MAX_K, ServiceDistribution, check_count
 from .simulator import (
     MAX_SEED,
     InsufficientDataError,
+    _ledger_bytes,
+    _run_bytes,
     check_simulable,
     simulate_ledger,
     write_ledger_csv,
@@ -178,8 +181,22 @@ def _check_exp_shift(merged: dict) -> None:
         raise ValueError("shift must be 0 for dist exp; use --dist sexp")
 
 
+def _check_memory(num_bytes: int) -> None:
+    """Refuse a run whose arrays alone exceed this host's physical memory."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return  # no sysconf here, or no such names in it
+    # a name the system cannot answer reads -1
+    if min(pages, page_size) > 0 and num_bytes > pages * page_size:
+        raise ValueError(
+            f"intervals too large: the run's arrays need {num_bytes} bytes, "
+            f"more than the {pages * page_size} bytes of memory here"
+        )
+
+
 def _sweep_spec(merged: dict, variable: str, values: tuple, shift: float, k: int):
-    return SweepSpec(
+    spec = SweepSpec(
         variable=variable,
         values=values,
         rate=merged["rate"],
@@ -191,6 +208,8 @@ def _sweep_spec(merged: dict, variable: str, values: tuple, shift: float, k: int
         tolerance=merged["tolerance"],
         out_path=merged["out"],
     )
+    _check_memory(_run_bytes(spec.num_intervals, spec.replications))
+    return spec
 
 
 def _sweep_k_request(merged: dict) -> SweepSpec:
@@ -224,13 +243,15 @@ def _ledger_request(merged: dict) -> tuple:
     _check_exp_shift(merged)
     if merged["out"] is None:
         raise ValueError("out is required for ledger dumps")
-    return (
+    request = (
         check_simulable(ServiceDistribution(rate=merged["rate"], shift=merged["shift"])),
         check_count("k", _single_k(merged), maximum=MAX_K),
         check_count("num_intervals", merged["intervals"]),
         check_count("seed", merged["seed"], 0, MAX_SEED),
         merged["out"],
     )
+    _check_memory(_ledger_bytes(request[2]))
+    return request
 
 
 def _age_text(value: float) -> str:
@@ -341,7 +362,8 @@ def parse_config(argv=None):
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; an unwritable output or too short a run exits 2."""
+    """Run one subcommand; an unwritable output, too short a run or a failed
+    allocation exits 2."""
     command, request = parse_config(argv)
     try:
         return _COMMANDS[command][3](request)
@@ -349,6 +371,8 @@ def main(argv=None) -> int:
         print(f"agecast: cannot write output: {exc}", file=sys.stderr)
     except InsufficientDataError as exc:
         print(f"agecast: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"agecast: out of memory: {exc}", file=sys.stderr)
     return 2
 
 

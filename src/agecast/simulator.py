@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import starmap
 
 import numpy as np
 
@@ -162,7 +162,7 @@ class CycleLedger:
         return max(int(np.count_nonzero(self.delivered)) - 1, 0)
 
 
-def _cycles(y, x_nonp, delivered) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cycles(y, x_nonp, delivered, work=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The complete renewal cycles of one run: ``(d, w, xtilde)``.
 
     The one place that turns deliveries into cycles.  ``d`` indexes the
@@ -171,9 +171,61 @@ def _cycles(y, x_nonp, delivered) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     interval end times at its two deliveries, and ``xtilde`` is the
     service time of the delivery that opened it.  A trailing incomplete
     cycle is dropped, so with fewer than two deliveries both are empty.
+
+    With a :class:`_Workspace` ``work``, the end times and ``w`` are
+    written into its ``spans`` buffer and the gathered end times and
+    ``xtilde`` into its ``picks`` buffer, with the same values; ``w`` and
+    ``xtilde`` are then valid until those buffers are written again.
     """
     d = np.flatnonzero(delivered)
-    return d, np.diff(np.cumsum(y)[d]), x_nonp[d[:-1]]
+    if work is None:
+        return d, np.diff(np.cumsum(y)[d]), x_nonp[d[:-1]]
+    spans, picks = work("spans"), work("picks")
+    # the indices come from flatnonzero, so clipping never moves one; the
+    # default mode would copy ``out`` first
+    ends = np.take(np.cumsum(y, out=spans), d, out=picks[: d.size], mode="clip")
+    w = np.subtract(ends[1:], ends[:-1], out=spans[: ends[1:].size])
+    return d, w, np.take(x_nonp, d[:-1], out=picks[: w.size], mode="clip")
+
+
+class _Workspace:
+    """Named buffers that one thread reuses from pass to pass, made on first use.
+
+    ``work(name, dtype, size)`` is the buffer ``name``, of ``size``
+    elements (the workspace's size by default); the dtype and size of its
+    first request stay.  A buffer holds whatever its last writer left, so
+    every user writes a slice before it reads it and reads only that
+    slice.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, dtype=np.float64, size: int | None = None) -> np.ndarray:
+        buffer = self._buffers.get(name)
+        if buffer is None:
+            buffer = np.empty(self.size if size is None else size, dtype)
+            self._buffers[name] = buffer
+        return buffer
+
+
+def _run_bytes(num_intervals: int, replications: int) -> int:
+    """Bytes of the arrays that a run or sweep holds at once.
+
+    Per replication thread: a workspace of six float64 and two bool
+    buffers, and int64 delivery or miss indices.
+    """
+    return (6 * 8 + 2 + 8) * num_intervals * min(_usable_cpus(), replications)
+
+
+def _ledger_bytes(num_intervals: int) -> int:
+    """Bytes of the arrays that drawing a ledger holds at once.
+
+    Four float64 columns (x_nonp, the running max, x1 and y) and the
+    delivery flags.
+    """
+    return (4 * 8 + 1) * num_intervals
 
 
 # the version of the random-stream layout below; every seeded output
@@ -182,7 +234,11 @@ STREAM_VERSION = 2
 
 
 def generate_interval_sweep(
-    rng: np.random.Generator, dist: ServiceDistribution, num_intervals: int, ks
+    rng: np.random.Generator,
+    dist: ServiceDistribution,
+    num_intervals: int,
+    ks,
+    work: _Workspace | None = None,
 ) -> Iterator[tuple]:
     """Draw ``num_intervals`` service intervals at each group size in ``ks``.
 
@@ -204,19 +260,34 @@ def generate_interval_sweep(
     Yields ``(y, x1, x_nonp, delivered)`` per k, in the order of ``ks``:
     the interval lengths (max of the k priority service times), node 1's
     service times, the tracked non-priority node's service times and its
-    delivery flags (``x_nonp < y``).  A yielded array is never changed
-    afterwards, and the pass keeps no reference to a k's ``y`` or
-    ``delivered`` once it resumes.
+    delivery flags (``x_nonp < y``).  Without ``work``, a yielded array is
+    never changed afterwards, and the pass keeps no reference to a k's
+    ``y`` or ``delivered`` once it resumes.  With a ``_Workspace`` of
+    length ``num_intervals``, every column is written into its buffers
+    instead, so a yielded array is valid only until the pass resumes:
+    the next k overwrites ``y`` and ``delivered``, and the next pass
+    through the same workspace overwrites all four.  The values are the
+    same either way.
     """
     num_intervals = check_count("num_intervals", num_intervals)
     ks = tuple(check_count("k", k, maximum=MAX_K) for k in ks)
     if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError(f"ks must be nonempty and strictly increasing, got {ks}")
-    x_nonp = rng.random(num_intervals)
+    if work is None:
+
+        def work(name, dtype=np.float64, size=num_intervals):
+            # a new array each time, so that a yielded array is never changed
+            return np.empty(size, dtype)
+
+    elif work.size != num_intervals:
+        raise ValueError(
+            f"workspace holds {work.size} intervals, the pass draws {num_intervals}"
+        )
+    x_nonp = rng.random(out=work("x_nonp"))
     dist._inverse_cdf(x_nonp, out=x_nonp)
-    u_max = rng.random(num_intervals)
-    x1 = dist._inverse_cdf(u_max)
-    chunk = np.empty(min(num_intervals, _COLUMN_CHUNK))
+    u_max = rng.random(out=work("u_max"))
+    x1 = dist._inverse_cdf(u_max, out=work("x1"))
+    chunk = work("chunk", size=min(num_intervals, _COLUMN_CHUNK))
     drawn = 1
     for k in ks:
         for _ in range(drawn, k):
@@ -224,8 +295,8 @@ def generate_interval_sweep(
                 part = u_max[start : start + chunk.size]
                 np.maximum(part, rng.random(out=chunk[: part.size]), out=part)
         drawn = k
-        y = x1 if k == 1 else dist._inverse_cdf(u_max)
-        yield y, x1, x_nonp, x_nonp < y
+        y = x1 if k == 1 else dist._inverse_cdf(u_max, out=work("y"))
+        yield y, x1, x_nonp, np.less(x_nonp, y, out=work("delivered", bool))
         del y  # so the caller can free it before the next draw
 
 
@@ -244,7 +315,7 @@ def generate_intervals(
 def simulate_ledger(
     dist: ServiceDistribution, k: int, num_intervals: int, rng: np.random.Generator
 ) -> CycleLedger:
-    """Simulate ``num_intervals`` intervals and derive the cycle records."""
+    """Simulate ``num_intervals`` intervals and keep their four drawn columns."""
     return CycleLedger.from_intervals(*generate_intervals(rng, dist, num_intervals, k))
 
 
@@ -264,8 +335,13 @@ def accumulate_priority(ledger: CycleLedger) -> float:
     return _priority_age(ledger.y, ledger.x1)
 
 
-def _priority_age(y: np.ndarray, x1: np.ndarray) -> float:
-    area = (y[:-1] * x1[1:]).sum() + 0.5 * (y[1:] * y[1:]).sum()
+def _priority_age(y: np.ndarray, x1: np.ndarray, out=None) -> float:
+    # ``out``, if given, holds each product in turn instead of a new array
+    products = None if out is None else out[: y.size - 1]
+    area = (
+        np.multiply(y[:-1], x1[1:], out=products).sum()
+        + 0.5 * np.multiply(y[1:], y[1:], out=products).sum()
+    )
     return float(area / y[1:].sum())
 
 
@@ -284,10 +360,14 @@ def accumulate_nonpriority(ledger: CycleLedger) -> float:
 
 
 def _nonpriority_age(w: np.ndarray, xtilde: np.ndarray) -> tuple[float, float, float]:
-    """The non-priority age estimate, the sum of w**2 and the sum of w."""
-    w_sq_sum = (w * w).sum()
+    """The non-priority age estimate, the sum of w**2 and the sum of w.
+
+    Overwrites ``w`` with w**2 and ``xtilde`` with xtilde * w.
+    """
     w_sum = w.sum()
-    area = 0.5 * w_sq_sum + (xtilde * w).sum()
+    xw_sum = np.multiply(xtilde, w, out=xtilde).sum()
+    w_sq_sum = np.multiply(w, w, out=w).sum()
+    area = 0.5 * w_sq_sum + xw_sum
     return float(area / w_sum), w_sq_sum, w_sum
 
 
@@ -367,57 +447,80 @@ def _ordered_map(fn, items: Sequence) -> list:
 
 
 def _map_replications(config: SimConfig, ks, fn) -> list[list]:
-    """Per replication, ``fn(y, x1, x_nonp, delivered)`` at each k in ``ks``.
+    """Per replication, ``fn(y, x1, x_nonp, delivered, work)`` at each k in ``ks``.
 
     Replication r draws from child stream r spawned from the master seed,
     so it is reproducible on its own and independent of the others.  The
     replications run through :func:`_ordered_map`, one thread per usable
     CPU and at most one per replication (numpy releases the GIL while it
     draws, transforms and sums), and come back in replication order.
+
+    Each thread draws every replication it runs into one
+    :class:`_Workspace` of length ``num_intervals``, and passes it to
+    ``fn`` as ``work`` for its scratch.  The columns ``fn`` gets are
+    overwritten at the next k, so ``fn`` must not keep them.  The
+    workspaces are dropped when this returns.
     """
     children = np.random.SeedSequence(config.seed).spawn(config.replications)
+    local = threading.local()
 
     def replicate(child) -> list:
+        work = getattr(local, "work", None)
+        if work is None:
+            work = local.work = _Workspace(config.num_intervals)
         rng = np.random.default_rng(child)
-        intervals = generate_interval_sweep(rng, config.dist, config.num_intervals, ks)
-        # starmap drops a k's arrays once fn returns, before the next draw
-        return list(starmap(fn, intervals))
+        intervals = generate_interval_sweep(
+            rng, config.dist, config.num_intervals, ks, work
+        )
+        return [fn(*columns, work) for columns in intervals]
 
     return _ordered_map(replicate, children)
 
 
-def _replication_estimates(y, x1, x_nonp, delivered) -> dict[str, float]:
+def _replication_estimates(y, x1, x_nonp, delivered, work=None) -> dict[str, float]:
     """One replication's estimates at one k, keyed by SimResult field without suffix.
 
     Read straight off the interval columns and their :func:`_cycles`, with
-    fewer length-N arrays alive than ``moment_samples()`` builds.  Each
-    value equals, bit for bit, ``accumulate_priority``,
+    every length-N temporary in the buffers of the workspace ``work`` (a
+    new one when it is None), so a thread that reuses one workspace makes
+    no length-N array per point.  Each sum sees the same values as the
+    one over a new array, contiguous and of the same length, so it keeps
+    its bits: each value equals, bit for bit, ``accumulate_priority``,
     ``accumulate_nonpriority`` or the mean of the ``moment_samples()``
     entry of the same name for a CycleLedger of the same columns.
     """
     num_intervals = y.size
-    d, w, xtilde = _cycles(y, x_nonp, delivered)
+    if work is None:
+        work = _Workspace(num_intervals)
+    d, w, xtilde = _cycles(y, x_nonp, delivered, work)
     deliveries = d.size
     if deliveries == num_intervals or deliveries < 2:
         raise InsufficientDataError(
             "replication too short to observe both delivery outcomes"
         )
-    ys_sum = y[d].sum()
+    cycles = w.size
+    xtilde_sum = xtilde.sum()
     # the integer cycle lengths diff(d) sum exactly in float64
-    m_mean = float(d[-1] - d[0]) / (deliveries - 1)
-    del d
+    m_mean = float(d[-1] - d[0]) / cycles
     age_nonpriority, w_sq_sum, w_sum = _nonpriority_age(w, xtilde)
+    # w and xtilde are spent: their buffers hold the remaining gathers and
+    # products (take's clip mode as in _cycles)
+    picks = work("picks")
+    ys_sum = np.take(y, d, out=picks[:deliveries], mode="clip").sum()
+    del d
     misses = num_intervals - deliveries
+    missed = np.flatnonzero(np.logical_not(delivered, out=work("miss", bool)))
+    yf_sum = np.take(y, missed, out=picks[:misses], mode="clip").sum()
     return {
-        "age_priority": _priority_age(y, x1),
+        "age_priority": _priority_age(y, x1, out=work("spans")),
         "age_nonpriority": age_nonpriority,
         "y_mean": float(y.sum() / num_intervals),
-        "w_mean": float(w_sum / w.size),
-        "w2_mean": float(w_sq_sum / w.size),
-        "xtilde_mean": float(xtilde.sum() / xtilde.size),
+        "w_mean": float(w_sum / cycles),
+        "w2_mean": float(w_sq_sum / cycles),
+        "xtilde_mean": float(xtilde_sum / cycles),
         "m_mean": m_mean,
         "q": misses / num_intervals,
-        "yf_mean": float(y[~delivered].sum() / misses),
+        "yf_mean": float(yf_sum / misses),
         "ys_mean": float(ys_sum / deliveries),
     }
 
@@ -434,9 +537,10 @@ def run_k_sweep(configs: Sequence[SimConfig]) -> tuple[SimResult, ...]:
 
     The replications run on one thread per CPU of the affinity mask, at
     most one per replication, and are combined in replication order, so
-    the results do not depend on the CPU count.  Memory is about the
-    thread count times one replication's arrays: a few length-N columns
-    at any k (tracemalloc: 7.3 of them at N = 100 000, k = 1..20).
+    the results do not depend on the CPU count.  Each thread reuses one
+    workspace of a few length-N buffers for all its replications and
+    points, so memory is about the thread count times that workspace at
+    any k (tracemalloc: 7.4 arrays at N = 100 000, k = 1..20, one thread).
     """
     configs = tuple(configs)
     if not configs:
@@ -512,8 +616,9 @@ def sample_path_cross_check(config: SimConfig) -> CrossCheck:
     return CrossCheck(*_mean_se(ages_p), *_mean_se(ages_e))
 
 
-def _integrated_ages(y, x1, x_nonp, delivered) -> tuple[float, float]:
-    # node 1 receives every update; the tracked node only its deliveries
+def _integrated_ages(y, x1, x_nonp, delivered, work) -> tuple[float, float]:
+    # node 1 receives every update; the tracked node only its deliveries.
+    # ``work`` goes unused: the cross-check's runs are short
     d = np.flatnonzero(delivered)
     return (
         _integrate_age(y, np.arange(y.size), x1),

@@ -127,10 +127,49 @@ class TestParsing:
                 "validate", "--intervals", "3", "--replications", "1",
                 "--checks", "cycle_bookkeeping",
             ],
+            # arrays larger than any host's memory, refused before they are made
+            [
+                "sweep-k", "--k", "1..2", "--intervals", "10000000000000",
+                "--replications", "2", "--out", "x.csv",
+            ],
+            ["ledger", "--k", "2", "--intervals", "10000000000000", "--out", "x.csv"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
         expect_usage_error(argv)
+
+    @pytest.mark.skipif(not hasattr(os, "sysconf"), reason="needs os.sysconf")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-k", "--k", "1..2", "--intervals", "10000000000000"],
+            [
+                "sweep-shift", "--dist", "sexp", "--k", "2", "--c-values", "0,1",
+                "--intervals", "10000000000000",
+            ],
+            ["ledger", "--k", "2", "--intervals", "10000000000000", "--out", "x.csv"],
+        ],
+    )
+    def test_request_beyond_memory_is_refused_naming_intervals(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(argv)
+        assert exc.value.code == 2
+        assert "intervals too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("answer", [ValueError("unrecognized configuration name"), -1])
+    def test_memory_check_is_skipped_without_sysconf(self, monkeypatch, answer):
+        def sysconf(name):
+            if isinstance(answer, Exception):
+                raise answer
+            return answer
+
+        monkeypatch.setattr(os, "sysconf", sysconf, raising=False)
+        _, spec = parse_config(["sweep-k", "--k", "1..2", "--intervals", "10000000000000"])
+        assert spec.num_intervals == 10**13
+        _, (_, _, num_intervals, *_) = parse_config(
+            ["ledger", "--k", "2", "--intervals", "10000000000000", "--out", "x.csv"]
+        )
+        assert num_intervals == 10**13
 
     def test_largest_k_accepted(self):
         _, spec = parse_config(["sweep-k", "--k", "4194303"])
@@ -422,6 +461,17 @@ class TestValidateCommand:
             )
         assert code == 0
         assert "|corr(M, closing Y)| = 0.0000" in capsys.readouterr().out
+
+    def test_failed_allocation_exits_2(self, monkeypatch, capsys):
+        # what the memory check cannot foresee still ends without a traceback
+        def out_of_memory(spec):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr(agecast.cli, "sweep_k", out_of_memory)
+        assert main(["sweep-k", "--k", "1..2", "--intervals", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "agecast: out of memory: Unable to allocate 1.00 TiB\n"
+        assert captured.out == ""
 
     def test_closed_stdout_exits_2(self, monkeypatch, capsys):
         # a reader that went away (agecast validate | head -1) is an

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import math
 import multiprocessing
 import os
@@ -12,6 +13,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+try:
+    import resource
+except ImportError:  # no resource module on this platform
+    resource = None
+
 from agecast.order_stats import ServiceDistribution
 from agecast.simulator import (
     CROSS_CHECK_MAX_INTERVALS,
@@ -21,6 +27,7 @@ from agecast.simulator import (
     SimResult,
     accumulate_nonpriority,
     accumulate_priority,
+    generate_interval_sweep,
     generate_intervals,
     run_k_sweep,
     run_simulation,
@@ -29,7 +36,9 @@ from agecast.simulator import (
     write_ledger_csv,
 )
 from agecast.simulator import (
+    _COLUMN_CHUNK,
     _POOL_MIN_ROWS,
+    _Workspace,
     _cycles,
     _integrate_age,
     _map_replications,
@@ -244,6 +253,87 @@ def test_replication_estimates_equal_the_ledger_estimates(shift, k, seed, num_in
     assert estimates == expected
 
 
+def estimates_or_error(columns, work=None):
+    try:
+        return _replication_estimates(*columns, work)
+    except InsufficientDataError as exc:
+        return str(exc)
+
+
+class TestWorkspace:
+    """The reused buffers give the estimates of new arrays, bit for bit."""
+
+    SEXP = ServiceDistribution(rate=1.0, shift=1.0)
+
+    def test_stale_tails_are_never_read(self):
+        num_intervals = 20_011
+        work = _Workspace(num_intervals)
+        deliveries = []
+        # delivery counts fall from k = 20 to k = 1, then rise again
+        for seed, k in [(1, 20), (2, 1), (3, 20), (4, 2), (5, 1)]:
+            columns = generate_intervals(
+                np.random.default_rng(seed), self.SEXP, num_intervals, k
+            )
+            deliveries.append(int(columns[3].sum()))
+            assert _replication_estimates(*columns, work) == _replication_estimates(*columns)
+            # a slice read past what this point wrote would now read NaN
+            for name in ("spans", "picks"):
+                work(name).fill(np.nan)
+        assert deliveries[1] < min(deliveries[0], deliveries[2])
+        assert deliveries[4] < deliveries[3] < deliveries[2]
+
+    @pytest.mark.parametrize(
+        "num_intervals",
+        [2, 3, _COLUMN_CHUNK - 1, _COLUMN_CHUNK, _COLUMN_CHUNK + 1, 20_011],
+    )
+    def test_one_workspace_over_replications_equals_new_arrays(self, num_intervals):
+        # two replications of a k sweep from k = 1, where y is x1, share one
+        # workspace for the draws and the estimates
+        ks = (1, 2, 5, 20)
+        work = _Workspace(num_intervals)
+        for seed in (11, 12):
+            reused = generate_interval_sweep(
+                np.random.default_rng(seed), self.SEXP, num_intervals, ks, work
+            )
+            new = generate_interval_sweep(
+                np.random.default_rng(seed), self.SEXP, num_intervals, ks
+            )
+            for k, in_work, columns in zip(ks, reused, new):
+                assert (in_work[0] is in_work[1]) == (k == 1)
+                for a, b in zip(in_work, columns):
+                    np.testing.assert_array_equal(a, b)
+                assert estimates_or_error(in_work, work) == estimates_or_error(columns)
+
+    @pytest.mark.parametrize("deliveries", [0, 1, 2, 7])
+    def test_cycles_in_a_workspace_equal_new_arrays(self, deliveries):
+        y = np.arange(1.0, 11.0)
+        x_nonp = np.linspace(0.5, 5.0, 10)
+        delivered = np.zeros(10, dtype=bool)
+        delivered[[0, 2, 3, 5, 6, 8, 9][:deliveries]] = True
+        work = _Workspace(10)
+        work("spans").fill(np.nan)
+        work("picks").fill(np.nan)
+        for a, b in zip(_cycles(y, x_nonp, delivered, work), _cycles(y, x_nonp, delivered)):
+            np.testing.assert_array_equal(a, b)
+            assert a.size == b.size
+
+    @pytest.mark.parametrize("x_nonp", [0.5, 2.0])
+    def test_too_short_message_is_unchanged(self, x_nonp):
+        # every interval delivers, or a single one does
+        y = np.ones(6)
+        columns = (y, y, np.full(6, x_nonp), np.full(6, x_nonp) < y)
+        columns[3][0] = True
+        message = "replication too short to observe both delivery outcomes"
+        for work in (None, _Workspace(6)):
+            with pytest.raises(InsufficientDataError) as caught:
+                _replication_estimates(*columns, work)
+            assert str(caught.value) == message
+
+    def test_refuses_a_workspace_of_another_length(self):
+        with pytest.raises(ValueError, match="workspace holds 10 intervals"):
+            next(generate_interval_sweep(np.random.default_rng(1), EXP1, 11, (1,), _Workspace(10)))
+
+
 class TestReplicationThreads:
     SEXP = ServiceDistribution(rate=1.0, shift=1.0)
 
@@ -320,8 +410,35 @@ class TestReplicationThreads:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # measured 7.3 arrays; a CycleLedger per k needed about 14
+        # measured 7.4 arrays; a CycleLedger per k needed about 14
         assert peak <= 10 * 8 * num_intervals
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_workspaces_are_dropped_on_return(self, monkeypatch, cpus):
+        # on one CPU the workspace lives in this thread, on two in the pool's
+        set_cpus(monkeypatch, cpus)
+        run_simulation(SimConfig(dist=EXP1, k=3, num_intervals=1000, seed=1, replications=4))
+        # earlier tests may leave workspaces in unreachable cycles (tracebacks)
+        gc.collect()
+        assert not [obj for obj in gc.get_objects() if isinstance(obj, _Workspace)]
+
+    @pytest.mark.skipif(
+        not hasattr(resource, "RUSAGE_THREAD"), reason="needs per-thread rusage"
+    )
+    def test_one_cpu_sweep_reuses_its_buffers(self, monkeypatch):
+        # on one CPU the replications run in this thread, so its minor page
+        # faults count what the sweep's allocations hand back and take again
+        set_cpus(monkeypatch, 1)
+        configs = [
+            SimConfig(dist=self.SEXP, k=k, num_intervals=100_000, seed=2026, replications=8)
+            for k in range(1, 21)
+        ]
+        run_k_sweep(configs[:1])
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        run_k_sweep(configs)
+        faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+        # measured 1.4 k; 114 k with new temporaries at every point
+        assert faults <= 20_000
 
 
 def test_standard_error_keeps_its_bits_and_does_not_overflow():
