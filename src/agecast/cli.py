@@ -14,20 +14,17 @@ import argparse
 import os
 import sys
 
-from .order_stats import MAX_K, ServiceDistribution, check_count
+from .order_stats import MAX_K, ServiceDistribution
 from .simulator import (
-    MAX_SEED,
     InsufficientDataError,
+    LedgerSpec,
+    _keep_freed_heap,
     _ledger_bytes,
     _run_bytes,
-    check_simulable,
-    simulate_ledger,
     write_ledger_csv,
 )
 from .sweeps import SweepSpec, sweep_k, sweep_shift
 from .validation import CHECK_NAMES, ValidationSettings, run_checks
-
-import numpy as np
 
 __all__ = ["main", "parse_config"]
 
@@ -235,23 +232,26 @@ def _validate_request(merged: dict) -> tuple:
         replications=merged["replications"],
         tolerance=merged["tolerance"],
     )
+    # the simulation_moments check draws one ledger of all the intervals
+    _check_memory(_ledger_bytes(settings.num_intervals * settings.replications))
     return settings, merged["checks"]
 
 
 def _ledger_request(merged: dict) -> tuple:
-    """(law, k, num_intervals, seed, out path) of one ledger dump."""
+    """(LedgerSpec, out path) of one ledger dump."""
     _check_exp_shift(merged)
     if merged["out"] is None:
         raise ValueError("out is required for ledger dumps")
-    request = (
-        check_simulable(ServiceDistribution(rate=merged["rate"], shift=merged["shift"])),
-        check_count("k", _single_k(merged), maximum=MAX_K),
-        check_count("num_intervals", merged["intervals"]),
-        check_count("seed", merged["seed"], 0, MAX_SEED),
-        merged["out"],
+    spec = LedgerSpec(
+        dist=ServiceDistribution(rate=merged["rate"], shift=merged["shift"]),
+        k=_single_k(merged),
+        num_intervals=merged["intervals"],
+        seed=merged["seed"],
     )
-    _check_memory(_ledger_bytes(request[2]))
-    return request
+    # sized by the whole columns, which the writer no longer holds: this
+    # refusal is an exit-code contract
+    _check_memory(_ledger_bytes(spec.num_intervals))
+    return spec, merged["out"]
 
 
 def _age_text(value: float) -> str:
@@ -301,14 +301,11 @@ def _run_validate(request: tuple) -> int:
 
 
 def _run_ledger(request: tuple) -> int:
-    dist, k, num_intervals, seed, out_path = request
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    ledger = simulate_ledger(dist, k, num_intervals, rng)
-    write_ledger_csv(ledger, out_path)
-    print(
-        f"wrote {out_path}: {ledger.num_intervals} intervals, "
-        f"{int(ledger.delivered.sum())} deliveries"
-    )
+    spec, out_path = request
+    # this process takes in and writes the text of every block
+    _keep_freed_heap()
+    deliveries = write_ledger_csv(spec, out_path)
+    print(f"wrote {out_path}: {spec.num_intervals} intervals, {deliveries} deliveries")
     return 0
 
 

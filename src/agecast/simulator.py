@@ -18,6 +18,7 @@ from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "CrossCheck",
     "CycleLedger",
     "InsufficientDataError",
+    "LedgerSpec",
     "STREAM_VERSION",
     "SimConfig",
     "SimResult",
@@ -220,7 +222,7 @@ def _run_bytes(num_intervals: int, replications: int) -> int:
 
 
 def _ledger_bytes(num_intervals: int) -> int:
-    """Bytes of the arrays that drawing a ledger holds at once.
+    """Bytes of the arrays that :func:`simulate_ledger` holds at once.
 
     Four float64 columns (x_nonp, the running max, x1 and y) and the
     delivery flags.
@@ -239,6 +241,7 @@ def generate_interval_sweep(
     num_intervals: int,
     ks,
     work: _Workspace | None = None,
+    rows: tuple[int, int] | None = None,
 ) -> Iterator[tuple]:
     """Draw ``num_intervals`` service intervals at each group size in ``ks``.
 
@@ -251,19 +254,29 @@ def generate_interval_sweep(
     pass consumes exactly ``num_intervals * (max(ks) + 1)`` uniforms, and
     a given seed yields a bit-identical sample path on every run.
 
+    ``rows=(start, stop)`` draws only intervals ``start .. stop - 1`` of
+    that pass, bit for bit the same slice of every column.  Before it
+    draws a node's column, the pass jumps the stream ahead to row
+    ``start`` of that column with ``rng.bit_generator.advance``, which
+    PCG64 does in O(log N) steps; the stream is left at row ``stop`` of
+    the last column.  A window short of the whole pass therefore needs a
+    PCG64 or PCG64DXSM generator (any other raises ValueError), while the
+    whole pass never jumps and takes any generator.  The ledger writer
+    draws each block of a dump this way, in the process that formats it.
+
     Each node after node 1 is drawn ``_COLUMN_CHUNK`` uniforms at a time
     and folded into a running max of the raw uniforms, which the
-    nondecreasing inverse CDF maps to y; memory is four length-N arrays
-    at every k.  x_nonp and x1 are transformed once and y once per k
-    (never at k == 1, where y is x1).
+    nondecreasing inverse CDF maps to y; memory is four arrays of the
+    window's length at every k.  x_nonp and x1 are transformed once and
+    y once per k (never at k == 1, where y is x1).
 
     Yields ``(y, x1, x_nonp, delivered)`` per k, in the order of ``ks``:
     the interval lengths (max of the k priority service times), node 1's
     service times, the tracked non-priority node's service times and its
     delivery flags (``x_nonp < y``).  Without ``work``, a yielded array is
     never changed afterwards, and the pass keeps no reference to a k's
-    ``y`` or ``delivered`` once it resumes.  With a ``_Workspace`` of
-    length ``num_intervals``, every column is written into its buffers
+    ``y`` or ``delivered`` once it resumes.  With a ``_Workspace`` of the
+    window's length, every column is written into its buffers
     instead, so a yielded array is valid only until the pass resumes:
     the next k overwrites ``y`` and ``delivered``, and the next pass
     through the same workspace overwrites all four.  The values are the
@@ -273,26 +286,52 @@ def generate_interval_sweep(
     ks = tuple(check_count("k", k, maximum=MAX_K) for k in ks)
     if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError(f"ks must be nonempty and strictly increasing, got {ks}")
+    if rows is None:
+        start, stop = 0, num_intervals
+    else:
+        start = check_count("row start", rows[0], 0)
+        stop = check_count("row stop", rows[1], start + 1, num_intervals)
+    size = stop - start
+    # their advance(n) skips exactly n uniforms of ``random``
+    if size < num_intervals and not isinstance(
+        rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)
+    ):
+        raise ValueError(
+            "a row window jumps the stream, which needs a PCG64 or PCG64DXSM "
+            f"generator, got {type(rng.bit_generator).__name__}"
+        )
     if work is None:
 
-        def work(name, dtype=np.float64, size=num_intervals):
+        def work(name, dtype=np.float64, size=size):
             # a new array each time, so that a yielded array is never changed
             return np.empty(size, dtype)
 
-    elif work.size != num_intervals:
-        raise ValueError(
-            f"workspace holds {work.size} intervals, the pass draws {num_intervals}"
-        )
+    elif work.size != size:
+        raise ValueError(f"workspace holds {work.size} intervals, the pass draws {size}")
+    # the stream stands at uniform ``position`` of the whole pass
+    position = 0
+
+    def seek(node: int) -> None:
+        # jump to row ``start`` of ``node``'s column; 0 is the tracked node
+        nonlocal position
+        gap = node * num_intervals + start - position
+        if gap:
+            rng.bit_generator.advance(gap)
+        position = node * num_intervals + stop
+
+    seek(0)
     x_nonp = rng.random(out=work("x_nonp"))
     dist._inverse_cdf(x_nonp, out=x_nonp)
+    seek(1)
     u_max = rng.random(out=work("u_max"))
     x1 = dist._inverse_cdf(u_max, out=work("x1"))
-    chunk = work("chunk", size=min(num_intervals, _COLUMN_CHUNK))
+    chunk = work("chunk", size=min(size, _COLUMN_CHUNK))
     drawn = 1
     for k in ks:
-        for _ in range(drawn, k):
-            for start in range(0, num_intervals, chunk.size):
-                part = u_max[start : start + chunk.size]
+        for node in range(drawn + 1, k + 1):
+            seek(node)
+            for offset in range(0, size, chunk.size):
+                part = u_max[offset : offset + chunk.size]
                 np.maximum(part, rng.random(out=chunk[: part.size]), out=part)
         drawn = k
         y = x1 if k == 1 else dist._inverse_cdf(u_max, out=work("y"))
@@ -315,7 +354,12 @@ def generate_intervals(
 def simulate_ledger(
     dist: ServiceDistribution, k: int, num_intervals: int, rng: np.random.Generator
 ) -> CycleLedger:
-    """Simulate ``num_intervals`` intervals and keep their four drawn columns."""
+    """Simulate ``num_intervals`` intervals and keep their four drawn columns.
+
+    With ``rng = default_rng(SeedSequence(seed))`` these are the rows that
+    :func:`write_ledger_csv` dumps for ``LedgerSpec(dist, k, num_intervals,
+    seed)`` without ever holding them whole.
+    """
     return CycleLedger.from_intervals(*generate_intervals(rng, dist, num_intervals, k))
 
 
@@ -626,33 +670,92 @@ def _integrated_ages(y, x1, x_nonp, delivered, work) -> tuple[float, float]:
     )
 
 
-def _ledger_rows(columns: tuple, start: int) -> str:
-    """CSV lines of the ledger rows in the block that begins at row ``start``."""
-    y, x1, x_nonp, delivered = columns
-    stop = min(start + _BLOCK_ROWS, y.size)
+@dataclass(frozen=True)
+class LedgerSpec:
+    """One ledger dump: the law, k, the row count and the master seed.
+
+    Its rows are the columns that :func:`simulate_ledger` draws from
+    ``default_rng(SeedSequence(seed))``.  The law must pass
+    :func:`check_simulable`.
+    """
+
+    dist: ServiceDistribution
+    k: int
+    num_intervals: int
+    seed: int
+
+    def __post_init__(self) -> None:
+        check_simulable(self.dist)
+        object.__setattr__(self, "k", check_count("k", self.k, maximum=MAX_K))
+        object.__setattr__(
+            self, "num_intervals", check_count("num_intervals", self.num_intervals)
+        )
+        object.__setattr__(self, "seed", check_count("seed", self.seed, 0, MAX_SEED))
+
+
+def _ledger_rows(spec: LedgerSpec, start: int) -> tuple[str, int]:
+    """CSV lines and delivery count of the ledger block that begins at row ``start``.
+
+    The block's rows are drawn here, as a row window of the whole pass
+    from the seed's PCG64 start state, so no process holds more than one
+    block of any column.
+    """
+    stop = min(start + _BLOCK_ROWS, spec.num_intervals)
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    y, x1, x_nonp, delivered = next(
+        generate_interval_sweep(
+            rng, spec.dist, spec.num_intervals, (spec.k,), rows=(start, stop)
+        )
+    )
     cols = (
         map(str, range(start + 1, stop + 1)),
-        map(repr, y[start:stop].tolist()),
-        map(repr, x1[start:stop].tolist()),
-        map(repr, x_nonp[start:stop].tolist()),
-        map(str, delivered[start:stop].view(np.uint8).tolist()),
+        map(repr, y.tolist()),
+        map(repr, x1.tolist()),
+        map(repr, x_nonp.tolist()),
+        map(str, delivered.view(np.uint8).tolist()),
     )
-    return "\n".join(map(",".join, zip(*cols))) + "\n"
+    # the empty last line ends the text in a newline without copying it
+    text = "\n".join(chain(map(",".join, zip(*cols)), ("",)))
+    return text, int(np.count_nonzero(delivered))
 
 
-# a pool worker's ledger columns, set by _start_worker in the worker only
-_worker_columns: tuple = ()
+# a pool worker's ledger spec, set by _start_worker in the worker only
+_worker_spec: LedgerSpec | None = None
 
 
-def _start_worker(columns: tuple) -> None:
-    global _worker_columns
-    _worker_columns = columns
+def _start_worker(spec: LedgerSpec) -> None:
+    global _worker_spec
+    _worker_spec = spec
     # Ctrl-C reaches the whole process group; only the parent acts on it
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _keep_freed_heap()
 
 
-def _worker_rows(start: int) -> str:
-    return _ledger_rows(_worker_columns, start)
+def _keep_freed_heap() -> None:
+    """Have glibc keep this process's freed heap for reuse.
+
+    Writing a ledger makes and frees a few MB of text and pickle per
+    task, in each worker and in the process that writes the file.
+    Under glibc's default thresholds that memory goes back to the
+    kernel after every task and faults in again on the next: a 1 M-row
+    dump at k = 20 took about 30 k more minor faults than with the
+    settings below, and about 5 % more CPU.  The thresholds are
+    process-wide, so this runs only in processes agecast owns: the
+    forked workers and the ``ledger`` command.  Without glibc's
+    ``mallopt`` it does nothing.
+    """
+    try:
+        import ctypes
+
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ImportError, OSError, AttributeError, TypeError):
+        return
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MiB of free heap
+    mallopt(-3, 8 << 20)  # M_MMAP_THRESHOLD: serve blocks below 8 MiB from the heap
+
+
+def _worker_rows(start: int) -> tuple[str, int]:
+    return _ledger_rows(_worker_spec, start)
 
 
 def _pool_size(num_rows: int) -> int:
@@ -668,45 +771,52 @@ def _pool_size(num_rows: int) -> int:
 
 
 @contextmanager
-def _formatted_blocks(columns: tuple, num_rows: int) -> Iterator[Iterator[str]]:
-    """An iterator over the CSV text of each block of rows, in row order.
+def _formatted_blocks(spec: LedgerSpec) -> Iterator[Iterator[tuple[str, int]]]:
+    """An iterator over each block's CSV text and delivery count, in row order.
 
-    A pool's workers are joined when the ``with`` statement ends, and
-    terminated if it ends in an exception.
+    Each block is drawn where it is formatted, so the length-N columns
+    never exist.  A pool's workers are joined when the ``with`` statement
+    ends, and terminated if it ends in an exception.
     """
-    starts = range(0, num_rows, _BLOCK_ROWS)
-    workers = _pool_size(num_rows)
+    starts = range(0, spec.num_intervals, _BLOCK_ROWS)
+    workers = _pool_size(spec.num_intervals)
     if workers == 1:
-        yield map(partial(_ledger_rows, columns), starts)
+        yield map(partial(_ledger_rows, spec), starts)
         return
     import multiprocessing
 
-    # under fork the workers inherit the columns instead of unpickling them
-    # (spawn would import agecast and copy the columns into each worker,
-    # about half again the peak memory).  The workers are forked before the
-    # pool starts its own threads, and they call no BLAS routine.
+    # fork, so that no worker imports agecast again: each inherits this
+    # process's modules and gets the spec, not the columns, which it draws
+    # block by block itself.  The workers are forked before the pool
+    # starts its own threads, and they call no BLAS routine.
     context = multiprocessing.get_context("fork")
-    with context.Pool(workers, _start_worker, (columns,)) as pool:
+    with context.Pool(workers, _start_worker, (spec,)) as pool:
         yield pool.imap(_worker_rows, starts, _POOL_CHUNK_BLOCKS)
         pool.close()
         pool.join()
 
 
-def write_ledger_csv(ledger: CycleLedger, path) -> None:
+def write_ledger_csv(ledger: LedgerSpec, path) -> int:
     """Dump one row per interval: j, Y_j, X_1j, X_nonp_j, delivered.
 
-    Floats are written with ``repr``, so they read back exactly.  Rows are
-    formatted a block of 4096 at a time, column by column.  From
-    ``_POOL_MIN_ROWS`` = 65536 rows on, where the ``fork`` start method
-    exists and the process may run on more than one CPU, the blocks are
-    formatted on a pool of forked workers, at most one per CPU of the
-    affinity mask, and written here in row order as they arrive.  The bytes do not
-    depend on the path taken or on the CPU count.
+    Returns the number of deliveries.  ``ledger`` names the dump, and its
+    rows are drawn here a block of 4096 at a time, each as a row window
+    of the seed's stream, then formatted column by column; memory stays
+    a few blocks whatever ``num_intervals``.  Floats are written with
+    ``repr``, so they read back exactly.  From ``_POOL_MIN_ROWS`` = 65536
+    rows on, where the ``fork`` start method exists and the process may
+    run on more than one CPU, the blocks are drawn and formatted on a
+    pool of forked workers, at most one per CPU of the affinity mask,
+    and written here in row order as they arrive; fork spares each
+    worker a fresh import of agecast, and the workers share only the
+    spec.  The bytes do not depend on the path taken or on the CPU count.
     """
-    columns = (ledger.y, ledger.x1, ledger.x_nonp, ledger.delivered)
+    deliveries = 0
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        with _formatted_blocks(columns, ledger.num_intervals) as blocks:
+        with _formatted_blocks(ledger) as blocks:
             # written after the fork, so no worker inherits it unflushed
             handle.write("j,Y_j,X_1j,X_nonp_j,delivered\n")
-            for text in blocks:
+            for text, delivered in blocks:
                 handle.write(text)
+                deliveries += delivered
+    return deliveries

@@ -9,10 +9,12 @@ import threading
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import agecast
 from agecast.cli import _age_text, main, parse_config
+from agecast.simulator import simulate_ledger
 from agecast.sweeps import CSV_COLUMNS, SweepSpec, read_report_csv
 
 
@@ -148,6 +150,9 @@ class TestParsing:
                 "--intervals", "10000000000000",
             ],
             ["ledger", "--k", "2", "--intervals", "10000000000000", "--out", "x.csv"],
+            # simulation_moments would draw one ledger of intervals x 8 replications;
+            # refused when parsed, before any check runs
+            ["validate", "--intervals", "20000000000"],
         ],
     )
     def test_request_beyond_memory_is_refused_naming_intervals(self, argv, capsys):
@@ -166,10 +171,12 @@ class TestParsing:
         monkeypatch.setattr(os, "sysconf", sysconf, raising=False)
         _, spec = parse_config(["sweep-k", "--k", "1..2", "--intervals", "10000000000000"])
         assert spec.num_intervals == 10**13
-        _, (_, _, num_intervals, *_) = parse_config(
+        _, (ledger, _) = parse_config(
             ["ledger", "--k", "2", "--intervals", "10000000000000", "--out", "x.csv"]
         )
-        assert num_intervals == 10**13
+        assert ledger.num_intervals == 10**13
+        _, (settings, _) = parse_config(["validate", "--intervals", "20000000000"])
+        assert settings.num_intervals == 2 * 10**10
 
     def test_largest_k_accepted(self):
         _, spec = parse_config(["sweep-k", "--k", "4194303"])
@@ -182,8 +189,8 @@ class TestParsing:
                 parse_config(["ledger", "--k", k, "--out", "x.csv"])
             assert exc.value.code == 2
             assert "k must be at most 4194303, got 5000000" in capsys.readouterr().err
-        _, (_, ledger_k, *_) = parse_config(["ledger", "--k", "4194303", "--out", "x.csv"])
-        assert ledger_k == 4194303
+        _, (ledger, _) = parse_config(["ledger", "--k", "4194303", "--out", "x.csv"])
+        assert ledger.k == 4194303
 
 
 class TestConfigFile:
@@ -275,6 +282,26 @@ class TestLedgerCommand:
         assert multiprocessing.active_children() == []
         # the forked workers flush none of the parent's output
         assert capsys.readouterr().out.count("wrote") == 1
+
+    @pytest.mark.parametrize(
+        "cpus, argv",
+        [(1, ["ledger", "--k", "3", "--intervals", "5000", "--seed", "11"]), (2, POOLED)],
+    )
+    def test_printed_deliveries_are_those_of_the_whole_draw(
+        self, tmp_path, monkeypatch, capsys, cpus, argv
+    ):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+        )
+        out = tmp_path / "draws.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        _, (spec, _) = parse_config(argv + ["--out", str(out)])
+        rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+        ledger = simulate_ledger(spec.dist, spec.k, spec.num_intervals, rng)
+        deliveries = int(ledger.delivered.sum())
+        assert capsys.readouterr().out == (
+            f"wrote {out}: {spec.num_intervals} intervals, {deliveries} deliveries\n"
+        )
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_device_exits_2_and_leaves_no_workers(self, monkeypatch, capsys):
@@ -484,3 +511,17 @@ class TestValidateCommand:
         code = main(["validate", "--checks", "harmonic_series_identity"])
         assert code == 2
         assert "cannot write output: [Errno 32] Broken pipe" in capsys.readouterr().err
+
+
+def test_import_loads_neither_numpy_random_nor_a_pool_module():
+    # numpy loads numpy.random on first use, which adds about 6 MB of RSS
+    # to the import; agecast needs it only once it runs
+    package_root = str(Path(agecast.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    lazy = ("numpy.random", "multiprocessing", "concurrent.futures")
+    code = "import sys, agecast.cli; print(*sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", code, *lazy], env=env, check=True, capture_output=True, text=True
+    )
+    assert done.stdout.split() == []

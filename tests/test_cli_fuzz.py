@@ -210,7 +210,7 @@ def small_main(argv):
         num_intervals, replications = settings.num_intervals, settings.replications
         assert names is not None and set(names) <= set(FAST_CHECKS), names
     elif command == "ledger":
-        num_intervals, replications = request[2], 1
+        num_intervals, replications = request[0].num_intervals, 1
     else:
         num_intervals, replications = request.num_intervals, request.replications
         assert len(request.values) <= 5, request.values

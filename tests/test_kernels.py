@@ -1,4 +1,4 @@
-"""The interval kernel: shapes, stream layout, budget and determinism."""
+"""The interval kernel: shapes, stream layout, row windows, budget and determinism."""
 
 import tracemalloc
 
@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from agecast.order_stats import MAX_K, ServiceDistribution
-from agecast.simulator import generate_interval_sweep, generate_intervals
+from agecast.simulator import (
+    _BLOCK_ROWS,
+    _COLUMN_CHUNK,
+    _Workspace,
+    generate_interval_sweep,
+    generate_intervals,
+)
 
 EXP1 = ServiceDistribution.exponential(1.0)
 
@@ -188,3 +194,77 @@ class TestGenerateIntervalSweep:
     def test_refuses_group_sizes_out_of_order(self, ks):
         with pytest.raises(ValueError, match="strictly increasing"):
             next(generate_interval_sweep(np.random.default_rng(1), EXP1, 10, ks))
+
+
+def _windows(num_intervals):
+    """Row windows to draw: every ledger block (a short last one included),
+    the whole pass, single rows at both ends and, where N allows, windows
+    longer than the kernel's chunk that start off a block edge."""
+    edges = [*range(0, num_intervals, _BLOCK_ROWS), num_intervals]
+    windows = set(zip(edges, edges[1:]))
+    windows |= {(0, num_intervals), (0, 1), (num_intervals - 1, num_intervals)}
+    if num_intervals > _COLUMN_CHUNK + 1:
+        windows |= {(1, num_intervals), (num_intervals - _COLUMN_CHUNK - 2, num_intervals - 1)}
+    return sorted(windows)
+
+
+class TestRowWindow:
+    @pytest.mark.parametrize("k", [1, 2, 20])
+    @pytest.mark.parametrize("num_intervals", [1, 4095, 4096, 4097, 16385, 20011])
+    def test_each_window_is_the_slice_of_the_whole_pass(self, k, num_intervals):
+        dist = ServiceDistribution(rate=1.5, shift=0.25)
+        whole = generate_intervals(np.random.default_rng(k), dist, num_intervals, k)
+        for start, stop in _windows(num_intervals):
+            rng = np.random.default_rng(k)
+            got = next(
+                generate_interval_sweep(rng, dist, num_intervals, (k,), rows=(start, stop))
+            )
+            for left, right in zip(got, whole):
+                assert left.dtype == right.dtype
+                assert left.tobytes() == right[start:stop].tobytes(), (start, stop)
+            # the stream is left at row ``stop`` of node k's column
+            after = np.random.default_rng(k)
+            after.bit_generator.advance(k * num_intervals + stop)
+            assert rng.random() == after.random()
+
+    def test_a_window_of_a_sweep_into_a_workspace(self):
+        ks, num_intervals, rows = (1, 2, 5, 8), 20011, (4096, 20011)
+        whole = generate_interval_sweep(np.random.default_rng(3), EXP1, num_intervals, ks)
+        work = _Workspace(rows[1] - rows[0])
+        window = generate_interval_sweep(
+            np.random.default_rng(3), EXP1, num_intervals, ks, work, rows=rows
+        )
+        for got, want in zip(window, whole, strict=True):
+            for left, right in zip(got, want):
+                assert left.tobytes() == right[slice(*rows)].tobytes()
+
+    @pytest.mark.parametrize("rows", [(5, 5), (6, 5), (-1, 3), (0, 101), (100, 101), (0, 0)])
+    def test_empty_or_outside_windows_are_refused(self, rows):
+        with pytest.raises(ValueError, match="row st"):
+            next(generate_interval_sweep(np.random.default_rng(1), EXP1, 100, (2,), rows=rows))
+
+    def test_refuses_a_workspace_of_the_whole_length(self):
+        with pytest.raises(ValueError, match="workspace holds 100 intervals, the pass draws 10"):
+            next(
+                generate_interval_sweep(
+                    np.random.default_rng(1), EXP1, 100, (2,), _Workspace(100), rows=(0, 10)
+                )
+            )
+
+    @pytest.mark.parametrize("bits", [np.random.SFC64, np.random.MT19937, np.random.Philox])
+    def test_a_window_needs_a_generator_that_jumps_by_draws(self, bits):
+        # Philox has an advance, but it counts blocks of four draws
+        rng = np.random.Generator(bits(7))
+        with pytest.raises(ValueError, match=f"needs a PCG64 .* got {bits.__name__}"):
+            next(generate_interval_sweep(rng, EXP1, 100, (2,), rows=(10, 20)))
+
+    @pytest.mark.parametrize("rows", [None, (0, 5000)])
+    def test_a_whole_pass_on_sfc64_never_jumps(self, rows):
+        got = next(
+            generate_interval_sweep(
+                np.random.Generator(np.random.SFC64(7)), EXP1, 5000, (3,), rows=rows
+            )
+        )
+        want = whole_block_intervals(np.random.Generator(np.random.SFC64(7)), EXP1, 5000, 3)
+        for left, right in zip(got, want):
+            assert left.tobytes() == right.tobytes()

@@ -1,6 +1,7 @@
 """Simulator bookkeeping, estimators and cross-check integration."""
 
 import csv
+import ctypes
 import dataclasses
 import gc
 import math
@@ -23,6 +24,7 @@ from agecast.simulator import (
     CROSS_CHECK_MAX_INTERVALS,
     CycleLedger,
     InsufficientDataError,
+    LedgerSpec,
     SimConfig,
     SimResult,
     accumulate_nonpriority,
@@ -41,6 +43,7 @@ from agecast.simulator import (
     _Workspace,
     _cycles,
     _integrate_age,
+    _keep_freed_heap,
     _map_replications,
     _mean_se,
     _pool_size,
@@ -569,12 +572,32 @@ class TestCrossCheck:
             sample_path_cross_check(config)
 
 
+def reference_ledger(spec):
+    """The columns of ``spec``'s dump, drawn whole as the CLI once did."""
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    return simulate_ledger(spec.dist, spec.k, spec.num_intervals, rng)
+
+
+def read_ledger(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+
+
+def _writer_peak(tmp_path, num_intervals):
+    spec = LedgerSpec(EXP1, 3, num_intervals, 5)
+    tracemalloc.start()
+    try:
+        write_ledger_csv(spec, tmp_path / "peak.csv")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestLedgerCsv:
     def test_format_and_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        ledger = simulate_ledger(EXP1, 2, 50, rng)
+        spec = LedgerSpec(EXP1, 2, 50, 3)
+        ledger = reference_ledger(spec)
         path = tmp_path / "ledger.csv"
-        write_ledger_csv(ledger, path)
+        assert write_ledger_csv(spec, path) == ledger.delivered.sum()
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "j,Y_j,X_1j,X_nonp_j,delivered"
         assert len(lines) == 51
@@ -590,12 +613,57 @@ class TestLedgerCsv:
             np.array([float(r["X_nonp_j"]) for r in rows]), ledger.x_nonp
         )
 
+    @pytest.mark.parametrize("k", [1, 20])
+    def test_blocks_drawn_one_by_one_equal_the_whole_draw(self, tmp_path, monkeypatch, k):
+        set_cpus(monkeypatch, 1)
+        spec = LedgerSpec(ServiceDistribution(rate=2.0, shift=0.5), k, 3 * 4096 + 17, 11)
+        ledger = reference_ledger(spec)
+        path = tmp_path / "ledger.csv"
+        write_ledger_csv(spec, path)
+        j, y, x1, x_nonp, delivered = read_ledger(path)
+        np.testing.assert_array_equal(j, np.arange(1, spec.num_intervals + 1))
+        for got, want in ((y, ledger.y), (x1, ledger.x1), (x_nonp, ledger.x_nonp)):
+            assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(delivered, ledger.delivered)
+
+    def test_spec_validation(self):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            LedgerSpec(EXP1, 0, 10, 1)
+        with pytest.raises(ValueError, match="num_intervals must be at least 1"):
+            LedgerSpec(EXP1, 2, 0, 1)
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            LedgerSpec(EXP1, 2, 10, -1)
+        with pytest.raises(ValueError, match="rate \\* shift"):
+            LedgerSpec(ServiceDistribution(rate=1e100, shift=1.0), 2, 10, 1)
+        # one interval is a valid dump
+        assert LedgerSpec(EXP1, 2, 1, 1).num_intervals == 1
+
+    def test_serial_peak_does_not_grow_with_n(self, tmp_path, monkeypatch):
+        set_cpus(monkeypatch, 1)
+        # imports made on the first call stay out of the traced peak
+        _writer_peak(tmp_path, 10)
+        small, large = _writer_peak(tmp_path, 65_536), _writer_peak(tmp_path, 262_144)
+        # measured 2.0 and 1.6 MB, a block's text and its Python floats; the
+        # larger dump's whole columns alone would be 8.7 MB
+        assert large <= small + 64 * 1024
+
 
 def set_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 class TestLedgerWorkerPool:
+    @pytest.mark.parametrize("libc", [object(), OSError("no such library")])
+    def test_heap_setting_is_skipped_without_mallopt(self, monkeypatch, libc):
+        # the workers' call; this process's own settings are left alone
+        def cdll(name):
+            if isinstance(libc, Exception):
+                raise libc
+            return libc
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert _keep_freed_heap() is None
+
     def test_pool_size(self, monkeypatch):
         set_cpus(monkeypatch, 2)
         assert _pool_size(_POOL_MIN_ROWS - 1) == 1
@@ -623,12 +691,14 @@ class TestLedgerWorkerPool:
         ],
     )
     def test_same_bytes_on_one_cpu_and_two(self, tmp_path, monkeypatch, k, num_intervals):
-        ledger = simulate_ledger(EXP1, k, num_intervals, np.random.default_rng(num_intervals))
+        spec = LedgerSpec(EXP1, k, num_intervals, num_intervals)
+        ledger = reference_ledger(spec)
         dumps = []
         for cpus in (1, 2):
             set_cpus(monkeypatch, cpus)
             path = tmp_path / f"cpus{cpus}.csv"
-            write_ledger_csv(ledger, path)
+            # the count of the pooled path too
+            assert write_ledger_csv(spec, path) == ledger.delivered.sum()
             dumps.append(path.read_bytes())
         assert dumps[0] == dumps[1]
         lines = dumps[0].decode().splitlines()
