@@ -53,6 +53,9 @@ _BLOCK_ROWS = 4096
 # folds a node into the running max; the same stream as a whole column
 _COLUMN_CHUNK = 16384
 
+# the delivered column's text, by flag
+_FLAGS = np.array([b"0", b"1"])
+
 # from this many rows on, the ledger writer formats on a worker pool; below
 # it, starting the workers costs more than they save
 _POOL_MIN_ROWS = 16 * _BLOCK_ROWS
@@ -693,13 +696,16 @@ class LedgerSpec:
         object.__setattr__(self, "seed", check_count("seed", self.seed, 0, MAX_SEED))
 
 
-def _ledger_rows(spec: LedgerSpec, start: int) -> tuple[str, int]:
+def _ledger_rows(spec: LedgerSpec, start: int) -> tuple[bytes, int]:
     """CSV lines and delivery count of the ledger block that begins at row ``start``.
 
     The block's rows are drawn here, as a row window of the whole pass
     from the seed's PCG64 start state, so no process holds more than one
-    block of any column.
+    block of any column.  Each float column is formatted at once by
+    ``_shortest.float_reprs``, byte for byte its values' ``repr``.
     """
+    from ._shortest import float_reprs  # not at the top: only the ledger needs it
+
     stop = min(start + _BLOCK_ROWS, spec.num_intervals)
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     y, x1, x_nonp, delivered = next(
@@ -708,14 +714,14 @@ def _ledger_rows(spec: LedgerSpec, start: int) -> tuple[str, int]:
         )
     )
     cols = (
-        map(str, range(start + 1, stop + 1)),
-        map(repr, y.tolist()),
-        map(repr, x1.tolist()),
-        map(repr, x_nonp.tolist()),
-        map(str, delivered.view(np.uint8).tolist()),
+        map(b"%d".__mod__, range(start + 1, stop + 1)),
+        float_reprs(y).tolist(),
+        float_reprs(x1).tolist(),
+        float_reprs(x_nonp).tolist(),
+        _FLAGS[delivered.view(np.uint8)].tolist(),
     )
     # the empty last line ends the text in a newline without copying it
-    text = "\n".join(chain(map(",".join, zip(*cols)), ("",)))
+    text = b"\n".join(chain(map(b",".join, zip(*cols)), (b"",)))
     return text, int(np.count_nonzero(delivered))
 
 
@@ -754,7 +760,7 @@ def _keep_freed_heap() -> None:
     mallopt(-3, 8 << 20)  # M_MMAP_THRESHOLD: serve blocks below 8 MiB from the heap
 
 
-def _worker_rows(start: int) -> tuple[str, int]:
+def _worker_rows(start: int) -> tuple[bytes, int]:
     return _ledger_rows(_worker_spec, start)
 
 
@@ -771,7 +777,7 @@ def _pool_size(num_rows: int) -> int:
 
 
 @contextmanager
-def _formatted_blocks(spec: LedgerSpec) -> Iterator[Iterator[tuple[str, int]]]:
+def _formatted_blocks(spec: LedgerSpec) -> Iterator[Iterator[tuple[bytes, int]]]:
     """An iterator over each block's CSV text and delivery count, in row order.
 
     Each block is drawn where it is formatted, so the length-N columns
@@ -802,8 +808,10 @@ def write_ledger_csv(ledger: LedgerSpec, path) -> int:
     Returns the number of deliveries.  ``ledger`` names the dump, and its
     rows are drawn here a block of 4096 at a time, each as a row window
     of the seed's stream, then formatted column by column; memory stays
-    a few blocks whatever ``num_intervals``.  Floats are written with
-    ``repr``, so they read back exactly.  From ``_POOL_MIN_ROWS`` = 65536
+    a few blocks whatever ``num_intervals``.  Floats are written as
+    the shortest decimal that reads back to the same double, byte for
+    byte ``repr``, by the vectorised kernel ``_shortest.float_reprs``,
+    which the tests check against ``repr``.  From ``_POOL_MIN_ROWS`` = 65536
     rows on, where the ``fork`` start method exists and the process may
     run on more than one CPU, the blocks are drawn and formatted on a
     pool of forked workers, at most one per CPU of the affinity mask,
@@ -811,11 +819,15 @@ def write_ledger_csv(ledger: LedgerSpec, path) -> int:
     worker a fresh import of agecast, and the workers share only the
     spec.  The bytes do not depend on the path taken or on the CPU count.
     """
+    # imported on the ledger path only, and before the fork, so that the
+    # workers inherit it
+    from . import _shortest  # noqa: F401
+
     deliveries = 0
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with open(path, "wb") as handle:
         with _formatted_blocks(ledger) as blocks:
             # written after the fork, so no worker inherits it unflushed
-            handle.write("j,Y_j,X_1j,X_nonp_j,delivered\n")
+            handle.write(b"j,Y_j,X_1j,X_nonp_j,delivered\n")
             for text, delivered in blocks:
                 handle.write(text)
                 deliveries += delivered

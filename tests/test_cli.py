@@ -515,11 +515,12 @@ class TestValidateCommand:
 
 def test_import_loads_neither_numpy_random_nor_a_pool_module():
     # numpy loads numpy.random on first use, which adds about 6 MB of RSS
-    # to the import; agecast needs it only once it runs
+    # to the import; agecast needs it only once it runs.  The ledger's
+    # float kernel builds its tables on import, for the ledger alone
     package_root = str(Path(agecast.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
-    lazy = ("numpy.random", "multiprocessing", "concurrent.futures")
+    lazy = ("numpy.random", "multiprocessing", "concurrent.futures", "agecast._shortest")
     code = "import sys, agecast.cli; print(*sorted(set(sys.argv[1:]) & set(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-c", code, *lazy], env=env, check=True, capture_output=True, text=True

@@ -10,6 +10,7 @@ import os
 import threading
 import time
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -38,12 +39,14 @@ from agecast.simulator import (
     write_ledger_csv,
 )
 from agecast.simulator import (
+    _BLOCK_ROWS,
     _COLUMN_CHUNK,
     _POOL_MIN_ROWS,
     _Workspace,
     _cycles,
     _integrate_age,
     _keep_freed_heap,
+    _ledger_rows,
     _map_replications,
     _mean_se,
     _pool_size,
@@ -578,6 +581,26 @@ def reference_ledger(spec):
     return simulate_ledger(spec.dist, spec.k, spec.num_intervals, rng)
 
 
+def repr_ledger_rows(spec, start):
+    """``_ledger_rows`` as written with ``repr``: the oracle for its bytes."""
+    stop = min(start + _BLOCK_ROWS, spec.num_intervals)
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    y, x1, x_nonp, delivered = next(
+        generate_interval_sweep(
+            rng, spec.dist, spec.num_intervals, (spec.k,), rows=(start, stop)
+        )
+    )
+    cols = (
+        map(str, range(start + 1, stop + 1)),
+        map(repr, y.tolist()),
+        map(repr, x1.tolist()),
+        map(repr, x_nonp.tolist()),
+        map(str, delivered.view(np.uint8).tolist()),
+    )
+    text = "\n".join(chain(map(",".join, zip(*cols)), ("",)))
+    return text.encode(), int(np.count_nonzero(delivered))
+
+
 def read_ledger(path):
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
 
@@ -626,6 +649,23 @@ class TestLedgerCsv:
             assert got.tobytes() == want.tobytes()
         np.testing.assert_array_equal(delivered, ledger.delivered)
 
+    @pytest.mark.parametrize(
+        "dist, k",
+        [
+            (EXP1, 20),
+            (ServiceDistribution(rate=2.0, shift=0.5), 4),
+            # y is x1
+            (EXP1, 1),
+            # every value prints in exponent form
+            (ServiceDistribution.exponential(1e-90), 3),
+            (ServiceDistribution(rate=1e90, shift=1e-85), 2),
+        ],
+    )
+    def test_block_bytes_equal_the_repr_oracle(self, dist, k):
+        spec = LedgerSpec(dist, k, 2 * _BLOCK_ROWS + 17, 23)
+        for start in range(0, spec.num_intervals, _BLOCK_ROWS):
+            assert _ledger_rows(spec, start) == repr_ledger_rows(spec, start)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="k must be at least 1"):
             LedgerSpec(EXP1, 0, 10, 1)
@@ -643,8 +683,8 @@ class TestLedgerCsv:
         # imports made on the first call stay out of the traced peak
         _writer_peak(tmp_path, 10)
         small, large = _writer_peak(tmp_path, 65_536), _writer_peak(tmp_path, 262_144)
-        # measured 2.0 and 1.6 MB, a block's text and its Python floats; the
-        # larger dump's whole columns alone would be 8.7 MB
+        # measured 2.2 and 2.2 MB, a block's text and its columns' bytes
+        # objects; the larger dump's whole columns alone would be 8.7 MB
         assert large <= small + 64 * 1024
 
 
