@@ -232,8 +232,12 @@ def _validate_request(merged: dict) -> tuple:
         replications=merged["replications"],
         tolerance=merged["tolerance"],
     )
-    # the simulation_moments check draws one ledger of all the intervals
-    _check_memory(_ledger_bytes(settings.num_intervals * settings.replications))
+    # the largest arrays the checks still hold: age_regression's runs and
+    # cycle_bookkeeping's ledger, which may run at the same time
+    _check_memory(
+        _run_bytes(settings.num_intervals, settings.replications)
+        + _ledger_bytes(settings.num_intervals)
+    )
     return settings, merged["checks"]
 
 

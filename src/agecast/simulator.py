@@ -137,27 +137,6 @@ class CycleLedger:
     def from_intervals(cls, y, x1, x_nonp, delivered) -> "CycleLedger":
         return cls(y, x1, x_nonp, delivered)
 
-    def moment_samples(self) -> dict[str, np.ndarray]:
-        """Per-sample arrays whose means estimate the cycle moments.
-
-        Keyed by the :class:`agecast.theory.RenewalCycleMoments` field each
-        one estimates, in SimResult's order; the cycle samples come from
-        :func:`_cycles`.  A sweep reads the same means off the columns
-        (``_replication_estimates``, tested bit-equal to these).
-        """
-        d, w, xtilde = _cycles(self.y, self.x_nonp, self.delivered)
-        miss = ~self.delivered
-        return {
-            "y_mean": self.y,
-            "w_mean": w,
-            "w2_mean": w * w,
-            "xtilde_mean": xtilde,
-            "m_mean": np.diff(d),
-            "q": miss,
-            "yf_mean": self.y[miss],
-            "ys_mean": self.y[d],
-        }
-
     @property
     def num_intervals(self) -> int:
         return self.y.size
@@ -533,8 +512,10 @@ def _replication_estimates(y, x1, x_nonp, delivered, work=None) -> dict[str, flo
     no length-N array per point.  Each sum sees the same values as the
     one over a new array, contiguous and of the same length, so it keeps
     its bits: each value equals, bit for bit, ``accumulate_priority``,
-    ``accumulate_nonpriority`` or the mean of the ``moment_samples()``
-    entry of the same name for a CycleLedger of the same columns.
+    ``accumulate_nonpriority`` of a CycleLedger of the same columns, or
+    the mean of the whole-run array of the sample it is named after (y,
+    the cycles' w, w**2, xtilde and lengths from :func:`_cycles`, the miss
+    flags, and y at the misses and at the deliveries).
     """
     num_intervals = y.size
     if work is None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ from .simulator import (
     SimConfig,
     _cycles,
     _ordered_map,
+    generate_interval_sweep,
     run_simulation,
     sample_path_cross_check,
     simulate_ledger,
@@ -47,6 +49,10 @@ from .theory import (
 )
 
 __all__ = ["CheckResult", "ValidationSettings", "run_checks", "CHECK_NAMES"]
+
+# rows that a sampling check draws and reduces at a time; small enough that a
+# block's arrays stay below a short run's whole arrays
+_SAMPLE_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -205,10 +211,17 @@ def check_order_stat_monte_carlo(settings: ValidationSettings) -> tuple[bool, st
         rate = float(rng.uniform(0.3, 4.0))
         shift = float(rng.uniform(0.0, 3.0))
         dist = ServiceDistribution(rate=rate, shift=shift)
-        samples = dist.sample(rng, (draws, n))
-        # in place: the k-th smallest of each row moves to column k - 1
-        samples.partition(k - 1, axis=1)
-        col = samples[:, k - 1]
+        # the rows of one (draws, n) matrix of uniforms, drawn a block at a
+        # time in the same row-major order; each row keeps its k-th smallest
+        col = np.empty(draws)
+        for start in range(0, draws, _SAMPLE_BLOCK):
+            block = rng.random((min(_SAMPLE_BLOCK, draws - start), n))
+            # in place: the k-th smallest of each row moves to column k - 1
+            block.partition(k - 1, axis=1)
+            col[start : start + block.shape[0]] = block[:, k - 1]
+        # the inverse CDF is nondecreasing, so it maps each row's k-th smallest
+        # uniform to the k-th smallest of the row's service times
+        dist._inverse_cdf(col, out=col)
         mean_se = col.std(ddof=1) / math.sqrt(draws)
         worst = max(worst, abs(col.mean() - order_stat_mean(dist, k, n)) / mean_se)
         centered = (col - col.mean()) ** 2
@@ -220,44 +233,165 @@ def check_order_stat_monte_carlo(settings: ValidationSettings) -> tuple[bool, st
     )
 
 
-def _pooled_z(values: np.ndarray, target: float, tag: str) -> float:
-    """|mean - target| in standard errors; inf or 0 when the values have no spread."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size < 2:
+class _RunningMoments:
+    """Count, mean and sum of squared deviations (M2) of a sample fed in blocks.
+
+    Each block's mean and M2 are taken in two passes over the block, then
+    merged into the running ones by the pairwise formula of Chan, Golub and
+    LeVeque (*Amer. Statistician*, 1983), so that the sample is never held
+    whole.  One block alone gives the two-pass values bit for bit.
+    """
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.mean = 0.0
+        self.m2 = 0.0
+
+    def add(self, values) -> None:
+        values = np.asarray(values, dtype=np.float64)
+        size = values.size
+        if size == 0:
+            return
+        mean = float(values.mean())
+        deviations = np.subtract(values, mean)
+        # numpy's own reduction: a BLAS dot product would wake its threads
+        m2 = float(np.multiply(deviations, deviations, out=deviations).sum())
+        count = self.count + size
+        delta = mean - self.mean
+        self.mean += delta * (size / count)
+        self.m2 += m2 + delta * delta * (self.count * size / count)
+        self.count = count
+
+
+def _pooled_z(sample, target: float, tag: str) -> float:
+    """|mean - target| in standard errors; inf or 0 when the values have no spread.
+
+    ``sample`` is a :class:`_RunningMoments`, or an array of the values.
+    """
+    if not isinstance(sample, _RunningMoments):
+        values, sample = sample, _RunningMoments()
+        sample.add(values)
+    if sample.count < 2:
         raise InsufficientDataError(
-            f"simulation moments need at least 2 samples of {tag}, got {values.size}"
+            f"simulation moments need at least 2 samples of {tag}, got {sample.count}"
         )
-    gap = abs(float(values.mean()) - target)
-    se = float(values.std(ddof=1)) / math.sqrt(values.size)
+    gap = abs(sample.mean - target)
+    se = math.sqrt(sample.m2 / (sample.count - 1)) / math.sqrt(sample.count)
     if se == 0.0:
         return math.inf if gap > 0.0 else 0.0
     return gap / se
 
 
+def _cycle_samples(blocks) -> Iterator[dict[str, np.ndarray]]:
+    """Per block of one run, the samples whose means estimate the cycle moments.
+
+    ``blocks`` yields ``(y, x_nonp, delivered)`` of consecutive row windows
+    of the run.  Each dict is keyed by the
+    :class:`agecast.theory.RenewalCycleMoments` field its samples estimate,
+    in SimResult's order.  Two things carry from block to block: the end
+    time of the last interval so far, and the row, end time and x_nonp of
+    the last delivery so far.  A block's end times are the ``cumsum`` of
+    its y with the carried end time prepended, which is the whole run's
+    ``cumsum`` bit for bit, and the carried delivery opens the block's
+    first cycle.  So, concatenated over the blocks, every sample equals
+    bit for bit its array over the whole run, with the cycles of
+    :func:`_cycles`, whatever the block lengths.
+    """
+    end = 0.0
+    last = None
+    row = 0
+    for y, x_nonp, delivered in blocks:
+        ends = np.cumsum(np.concatenate(([end], y)))[1:]
+        end = ends[-1]
+        d = np.flatnonzero(delivered)
+        # the rows, end times and x_nonp of the deliveries that bound cycles
+        rows, times, openers = row + d, ends[d], x_nonp[d]
+        if last is not None:
+            rows, times, openers = (
+                np.concatenate(([carried], values))
+                for carried, values in zip(last, (rows, times, openers))
+            )
+        if rows.size:
+            last = rows[-1], times[-1], openers[-1]
+        row += y.size
+        w = np.diff(times)
+        miss = ~delivered
+        yield {
+            "y_mean": y,
+            "w_mean": w,
+            "w2_mean": w * w,
+            "xtilde_mean": openers[:-1],
+            "m_mean": np.diff(rows),
+            "q": miss,
+            "yf_mean": y[miss],
+            "ys_mean": y[d],
+        }
+
+
+def _run_moments(
+    seed: int, skip: int, dist: ServiceDistribution, k: int, num_intervals: int
+) -> dict[str, _RunningMoments]:
+    """Running moments of the :func:`_cycle_samples` of one run at group size k.
+
+    The run is the pass of :func:`generate_interval_sweep` that starts
+    ``skip`` uniforms into the stream of ``default_rng(seed)``.  It is
+    drawn ``_SAMPLE_BLOCK`` rows at a time, each block a row window of
+    the pass from a new generator jumped ahead by ``skip``, so that
+    memory is one block whatever ``num_intervals``.
+    """
+
+    def blocks():
+        for start in range(0, num_intervals, _SAMPLE_BLOCK):
+            rng = np.random.default_rng(seed)
+            rng.bit_generator.advance(skip)
+            rows = (start, min(start + _SAMPLE_BLOCK, num_intervals))
+            y, _, x_nonp, delivered = next(
+                generate_interval_sweep(rng, dist, num_intervals, (k,), rows=rows)
+            )
+            yield y, x_nonp, delivered
+
+    moments: dict[str, _RunningMoments] = {}
+    for samples in _cycle_samples(blocks()):
+        for name, values in samples.items():
+            moments.setdefault(name, _RunningMoments()).add(values)
+    return moments
+
+
 def check_simulation_moments(settings: ValidationSettings) -> tuple[bool, str]:
     """Empirical cycle moments track the closed forms within 4 se.
 
-    One long run per law with pooled per-sample standard errors, so each
-    comparison is an effectively normal z-score.  At the ``validate``
-    defaults the check failed on 0 of the seeds 1..100
-    (``tests/gate_seeds.py``, stream version 2).
+    One long run of intervals x replications per law with pooled
+    per-sample standard errors, so each comparison is an effectively
+    normal z-score.  The six laws are consecutive passes of one stream,
+    ``default_rng(seed + 3)``: each starts where the ones before it end,
+    as a run at group size k takes k + 1 uniforms per interval.
+
+    A law's run is drawn and reduced ``_SAMPLE_BLOCK`` rows at a time
+    (:func:`_run_moments`).  The cycle that spans two blocks is closed
+    from the carried end time and opener (:func:`_cycle_samples`), so
+    every sample value is the one a whole-run draw gives, and each
+    sample's count, mean and M2 are merged block by block by Chan's
+    formula (:class:`_RunningMoments`).  Memory is therefore a few blocks
+    whatever the run length.  At the ``validate`` defaults the check
+    failed on 0 of the seeds 1..100 (``tests/gate_seeds.py``, stream
+    version 2).
     """
-    rng = np.random.default_rng(settings.seed + 3)
     num_intervals = settings.num_intervals * settings.replications
     worst = 0.0
     label = ""
+    skip = 0
     for rate, shift in ((1.0, 0.0), (1.0, 1.0)):
         for k in (1, 2, 5):
             dist = ServiceDistribution(rate=rate, shift=shift)
-            samples = simulate_ledger(dist, k, num_intervals, rng).moment_samples()
             moments = interval_moments(dist, k)
-            for name in tuple(samples):
+            samples = _run_moments(settings.seed + 3, skip, dist, k, num_intervals)
+            for name, sample in samples.items():
                 tag = name.removesuffix("_mean")
-                # popped, so each sample is freed once its z-score is taken
-                z = _pooled_z(samples.pop(name), getattr(moments, name), tag)
+                z = _pooled_z(sample, getattr(moments, name), tag)
                 if z > worst:
                     worst = z
                     label = f"{tag} at rate={rate}, shift={shift}, k={k}"
+            skip += num_intervals * (k + 1)
     return worst < 4.0, f"worst deviation {worst:.2f} se ({label})"
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import agecast
 from agecast.cli import _age_text, main, parse_config
-from agecast.simulator import simulate_ledger
+from agecast.simulator import _ledger_bytes, _run_bytes, simulate_ledger
 from agecast.sweeps import CSV_COLUMNS, SweepSpec, read_report_csv
 
 
@@ -177,6 +177,21 @@ class TestParsing:
         assert ledger.num_intervals == 10**13
         _, (settings, _) = parse_config(["validate", "--intervals", "20000000000"])
         assert settings.num_intervals == 2 * 10**10
+
+    def test_validate_is_refused_by_the_arrays_its_checks_hold(self, monkeypatch, capsys):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        pages = {"SC_PHYS_PAGES": 50_000, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__, raising=False)
+        memory = 50_000 * 4096
+        # one ledger of intervals x 8 replications, the old rule, does not fit;
+        # age_regression's runs on 2 threads and cycle_bookkeeping's ledger do
+        assert _ledger_bytes(8 * 10**6) > memory >= _run_bytes(10**6, 8) + _ledger_bytes(10**6)
+        _, (settings, _) = parse_config(["validate", "--intervals", "1000000"])
+        assert settings.num_intervals == 10**6
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["validate", "--intervals", "2000000"])
+        assert exc.value.code == 2
+        assert "intervals too large" in capsys.readouterr().err
 
     def test_largest_k_accepted(self):
         _, spec = parse_config(["sweep-k", "--k", "4194303"])

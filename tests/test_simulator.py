@@ -58,8 +58,29 @@ from agecast.theory import (
     age_nonpriority,
     age_priority,
 )
+from agecast.validation import _SAMPLE_BLOCK, _cycle_samples, _run_moments
 
 EXP1 = ServiceDistribution.exponential(1.0)
+
+
+def moment_samples(ledger):
+    """Whole-run arrays whose means estimate the cycle moments: the oracle.
+
+    Keyed by the RenewalCycleMoments field each one estimates, in
+    SimResult's order, with the cycles of ``_cycles``.
+    """
+    d, w, xtilde = _cycles(ledger.y, ledger.x_nonp, ledger.delivered)
+    miss = ~ledger.delivered
+    return {
+        "y_mean": ledger.y,
+        "w_mean": w,
+        "w2_mean": w * w,
+        "xtilde_mean": xtilde,
+        "m_mean": np.diff(d),
+        "q": miss,
+        "yf_mean": ledger.y[miss],
+        "ys_mean": ledger.y[d],
+    }
 
 
 def constant_ledger(num_intervals=5, y=1.0, x1=1.0, x_nonp=0.5):
@@ -128,7 +149,7 @@ class TestCycleLedger:
         y = np.arange(1.0, 8.0)
         delivered = np.array([False, True, False, False, True, True, False])
         ledger = CycleLedger.from_intervals(y, y, y + 10.0, delivered)
-        samples = ledger.moment_samples()
+        samples = moment_samples(ledger)
         # each key names the theory moment it estimates, in SimResult order
         theory = {field.name for field in dataclasses.fields(RenewalCycleMoments)}
         assert set(samples) <= theory
@@ -244,7 +265,7 @@ class TestRunKSweep:
 @pytest.mark.parametrize("seed, num_intervals", [(3, 2_000), (17, 20_011), (2026, 100_000)])
 def test_replication_estimates_equal_the_ledger_estimates(shift, k, seed, num_intervals):
     # bit for bit: the sweep reads its estimates off the columns, the
-    # simulation_moments gate reads moment_samples() of a ledger
+    # oracle takes the means of the whole-run sample arrays
     columns = generate_intervals(
         np.random.default_rng(seed), ServiceDistribution(1.0, shift), num_intervals, k
     )
@@ -253,10 +274,69 @@ def test_replication_estimates_equal_the_ledger_estimates(shift, k, seed, num_in
         "age_priority": accumulate_priority(ledger),
         "age_nonpriority": accumulate_nonpriority(ledger),
     }
-    expected.update((name, float(values.mean())) for name, values in ledger.moment_samples().items())
+    expected.update((name, float(values.mean())) for name, values in moment_samples(ledger).items())
     estimates = _replication_estimates(*columns)
     assert list(estimates) == list(expected)
     assert estimates == expected
+
+
+class TestStreamedCycleMoments:
+    """simulation_moments' block-by-block samples and moments, against the oracle."""
+
+    @pytest.mark.parametrize("dist", [EXP1, ServiceDistribution(1.0, 1.0)], ids=["exp", "sexp"])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "num_intervals",
+        [_SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 3 * _SAMPLE_BLOCK + 17],
+    )
+    def test_streamed_moments_equal_the_whole_arrays(self, dist, k, num_intervals):
+        seed, skip = 1729, 2 * num_intervals
+        rng = np.random.default_rng(seed)
+        rng.random(skip)  # the uniforms of the laws before this one
+        oracle = moment_samples(CycleLedger(*generate_intervals(rng, dist, num_intervals, k)))
+        streamed = _run_moments(seed, skip, dist, k, num_intervals)
+        assert list(streamed) == list(oracle)
+        for name, values in oracle.items():
+            values = values.astype(np.float64)
+            sample = streamed[name]
+            assert sample.count == values.size, name
+            assert sample.mean == pytest.approx(values.mean(), rel=1e-12), name
+            std = math.sqrt(sample.m2 / (sample.count - 1))
+            assert std == pytest.approx(values.std(ddof=1), rel=1e-12), name
+
+    @staticmethod
+    def assert_blocks_give_the_oracle(ledger, bounds):
+        blocks = [
+            (ledger.y[a:b], ledger.x_nonp[a:b], ledger.delivered[a:b])
+            for a, b in zip(bounds, bounds[1:])
+        ]
+        parts = list(_cycle_samples(blocks))
+        for name, values in moment_samples(ledger).items():
+            joined = np.concatenate([part[name] for part in parts])
+            np.testing.assert_array_equal(joined, values, err_msg=name)
+        return parts
+
+    def test_a_block_without_deliveries_carries_the_open_cycle(self):
+        rng = np.random.default_rng(3)
+        y, x_nonp = rng.random(16), rng.random(16)
+        # blocks of four: none before the first delivery, one delivery, none
+        # while a cycle is open, then two deliveries
+        delivered = np.zeros(16, dtype=bool)
+        delivered[[5, 13, 14]] = True
+        parts = self.assert_blocks_give_the_oracle(
+            CycleLedger(y, y, x_nonp, delivered), [0, 4, 8, 12, 16]
+        )
+        # the cycle opened in block 1 closes in block 3, from the carried
+        # opener and end time
+        assert [part["w_mean"].size for part in parts] == [0, 0, 0, 2]
+        assert parts[3]["w_mean"][0] == np.cumsum(y)[13] - np.cumsum(y)[5]
+        assert parts[3]["xtilde_mean"].tolist() == [x_nonp[5], x_nonp[13]]
+        assert parts[3]["m_mean"].tolist() == [8, 1]
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_uneven_blocks_of_a_drawn_run_give_the_whole_arrays(self, k):
+        ledger = CycleLedger(*generate_intervals(np.random.default_rng(8), EXP1, 20_011, k))
+        self.assert_blocks_give_the_oracle(ledger, [0, 1, 2, 7, 4096, 4097, 15_000, 20_011])
 
 
 def estimates_or_error(columns, work=None):

@@ -11,12 +11,15 @@ import pytest
 
 from agecast import validation
 from agecast.cli import main
+from agecast.order_stats import ServiceDistribution, order_stat_mean, order_stat_var
 from agecast.simulator import MAX_SEED, InsufficientDataError
 from agecast.validation import (
+    _SAMPLE_BLOCK,
     CHECK_NAMES,
     CheckResult,
     ValidationSettings,
     _pooled_z,
+    check_order_stat_monte_carlo,
     check_simulation_moments,
     run_checks,
 )
@@ -141,6 +144,55 @@ class TestCheckThreads:
         # measured 7.6 length-(N R) float64 arrays; a whole ledger and its
         # moment samples alive at once took 13.3
         assert peak <= 10 * 8 * settings.num_intervals * settings.replications
+
+    def test_simulation_moments_memory_does_not_grow_with_the_run(self):
+        # imports made on the first call stay out of the traced peaks
+        check_simulation_moments(ValidationSettings(num_intervals=2000, replications=2))
+        peaks = []
+        # N R = 2e5, then 2e6
+        for num_intervals in (25_000, 250_000):
+            tracemalloc.start()
+            try:
+                check_simulation_moments(ValidationSettings(num_intervals=num_intervals))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # less than one block of the eight float64 samples
+        assert peaks[1] - peaks[0] < 8 * 8 * _SAMPLE_BLOCK
+
+
+def whole_matrix_order_stat_monte_carlo(settings):
+    """The order-stat Monte Carlo check as one (draws, n) matrix per law: the oracle."""
+    rng = np.random.default_rng(settings.seed + 1)
+    draws = max(settings.num_intervals, 10_000)
+    worst = 0.0
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        k = int(rng.integers(1, n + 1))
+        rate = float(rng.uniform(0.3, 4.0))
+        shift = float(rng.uniform(0.0, 3.0))
+        dist = ServiceDistribution(rate=rate, shift=shift)
+        samples = dist.sample(rng, (draws, n))
+        samples.partition(k - 1, axis=1)
+        col = samples[:, k - 1]
+        mean_se = col.std(ddof=1) / math.sqrt(draws)
+        worst = max(worst, abs(col.mean() - order_stat_mean(dist, k, n)) / mean_se)
+        centered = (col - col.mean()) ** 2
+        var_se = centered.std(ddof=1) / math.sqrt(draws)
+        worst = max(worst, abs(col.var(ddof=1) - order_stat_var(dist, k, n)) / var_se)
+    return (
+        worst < 4.0,
+        f"worst moment deviation {worst:.2f} se over 20 laws, {draws} draws each",
+    )
+
+
+@pytest.mark.parametrize("seed", [1729, 5, 7])
+def test_order_stat_monte_carlo_equals_the_whole_matrix(seed):
+    # several blocks and a short last one
+    settings = ValidationSettings(seed=seed, num_intervals=3 * _SAMPLE_BLOCK + 17)
+    assert check_order_stat_monte_carlo(settings) == whole_matrix_order_stat_monte_carlo(
+        settings
+    )
 
 
 @pytest.fixture(scope="module")
