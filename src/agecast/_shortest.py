@@ -1,13 +1,17 @@
 """Shortest round-trip decimals of float64 arrays, byte for byte ``repr``.
 
-:func:`float_reprs` writes a whole array of non-negative finite doubles
-at once.  The digits come from Schubfach (R. Giulietti, "The Schubfach
+:func:`write_reprs` writes a whole array of non-negative finite doubles
+at once, and :func:`float_reprs` is its ``S24`` view.  The digits come
+from Schubfach (R. Giulietti, "The Schubfach
 way to render doubles", 2020), which finds the shortest decimal in a
 double's rounding interval, and the nearest one among equals, with a
 fixed number of 64-bit integer operations and no per-digit loop, so it
 runs as numpy ufuncs over ``uint64`` arrays.  The 64 x 64 -> 128-bit
 products it needs are emulated on 32-bit limbs; ``uint64`` array
-products wrap, as the algorithm wants.
+products wrap, as the algorithm wants.  The rounding interval's two ends
+differ from the double by a power of two at the same scale, so their
+products with the table entry g are the double's product plus or minus
+g shifted left, not two more products.
 
 Two departures from the Java reference make the digits those of
 CPython's ``repr`` rather than of ``Double.toString``: one digit is
@@ -17,18 +21,22 @@ The digits are then laid out by CPython's ``'r'`` rule: positional
 when the decimal point falls -4 < decpt <= 16 digits in, with ``.0``
 after an integer; otherwise ``d.ddde±XX``; ``0.0`` for zero.  The
 layout works on the 24 output bytes as three little-endian 64-bit
-words per value, so it too is a fixed sequence of array operations.
+words per value, so it too is a fixed sequence of array operations, and
+it writes those words straight into the caller's array, such as three
+word columns of a ledger block's row matrix.  :func:`write_counting`
+lays out the ledger's row numbers in the same words.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["float_reprs"]
+__all__ = ["float_reprs", "write_counting", "write_reprs"]
 
 _MASK32 = 0xFFFFFFFF
 _MASK63 = 2**63 - 1
 _INF_BITS = 0x7FF0000000000000  # bit patterns from here on are inf, nan or negative
+_ONE_BITS = 0x3FF0000000000000
 
 # decimal exponents k of 10**-k that the doubles need
 _K_MIN = -324
@@ -39,24 +47,28 @@ _K_MAX = 292
 _BELOW = np.array([(1 << 8 * min(max(i, 0), 8)) - 1 for i in range(-16, 25)], np.uint64)
 _ASCII_ZEROS = int.from_bytes(b"0" * 8, "little")
 _DOTS = int.from_bytes(b"." * 8, "little")
-# the "0.000" that leads a positional value below 1, by word
-_LEADING_ZERO = int.from_bytes(b"0.000000", "little")
-_ZERO = (int.from_bytes(b"0.0", "little"), 0, 0)
+# the characters that follow the kept digits, as words: "." after a
+# value's integer digits, or "0.000" before the digits of one below 1
+_FILLS = np.array([_DOTS, int.from_bytes(b"0.000000", "little")], np.uint64)
+_ZERO_TEXT = int.from_bytes(b"0.0", "little")
+# _BYTE_AT[i + 16] is 1 in the low bit of character i of a word, 0 off the word
+_BYTE_AT = np.array([1 << 8 * i if 0 <= i < 8 else 0 for i in range(-16, 25)], np.uint64)
+_COMMA_AT = _BYTE_AT * ord(",")
 _POW10 = np.array([10**i for i in range(18)], np.uint64)
 # "e-324" .. "e+308", as words, by decimal exponent + 324
 _EXPONENTS = np.array(
     [int.from_bytes(b"e%+03d" % e, "little") for e in range(-324, 309)], np.uint64
 )
+# 1 in the low bit of the character after each of those
+_EXPONENT_ENDS = np.array(
+    [1 << 8 * len(b"e%+03d" % e) for e in range(-324, 309)], np.uint64
+)
 
 
-def _flog10pow2(e):
-    """floor(e * log10(2)), for |e| up to about 5e6."""
-    return (e * 661971961083) >> 41
-
-
-def _flog10threequarterspow2(e):
-    """floor(log10(3/4 * 2**e)), for |e| up to about 5e6."""
-    return (e * 661971961083 - 274743187321) >> 41
+def _flog10pow2(e, three_quarters=0):
+    """floor(log10(2**e)), or floor(log10(3/4 * 2**e)) where ``three_quarters``
+    is 1 or True, for |e| up to about 5e6."""
+    return (e * 661971961083 - three_quarters * 274743187321) >> 41
 
 
 def _flog2pow10(e):
@@ -64,12 +76,12 @@ def _flog2pow10(e):
     return (e * 913124641741) >> 38
 
 
-def _g_limbs() -> np.ndarray:
-    """The 126-bit g(k) = floor(10**-k / 2**r) + 1 of each k, as 32-bit limbs.
+def _g_table() -> np.ndarray:
+    """The 126-bit g(k) = floor(10**-k / 2**r) + 1 of each k, column k - _K_MIN.
 
-    r is the one integer with 2**125 <= 10**-k / 2**r < 2**126.  The four
-    rows are the low and high limbs of g0 = g mod 2**63 and of
-    g1 = g // 2**63, column k - _K_MIN.  Exact: built from Python ints.
+    r is the one integer with 2**125 <= 10**-k / 2**r < 2**126.  The rows
+    are g0 = g mod 2**63 and g1 = g // 2**63, then the low and high 32-bit
+    limbs of g0 and of g1.  Exact: built from Python ints.
     """
     columns = []
     for k in range(_K_MIN, _K_MAX + 1):
@@ -78,28 +90,40 @@ def _g_limbs() -> np.ndarray:
         num, den = (num, den << r) if r >= 0 else (num << -r, den)
         g = num // den + 1
         g0, g1 = g & _MASK63, g >> 63
-        columns.append((g0 & _MASK32, g0 >> 32, g1 & _MASK32, g1 >> 32))
+        columns.append((g0, g1, g0 & _MASK32, g0 >> 32, g1 & _MASK32, g1 >> 32))
     return np.array(columns, np.uint64).T.copy()
 
 
-_G0_LOW, _G0_HIGH, _G1_LOW, _G1_HIGH = _g_limbs()
+_G = _g_table()
 
 
-def _mul(a0, a1, b0, b1):
-    """High and low 64 bits of a * b, given the 32-bit limbs of a and of b."""
+def _mul_high(a0, a1, b0, b1):
+    """The high 64 bits of a * b, given the 32-bit limbs of a and of b."""
     low = a0 * b0
     cross1 = a1 * b0
     cross2 = a0 * b1
     mid = (low >> 32) + (cross1 & _MASK32) + (cross2 & _MASK32)
-    high = a1 * b1 + (cross1 >> 32) + (cross2 >> 32) + (mid >> 32)
-    return high, low + ((cross1 + cross2) << 32)
+    return a1 * b1 + (cross1 >> 32) + (cross2 >> 32) + (mid >> 32)
 
 
-def _rop(g, cp):
-    """floor(g * cp / 2**127), its last bit set when the remainder is not 0."""
-    c0, c1 = cp & _MASK32, cp >> 32
-    x1, _ = _mul(g[0], g[1], c0, c1)
-    y1, y0 = _mul(g[2], g[3], c0, c1)
+def _plus(high, low, g, e):
+    """The 128-bit high:low + g * 2**e, as its high and low words; 1 <= e < 64."""
+    part = g << e
+    low = low + part
+    return high + (g >> (64 - e)) + (low < part), low
+
+
+def _minus(high, low, g, e):
+    """The 128-bit high:low - g * 2**e, as its high and low words; 1 <= e < 64."""
+    part = g << e
+    return high - (g >> (64 - e)) - (low < part), low - part
+
+
+def _rop(x1, y1, y0):
+    """floor(g * cp / 2**127), its last bit set when the remainder is not 0.
+
+    x1 is the high word of g0 * cp, and y1:y0 is g1 * cp.
+    """
     z = (y0 >> 1) + x1
     return (y1 + (z >> 63)) | (((z & _MASK63) + _MASK63) >> 63)
 
@@ -113,23 +137,27 @@ def _shortest(bits):
     """
     biased = bits >> 52
     fraction = bits & (2**52 - 1)
-    normal = biased > 0
-    c = np.where(normal, fraction | 2**52, fraction)
-    q = np.where(normal, biased.astype(np.int64) - 1075, -1074)
+    c = fraction | np.minimum(biased, 1) << 52
+    q = np.maximum(biased, 1).astype(np.int64) - 1075
     # a normal power of two above the least has a closer lower neighbour,
     # so its interval reaches only a quarter ulp below it
     irregular = (fraction == 0) & (biased > 1)
-    k = np.where(irregular, _flog10threequarterspow2(q), _flog10pow2(q))
+    k = _flog10pow2(q, irregular)
     h = (q + _flog2pow10(-k) + 2).astype(np.uint64)
-    row = k - _K_MIN
-    g = (_G0_LOW[row], _G0_HIGH[row], _G1_LOW[row], _G1_HIGH[row])
-    # the double and its interval's lower and upper ends, times 4 * 10**-k;
-    # the interval is closed for even c and open for odd c
-    cb = c << 2
-    odd = c & 1
-    vb = _rop(g, cb << h)
-    vbl = _rop(g, (cb - np.where(irregular, 1, 2).astype(np.uint64)) << h) + odd
-    vbr = _rop(g, (cb + 2) << h) - odd
+    g0, g1, *limbs = np.take(_G, k - _K_MIN, axis=1)
+    # the double and its interval's lower and upper ends, times 4 * 10**-k,
+    # are g * cp / 2**127 for cp = 4 * c * 2**h and cp -+ 2**e, so each end
+    # is the double's product plus or minus g shifted left; the interval
+    # is closed for even c and open for odd c
+    cp = c << h + 2
+    c0, c1 = cp & _MASK32, cp >> 32
+    x = _mul_high(limbs[0], limbs[1], c0, c1), g0 * cp
+    y = _mul_high(limbs[2], limbs[3], c0, c1), g1 * cp
+    vb = _rop(x[0], *y)
+    e = h + 1
+    vbr = _rop(_plus(*x, g0, e)[0], *_plus(*y, g1, e)) - (c & 1)
+    e = e - irregular
+    vbl = _rop(_minus(*x, g0, e)[0], *_minus(*y, g1, e)) + (c & 1)
     s = vb >> 2
     # one digit fewer: the multiple of 10 * 10**k in the interval, if just one
     sp10 = s // 10 * 10
@@ -140,8 +168,8 @@ def _shortest(bits):
     win = (s + 1) << 2 <= vbr
     middle = (s << 2) + 2
     nearer_s = (vb < middle) | ((vb == middle) & ((s & 1) == 0))
-    f = np.where(np.where(uin != win, uin, nearer_s), s, s + 1)
-    return np.where(shorter, np.where(upin, sp10, sp10 + 10), f), k
+    f = s + ~np.where(uin != win, uin, nearer_s)
+    return np.where(shorter, sp10 + ~upin * np.uint64(10), f), k
 
 
 def _eight_digits(v):
@@ -154,6 +182,38 @@ def _eight_digits(v):
     return q | (v - q * 10) << 8
 
 
+def write_counting(first: int, out: np.ndarray) -> None:
+    """Write the decimal text of ``first + i`` and a comma into row i of ``out``.
+
+    ``out`` is an ``(n, width)`` array of ``uint64`` words, possibly a
+    strided view, with room for the last number and its comma; each row
+    gets its text NUL-padded, 8 characters to a little-endian word.
+    """
+    count, width = out.shape
+    last = first + count - 1
+    # each number's digits right-aligned in `groups` words, leading zeros first
+    values = np.arange(first, last + 1, dtype=np.uint64)
+    groups = []
+    for _ in range(-(-len(str(last)) // 8)):
+        high = values // 10**8
+        groups.insert(0, _eight_digits(values - high * 10**8) + _ASCII_ZEROS)
+        values = high
+    # rows of one digit count run between powers of ten; in them, output
+    # word w is characters lead + 8 * w .. lead + 8 * w + 7 of the groups
+    for digits in range(len(str(first)), len(str(last)) + 1):
+        rows = slice(
+            max(first, 10 ** (digits - 1)) - first, min(last + 1, 10**digits) - first
+        )
+        lead = 8 * len(groups) - digits
+        for w in range(width):
+            g, r = divmod(lead + 8 * w, 8)
+            word = groups[g][rows] >> 8 * r if g < len(groups) else np.uint64(0)
+            if r and g + 1 < len(groups):
+                word = word | groups[g + 1][rows] << 64 - 8 * r
+            end = digits - 8 * w + 16  # the comma's index into _BELOW and _COMMA_AT
+            out[rows, w] = word & _BELOW[end] | _COMMA_AT[end]
+
+
 def float_reprs(values) -> np.ndarray:
     """``repr`` of each non-negative finite double, as a NUL-padded ``S24`` array.
 
@@ -161,16 +221,36 @@ def float_reprs(values) -> np.ndarray:
     x.tolist()]`` for a 1-d ``x``.  Raises ValueError when a value is
     negative (-0.0 too), infinite or nan.
     """
-    bits = np.ascontiguousarray(values, np.float64).reshape(-1).view(np.uint64)
+    values = np.ascontiguousarray(values, np.float64).reshape(-1)
+    out = np.empty((values.size, 3), "<u8")
+    write_reprs(values, out)
+    return out.view("S24").reshape(-1)
+
+
+def write_reprs(values, out: np.ndarray, sep: bytes = b"") -> None:
+    """Write ``repr`` of each value, then ``sep``, as NUL-padded text into ``out``.
+
+    ``out[..., w]`` receives characters ``8 * w`` to ``8 * w + 7`` of the
+    text of ``values[...]`` as one little-endian word, so ``out`` has the
+    shape of ``values`` plus a last axis of 3 ``uint64`` words, and may be
+    a strided view, such as three word columns of a row matrix.  A
+    ``repr`` is at most 23 characters, so one ``sep`` byte always fits.
+    Raises ValueError when a value is negative (-0.0 too), infinite or
+    nan, and then writes nothing.
+    """
+    bits = np.asarray(values, np.float64).view(np.uint64)
     if (bits >= _INF_BITS).any():
-        raise ValueError("float_reprs formats non-negative finite values only")
+        raise ValueError("only non-negative finite values are formatted")
     zero = bits == 0
     has_zero = zero.any()
     if has_zero:
-        bits = np.where(zero, 1, bits)  # any positive value; its text is replaced
+        bits = np.where(zero, _ONE_BITS, bits)  # any normal value; its text is replaced
     f, k = _shortest(bits)
-    # f's digits left-aligned in 17 places, 8 + 8 + 1 digits to a word
-    ndigits = np.searchsorted(_POW10, f, side="right")
+    # f's digits left-aligned in 17 places, 8 + 8 + 1 digits to a word.  A
+    # normal double's f has 16 or 17 digits; only subnormals have fewer
+    ndigits = (f >= 10**16) + 16
+    if (f < 10**15).any():
+        ndigits = np.searchsorted(_POW10, f, side="right")
     m = f * _POW10[17 - ndigits]
     head = m // 10**9
     rest = m - head * 10**9
@@ -186,38 +266,47 @@ def float_reprs(values) -> np.ndarray:
     decpt = k + ndigits  # the value is 0.ddd * 10**decpt
     sci = (decpt > 16) | (decpt < -3)
     point = np.where(sci, 1, decpt)
-    below_one = point <= 0
     # the first `keep` digits stay, `fill` characters follow ("." or
     # "0.000"), and the other digits move `fill` characters right
-    keep = np.where(below_one, 0, point)
-    fill = np.where(below_one, 2 - point, 1)
-    length = np.where(
-        below_one, fill + significant, np.maximum(significant, point + 1) + 1
-    )
-    length[sci & (significant == 1)] = 1
+    keep = np.maximum(point, 0)
+    fill = np.maximum(2 - point, 1)
+    length = np.maximum(significant, point + 1) + fill
+    has_sci = sci.any()
+    if has_sci:
+        length[sci & (significant == 1)] = 1
     shift = (8 * fill).astype(np.uint64)
-    fill_text = np.where(below_one, _LEADING_ZERO, _DOTS).astype(np.uint64)
-    out = np.empty((bits.size, 3), "<u8")
+    unshift = 64 - shift
+    fill_text = _FILLS[(point <= 0).view(np.uint8)]
+    sep_byte = ord(sep or b"\0")
+    sep_at = _BYTE_AT * sep_byte
+    # indices into _BELOW and sep_at, whose entry 16 is a word's character 0
+    keep_at = keep + 16
+    fill_at = keep_at + fill
+    length_at = length + 16
     carried = 0
     for w, word in enumerate(digits):
         # character i of the value is character i - 8 * w of word w
         text = word + _ASCII_ZEROS
-        kept = _BELOW[keep + (16 - 8 * w)]
-        filled = _BELOW[keep + fill + (16 - 8 * w)]
         moved = text << shift | carried
-        carried = text >> (64 - shift)
-        word = (text & kept) | (fill_text & filled & ~kept) | (moved & ~filled)
-        out[:, w] = word & _BELOW[length + (16 - 8 * w)]
+        carried = text >> unshift
+        # characters before `keep` from text, then the fill, then moved
+        word = fill_text ^ ((fill_text ^ text) & _BELOW[keep_at - 8 * w])
+        word = moved ^ ((moved ^ word) & _BELOW[fill_at - 8 * w])
+        word &= _BELOW[length_at - 8 * w]
+        if sep:
+            word |= sep_at[length_at - 8 * w]
+        out[..., w] = word
         fill_text = _DOTS
-    if sci.any():
-        rows = np.flatnonzero(sci)
-        suffix = _EXPONENTS[decpt[rows] + (324 - 1)]
-        offset = 8 * (length[rows, None] - np.array([0, 8, 16]))
-        out[rows] |= np.where(
+    if has_sci:
+        # the exponent goes where the loop put sep, which moves after it
+        rows = np.nonzero(sci)
+        exponent = decpt[rows] + (324 - 1)
+        suffix = _EXPONENTS[exponent] + _EXPONENT_ENDS[exponent] * sep_byte ^ sep_byte
+        offset = 8 * (length[rows][:, None] - np.array([0, 8, 16]))
+        out[rows] ^= np.where(
             offset >= 0,
             suffix[:, None] << np.maximum(offset, 0).astype(np.uint64),
             suffix[:, None] >> np.maximum(-offset, 0).astype(np.uint64),
         )
     if has_zero:
-        out[zero] = _ZERO
-    return out.view("S24").reshape(-1)
+        out[zero] = (_ZERO_TEXT | sep_byte << 24, 0, 0)

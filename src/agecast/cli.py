@@ -306,7 +306,7 @@ def _run_validate(request: tuple) -> int:
 
 def _run_ledger(request: tuple) -> int:
     spec, out_path = request
-    # this process takes in and writes the text of every block
+    # on one CPU this process draws and formats every block itself
     _keep_freed_heap()
     deliveries = write_ledger_csv(spec, out_path)
     print(f"wrote {out_path}: {spec.num_intervals} intervals, {deliveries} deliveries")

@@ -15,10 +15,8 @@ import os
 import signal
 import threading
 from collections.abc import Iterator, Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
@@ -46,22 +44,24 @@ __all__ = [
 
 CROSS_CHECK_MAX_INTERVALS = 100_000
 
-# rows the ledger writer formats at a time
+# rows the ledger writer lays out at a time
 _BLOCK_ROWS = 4096
 
 # uniforms the interval kernel draws into its buffer at a time when it
 # folds a node into the running max; the same stream as a whole column
 _COLUMN_CHUNK = 16384
 
-# the delivered column's text, by flag
-_FLAGS = np.array([b"0", b"1"])
+# the delivered column's text and the newline, by flag, as a word
+_FLAG_LINES = np.array(
+    [int.from_bytes(b"%d\n" % flag, "little") for flag in (0, 1)], np.uint64
+)
+
+# rows the ledger writer draws, formats and writes as one task
+_TASK_ROWS = 4 * _BLOCK_ROWS
 
 # from this many rows on, the ledger writer formats on a worker pool; below
 # it, starting the workers costs more than they save
-_POOL_MIN_ROWS = 16 * _BLOCK_ROWS
-
-# blocks a pool worker formats per task
-_POOL_CHUNK_BLOCKS = 4
+_POOL_MIN_ROWS = 4 * _TASK_ROWS
 
 # master seeds are 64-bit unsigned integers
 MAX_SEED = 2**64 - 1
@@ -677,42 +677,92 @@ class LedgerSpec:
         object.__setattr__(self, "seed", check_count("seed", self.seed, 0, MAX_SEED))
 
 
-def _ledger_rows(spec: LedgerSpec, start: int) -> tuple[bytes, int]:
-    """CSV lines and delivery count of the ledger block that begins at row ``start``.
+def _block_text(first: int, y, x1, x_nonp, delivered) -> np.ndarray:
+    """The CSV lines of one block whose first row is row ``first``, as ``uint8`` text.
 
-    The block's rows are drawn here, as a row window of the whole pass
-    from the seed's PCG64 start state, so no process holds more than one
-    block of any column.  Each float column is formatted at once by
-    ``_shortest.float_reprs``, byte for byte its values' ``repr``.
+    Each row is laid out in fixed-width ``uint64`` words: j and its comma,
+    three 24-character fields that each hold a float's ``repr`` and its
+    comma, and a word with the flag and the newline.  Every unused
+    character is NUL, and one compaction drops them all.
     """
-    from ._shortest import float_reprs  # not at the top: only the ledger needs it
+    from ._shortest import write_counting, write_reprs
 
-    stop = min(start + _BLOCK_ROWS, spec.num_intervals)
+    size = y.size
+    j_words = (len(str(first + size - 1)) + 8) // 8  # the digits and a comma
+    rows = np.empty((size, j_words + 10), np.uint64)
+    write_counting(first, rows[:, :j_words])
+    floats = rows[:, j_words : j_words + 9].reshape(size, 3, 3)
+    write_reprs(np.stack((y, x1, x_nonp), axis=1), floats, b",")
+    rows[:, -1] = _FLAG_LINES[delivered.view(np.uint8)]
+    text = rows.view(np.uint8).reshape(-1)
+    return text[text != 0]
+
+
+def _ledger_rows(
+    spec: LedgerSpec, start: int, stop: int | None = None
+) -> tuple[bytes, int]:
+    """CSV lines and delivery count of rows ``start .. stop - 1`` of a ledger.
+
+    ``stop`` defaults to the end of the block that begins at ``start``.
+    The rows are drawn here, as one row window of the whole pass from the
+    seed's PCG64 start state, so no process holds more than these rows of
+    any column.  They are laid out a block of ``_BLOCK_ROWS`` at a time by
+    :func:`_block_text`, whose floats come from ``_shortest.write_reprs``,
+    byte for byte their ``repr``.
+    """
+    if stop is None:
+        stop = min(start + _BLOCK_ROWS, spec.num_intervals)
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    y, x1, x_nonp, delivered = next(
+    columns = next(
         generate_interval_sweep(
             rng, spec.dist, spec.num_intervals, (spec.k,), rows=(start, stop)
         )
     )
-    cols = (
-        map(b"%d".__mod__, range(start + 1, stop + 1)),
-        float_reprs(y).tolist(),
-        float_reprs(x1).tolist(),
-        float_reprs(x_nonp).tolist(),
-        _FLAGS[delivered.view(np.uint8)].tolist(),
+    blocks = (
+        _block_text(start + 1 + a, *(c[a : a + _BLOCK_ROWS] for c in columns))
+        for a in range(0, stop - start, _BLOCK_ROWS)
     )
-    # the empty last line ends the text in a newline without copying it
-    text = b"\n".join(chain(map(b",".join, zip(*cols)), (b"",)))
-    return text, int(np.count_nonzero(delivered))
+    return b"".join(blocks), int(np.count_nonzero(columns[3]))
 
 
-# a pool worker's ledger spec, set by _start_worker in the worker only
-_worker_spec: LedgerSpec | None = None
+def _write_all(fd: int, data) -> None:
+    """Write all of ``data`` to ``fd``, over as many partial writes as it takes."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
 
 
-def _start_worker(spec: LedgerSpec) -> None:
-    global _worker_spec
-    _worker_spec = spec
+def _write_rows(spec: LedgerSpec, fd: int, turn, start: int) -> int:
+    """Draw, format and write the task of rows from ``start``; its delivery count.
+
+    A task is ``_TASK_ROWS`` rows.  With ``turn`` None, the text is
+    written to ``fd`` at once.  On a pool, ``turn`` is a shared
+    ``(Condition, value)``: the text is formatted first, then written
+    once the value reaches this task's index, which it then moves on, so
+    the workers write in row order through the file offset they share.
+    """
+    stop = min(start + _TASK_ROWS, spec.num_intervals)
+    text, deliveries = _ledger_rows(spec, start, stop)
+    if turn is None:
+        _write_all(fd, text)
+        return deliveries
+    condition, position = turn
+    task = start // _TASK_ROWS
+    with condition:
+        condition.wait_for(lambda: position.value == task)
+        _write_all(fd, text)
+        position.value = task + 1
+        condition.notify_all()
+    return deliveries
+
+
+# a pool worker's task, set by _start_worker in the worker only
+_worker_task = None
+
+
+def _start_worker(spec: LedgerSpec, fd: int, turn) -> None:
+    global _worker_task
+    _worker_task = partial(_write_rows, spec, fd, turn)
     # Ctrl-C reaches the whole process group; only the parent acts on it
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _keep_freed_heap()
@@ -721,15 +771,15 @@ def _start_worker(spec: LedgerSpec) -> None:
 def _keep_freed_heap() -> None:
     """Have glibc keep this process's freed heap for reuse.
 
-    Writing a ledger makes and frees a few MB of text and pickle per
-    task, in each worker and in the process that writes the file.
-    Under glibc's default thresholds that memory goes back to the
-    kernel after every task and faults in again on the next: a 1 M-row
-    dump at k = 20 took about 30 k more minor faults than with the
-    settings below, and about 5 % more CPU.  The thresholds are
-    process-wide, so this runs only in processes agecast owns: the
-    forked workers and the ``ledger`` command.  Without glibc's
-    ``mallopt`` it does nothing.
+    Formatting a ledger task makes and frees a few MB of temporaries
+    and text in the process that formats it.  Under glibc's default
+    thresholds that memory goes back to the kernel after every block
+    and faults in again on the next: a 1 M-row dump at k = 20 took about
+    29 % more CPU on two CPUs without this call in the forked workers,
+    and about 34 % more on one CPU without it in the ``ledger`` command.
+    The thresholds are process-wide, so this runs only in processes
+    agecast owns: the forked workers and the ``ledger`` command.
+    Without glibc's ``mallopt`` it does nothing.
     """
     try:
         import ctypes
@@ -741,75 +791,67 @@ def _keep_freed_heap() -> None:
     mallopt(-3, 8 << 20)  # M_MMAP_THRESHOLD: serve blocks below 8 MiB from the heap
 
 
-def _worker_rows(start: int) -> tuple[bytes, int]:
-    return _ledger_rows(_worker_spec, start)
+def _worker_rows(start: int) -> int:
+    return _worker_task(start)
 
 
 def _pool_size(num_rows: int) -> int:
-    """Processes that format a ledger of ``num_rows`` rows; 1 means this one alone."""
+    """Processes that write a ledger of ``num_rows`` rows; 1 means this one alone."""
     if num_rows < _POOL_MIN_ROWS:
         return 1
     import multiprocessing  # here, so that importing agecast stays as fast
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return 1
-    tasks = -(-num_rows // (_POOL_CHUNK_BLOCKS * _BLOCK_ROWS))
+    tasks = -(-num_rows // _TASK_ROWS)
     return min(_usable_cpus(), tasks)
-
-
-@contextmanager
-def _formatted_blocks(spec: LedgerSpec) -> Iterator[Iterator[tuple[bytes, int]]]:
-    """An iterator over each block's CSV text and delivery count, in row order.
-
-    Each block is drawn where it is formatted, so the length-N columns
-    never exist.  A pool's workers are joined when the ``with`` statement
-    ends, and terminated if it ends in an exception.
-    """
-    starts = range(0, spec.num_intervals, _BLOCK_ROWS)
-    workers = _pool_size(spec.num_intervals)
-    if workers == 1:
-        yield map(partial(_ledger_rows, spec), starts)
-        return
-    import multiprocessing
-
-    # fork, so that no worker imports agecast again: each inherits this
-    # process's modules and gets the spec, not the columns, which it draws
-    # block by block itself.  The workers are forked before the pool
-    # starts its own threads, and they call no BLAS routine.
-    context = multiprocessing.get_context("fork")
-    with context.Pool(workers, _start_worker, (spec,)) as pool:
-        yield pool.imap(_worker_rows, starts, _POOL_CHUNK_BLOCKS)
-        pool.close()
-        pool.join()
 
 
 def write_ledger_csv(ledger: LedgerSpec, path) -> int:
     """Dump one row per interval: j, Y_j, X_1j, X_nonp_j, delivered.
 
-    Returns the number of deliveries.  ``ledger`` names the dump, and its
-    rows are drawn here a block of 4096 at a time, each as a row window
-    of the seed's stream, then formatted column by column; memory stays
-    a few blocks whatever ``num_intervals``.  Floats are written as
+    Returns the number of deliveries.  ``ledger`` names the dump.  Its
+    rows are drawn, formatted and written a task of ``_TASK_ROWS`` =
+    16384 at a time, each drawn as one row window of the seed's stream
+    and laid out as byte text a block of 4096 rows at a time; memory
+    stays a few tasks whatever ``num_intervals``.  Floats are written as
     the shortest decimal that reads back to the same double, byte for
-    byte ``repr``, by the vectorised kernel ``_shortest.float_reprs``,
-    which the tests check against ``repr``.  From ``_POOL_MIN_ROWS`` = 65536
-    rows on, where the ``fork`` start method exists and the process may
-    run on more than one CPU, the blocks are drawn and formatted on a
-    pool of forked workers, at most one per CPU of the affinity mask,
-    and written here in row order as they arrive; fork spares each
+    byte ``repr``, by the vectorised kernel ``_shortest.write_reprs``,
+    which the tests check against ``repr``.  From ``_POOL_MIN_ROWS`` =
+    65536 rows on, where the ``fork`` start method exists and the
+    process may run on more than one CPU, the tasks run on a pool of
+    forked workers, at most one per CPU of the affinity mask.  Each
+    worker writes its own text to the file descriptor it inherits, in row
+    order, and sends back only its delivery count; fork spares each
     worker a fresh import of agecast, and the workers share only the
-    spec.  The bytes do not depend on the path taken or on the CPU count.
+    spec, the descriptor and the turn.  If a task raises, the exception
+    reaches the caller and the waiting workers are terminated.  The bytes
+    do not depend on the path taken or on the CPU count.
     """
     # imported on the ledger path only, and before the fork, so that the
     # workers inherit it
     from . import _shortest  # noqa: F401
 
-    deliveries = 0
-    with open(path, "wb") as handle:
-        with _formatted_blocks(ledger) as blocks:
-            # written after the fork, so no worker inherits it unflushed
-            handle.write(b"j,Y_j,X_1j,X_nonp_j,delivered\n")
-            for text, delivered in blocks:
-                handle.write(text)
-                deliveries += delivered
-    return deliveries
+    starts = range(0, ledger.num_intervals, _TASK_ROWS)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        # written before the fork, so the workers' writes follow it
+        _write_all(fd, b"j,Y_j,X_1j,X_nonp_j,delivered\n")
+        workers = _pool_size(ledger.num_intervals)
+        if workers == 1:
+            return sum(map(partial(_write_rows, ledger, fd, None), starts))
+        import multiprocessing
+
+        # fork, so that no worker imports agecast again and each inherits
+        # the descriptor, whose file offset they all share.  The workers
+        # are forked before the pool starts its own threads, and they call
+        # no BLAS routine.
+        context = multiprocessing.get_context("fork")
+        turn = (context.Condition(), context.RawValue("q", 0))
+        with context.Pool(workers, _start_worker, (ledger, fd, turn)) as pool:
+            deliveries = sum(pool.imap(_worker_rows, starts))
+            pool.close()
+            pool.join()
+        return deliveries
+    finally:
+        os.close(fd)

@@ -3,6 +3,7 @@
 import csv
 import ctypes
 import dataclasses
+import faulthandler
 import gc
 import math
 import multiprocessing
@@ -20,6 +21,7 @@ try:
 except ImportError:  # no resource module on this platform
     resource = None
 
+from agecast import simulator
 from agecast.order_stats import ServiceDistribution
 from agecast.simulator import (
     CROSS_CHECK_MAX_INTERVALS,
@@ -42,6 +44,7 @@ from agecast.simulator import (
     _BLOCK_ROWS,
     _COLUMN_CHUNK,
     _POOL_MIN_ROWS,
+    _TASK_ROWS,
     _Workspace,
     _cycles,
     _integrate_age,
@@ -746,6 +749,39 @@ class TestLedgerCsv:
         for start in range(0, spec.num_intervals, _BLOCK_ROWS):
             assert _ledger_rows(spec, start) == repr_ledger_rows(spec, start)
 
+    @pytest.mark.parametrize(
+        "start",
+        [10**7 - 100, 10**8 - 100, 10**15 - 100, 10**16 - 100, 10**16 + 10 - 50],
+    )
+    def test_row_numbers_across_powers_of_ten_equal_the_repr_oracle(self, start):
+        # far into a long dump: a row window jumps the stream in O(log N)
+        # steps and draws only its own rows.  j gains a digit in the block;
+        # with its comma it takes a second word from 10**7 on and a third
+        # from 10**15 on
+        spec = LedgerSpec(EXP1, 2, 10**16 + 10, 29)
+        assert _ledger_rows(spec, start) == repr_ledger_rows(spec, start)
+
+    def test_a_task_of_blocks_equals_its_blocks(self):
+        spec = LedgerSpec(EXP1, 4, 10**9, 3)
+        start = 10**8 - _BLOCK_ROWS - 100
+        starts = range(start, start + _TASK_ROWS, _BLOCK_ROWS)
+        blocks = [repr_ledger_rows(spec, a) for a in starts]
+        text, deliveries = _ledger_rows(spec, start, start + _TASK_ROWS)
+        assert text == b"".join(b for b, _ in blocks)
+        assert deliveries == sum(d for _, d in blocks)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_dump_over_a_longer_file_equals_a_fresh_one(
+        self, tmp_path, monkeypatch, cpus
+    ):
+        set_cpus(monkeypatch, cpus)
+        spec = LedgerSpec(EXP1, 3, _POOL_MIN_ROWS + 17, 7)
+        fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"
+        write_ledger_csv(spec, fresh)
+        old.write_bytes(fresh.read_bytes() + b"9" * 100_000)
+        write_ledger_csv(spec, old)
+        assert old.read_bytes() == fresh.read_bytes()
+
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="k must be at least 1"):
             LedgerSpec(EXP1, 0, 10, 1)
@@ -763,8 +799,8 @@ class TestLedgerCsv:
         # imports made on the first call stay out of the traced peak
         _writer_peak(tmp_path, 10)
         small, large = _writer_peak(tmp_path, 65_536), _writer_peak(tmp_path, 262_144)
-        # measured 2.2 and 2.2 MB, a block's text and its columns' bytes
-        # objects; the larger dump's whole columns alone would be 8.7 MB
+        # measured 4.5 and 4.5 MB: a task's columns and text and a block's
+        # kernel temporaries; the larger dump's whole columns alone would be 8.7 MB
         assert large <= small + 64 * 1024
 
 
@@ -795,6 +831,50 @@ class TestLedgerWorkerPool:
         assert _pool_size(_POOL_MIN_ROWS) == 4
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         assert _pool_size(_POOL_MIN_ROWS) == 1
+
+    @pytest.fixture
+    def no_hang(self):
+        # a pool that hangs ends the test run with every thread's traceback
+        faulthandler.dump_traceback_later(120, exit=True)
+        yield
+        faulthandler.cancel_dump_traceback_later()
+
+    @pytest.mark.parametrize("cpus", [3, 4])
+    def test_more_workers_than_cores_write_in_row_order(
+        self, tmp_path, monkeypatch, no_hang, cpus
+    ):
+        monkeypatch.setattr(simulator, "_POOL_MIN_ROWS", 1)
+        set_cpus(monkeypatch, cpus)
+        # four tasks, the last of 17 rows
+        spec = LedgerSpec(EXP1, 3, 3 * _TASK_ROWS + 17, 31)
+        assert _pool_size(spec.num_intervals) == cpus
+        path = tmp_path / "ledger.csv"
+        starts = range(0, spec.num_intervals, _BLOCK_ROWS)
+        blocks = [repr_ledger_rows(spec, a) for a in starts]
+        assert write_ledger_csv(spec, path) == sum(d for _, d in blocks)
+        header = b"j,Y_j,X_1j,X_nonp_j,delivered\n"
+        assert path.read_bytes() == header + b"".join(b for b, _ in blocks)
+        assert multiprocessing.active_children() == []
+
+    def test_a_failing_task_reaches_the_caller_and_leaves_no_workers(
+        self, tmp_path, monkeypatch, no_hang
+    ):
+        set_cpus(monkeypatch, 2)
+        ledger_rows = simulator._ledger_rows
+
+        def failing_rows(spec, start, stop=None):
+            # the later tasks wait for this one's turn, which never comes
+            if start == _TASK_ROWS:
+                raise ValueError("task 1 failed")
+            return ledger_rows(spec, start, stop)
+
+        monkeypatch.setattr(simulator, "_ledger_rows", failing_rows)
+        began = time.monotonic()
+        with pytest.raises(ValueError, match="task 1 failed"):
+            spec = LedgerSpec(EXP1, 3, _POOL_MIN_ROWS + 17, 5)
+            write_ledger_csv(spec, tmp_path / "x.csv")
+        assert time.monotonic() - began < 60
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
         "k, num_intervals",
