@@ -198,7 +198,9 @@ def _run_bytes(num_intervals: int, replications: int) -> int:
     """Bytes of the arrays that a run or sweep holds at once.
 
     Per replication thread: a workspace of six float64 and two bool
-    buffers, and int64 delivery or miss indices.
+    buffers, and int64 delivery or miss indices.  A run has at most one
+    thread per replication, and each pool thread keeps at most one
+    workspace, whichever call's replications it runs.
     """
     return (6 * 8 + 2 + 8) * num_intervals * min(_usable_cpus(), replications)
 
@@ -449,27 +451,74 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _ordered_map(fn, items: Sequence) -> list:
-    """``[fn(item) for item in items]``, on one thread per usable CPU.
+# per thread: ``pool``, the executor whose thread it is, and ``work``, the
+# replication workspace of :func:`_map_replications`
+_here = threading.local()
 
-    The pool has one thread per CPU of the affinity mask, at most one per
-    item; with one thread, ``fn`` runs in the caller's thread instead.
+
+def _join_pool(pools: list) -> None:
+    # a pool thread's initializer: nested calls it makes share its pool
+    _here.pool = pools[0]
+
+
+def _ordered_map(fn, items: Sequence) -> list:
+    """``[fn(item) for item in items]``, on the process's one thread pool.
+
+    A call from outside a pool with two or more items, on two or more
+    usable CPUs, opens a pool of one thread per CPU of the affinity mask
+    (threads start as items arrive, so at most one per item) and shuts
+    it down before it returns; otherwise ``fn`` runs in the caller's
+    thread.  A call made from one of the pool's threads submits its
+    items to that same pool, then walks them in item order: an item no
+    thread has started yet is cancelled and run in the calling thread,
+    and one that another thread runs is waited for.  So a thread never
+    waits on queued work, idle threads pick up nested items, and never
+    more than one pool thread per CPU runs.  Each pool thread keeps at
+    most one replication workspace (:func:`_map_replications`).
+
     Results come back in item order, so they do not depend on the thread
     count.  If a call raises, the queued ones are cancelled and the first
-    exception in item order reaches the caller once the threads have
-    stopped.
+    exception in item order reaches the caller once the items already
+    running have stopped, and, for the call that opened the pool, once
+    its threads have stopped.
     """
-    workers = min(_usable_cpus(), len(items))
-    if workers <= 1:
+    pool = getattr(_here, "pool", None)
+    if pool is not None and len(items) > 1:
+        return _walk(pool, fn, items, inline=True)
+    if pool is not None or min(_usable_cpus(), len(items)) <= 1:
         return list(map(fn, items))
     # here, so that importing agecast stays as fast
     from concurrent.futures import ThreadPoolExecutor
 
-    pool = ThreadPoolExecutor(workers)
+    pools: list = []
+    pool = ThreadPoolExecutor(_usable_cpus(), initializer=_join_pool, initargs=(pools,))
+    pools.append(pool)
     try:
-        return list(pool.map(fn, items))
+        return _walk(pool, fn, items, inline=False)
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _walk(pool, fn, items: Sequence, inline: bool) -> list:
+    """Submit ``fn`` of every item to ``pool`` and collect the results in item order.
+
+    With ``inline``, an item that no thread has started is cancelled and
+    run in this thread instead of waited for (the help-first rule of
+    work-stealing schedulers).  If an item raises, the items not yet
+    started are cancelled and the running ones waited for before the
+    exception propagates.
+    """
+    futures = [pool.submit(fn, item) for item in items]
+    try:
+        return [
+            fn(item) if inline and future.cancel() else future.result()
+            for item, future in zip(items, futures)
+        ]
+    except BaseException:
+        # cancel every queued item first; the rest are running or done
+        for future in [future for future in futures if not future.cancel()]:
+            future.exception()
+        raise
 
 
 def _map_replications(config: SimConfig, ks, fn) -> list[list]:
@@ -481,26 +530,34 @@ def _map_replications(config: SimConfig, ks, fn) -> list[list]:
     CPU and at most one per replication (numpy releases the GIL while it
     draws, transforms and sums), and come back in replication order.
 
-    Each thread draws every replication it runs into one
-    :class:`_Workspace` of length ``num_intervals``, and passes it to
-    ``fn`` as ``work`` for its scratch.  The columns ``fn`` gets are
-    overwritten at the next k, so ``fn`` must not keep them.  The
-    workspaces are dropped when this returns.
+    Each thread keeps one :class:`_Workspace`, draws every replication it
+    runs into it and passes it to ``fn`` as ``work`` for its scratch.  A
+    workspace is replaced when a replication needs another length, and
+    it outlives this call only in a pool thread, until the call that
+    opened the pool returns; so at most one workspace per pool thread is
+    alive.  The columns ``fn`` gets are overwritten at the next k, so
+    ``fn`` must not keep them.
     """
     children = np.random.SeedSequence(config.seed).spawn(config.replications)
-    local = threading.local()
 
     def replicate(child) -> list:
-        work = getattr(local, "work", None)
-        if work is None:
-            work = local.work = _Workspace(config.num_intervals)
+        work = getattr(_here, "work", None)
+        if work is None or work.size != config.num_intervals:
+            work = _here.work = None  # freed before the next one is made
+            work = _here.work = _Workspace(config.num_intervals)
         rng = np.random.default_rng(child)
         intervals = generate_interval_sweep(
             rng, config.dist, config.num_intervals, ks, work
         )
         return [fn(*columns, work) for columns in intervals]
 
-    return _ordered_map(replicate, children)
+    try:
+        return _ordered_map(replicate, children)
+    finally:
+        if getattr(_here, "pool", None) is None:
+            # outside a pool: a workspace made in this thread goes now, and
+            # the pool threads' went with them
+            _here.work = None
 
 
 def _replication_estimates(y, x1, x_nonp, delivered, work=None) -> dict[str, float]:
@@ -777,9 +834,13 @@ def _keep_freed_heap() -> None:
     and faults in again on the next: a 1 M-row dump at k = 20 took about
     29 % more CPU on two CPUs without this call in the forked workers,
     and about 34 % more on one CPU without it in the ``ledger`` command.
+    ``simulation_moments`` frees each 16384-row block's arrays before it
+    draws the next, so ``validate --checks simulation_moments
+    --intervals 1000000`` took about 340 k minor faults and 0.7 s of
+    system time without this call, against 12 k and 0.3 s with it.
     The thresholds are process-wide, so this runs only in processes
-    agecast owns: the forked workers and the ``ledger`` command.
-    Without glibc's ``mallopt`` it does nothing.
+    agecast owns: the forked workers and the ``ledger`` and ``validate``
+    commands.  Without glibc's ``mallopt`` it does nothing.
     """
     try:
         import ctypes

@@ -150,8 +150,9 @@ class TestParsing:
                 "--intervals", "10000000000000",
             ],
             ["ledger", "--k", "2", "--intervals", "10000000000000", "--out", "x.csv"],
-            # simulation_moments would draw one ledger of intervals x 8 replications;
-            # refused when parsed, before any check runs
+            # the replication workspaces and cycle_bookkeeping's whole ledger of
+            # intervals rows would exceed memory; refused when parsed, before
+            # any check runs
             ["validate", "--intervals", "20000000000"],
         ],
     )
@@ -541,3 +542,41 @@ def test_import_loads_neither_numpy_random_nor_a_pool_module():
         [sys.executable, "-c", code, *lazy], env=env, check=True, capture_output=True, text=True
     )
     assert done.stdout.split() == []
+
+
+def run_fresh(code, **env_changes):
+    """The stdout of a fresh interpreter running ``code`` with agecast importable."""
+    package_root = str(Path(agecast.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    for name, value in env_changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+    )
+    return done.stdout.strip()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_import_starts_no_blas_threads():
+    # OpenBLAS starts one thread per CPU when numpy loads it unless told not to
+    code = "import os, agecast.cli, numpy; print(len(os.listdir('/proc/self/task')))"
+    assert run_fresh(code, OPENBLAS_NUM_THREADS=None) == "1"
+
+
+def test_a_blas_thread_count_the_user_set_wins():
+    code = "import os, agecast.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert run_fresh(code, OPENBLAS_NUM_THREADS="3") == "3"
+
+
+def test_package_names_load_on_first_use():
+    code = "import sys, agecast; print('numpy' in sys.modules)"
+    assert run_fresh(code) == "False"
+    for name in agecast.__all__:
+        assert getattr(agecast, name) is not None
+    assert set(agecast.__all__) <= set(dir(agecast))
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        agecast.nothing

@@ -8,6 +8,7 @@ import gc
 import math
 import multiprocessing
 import os
+import sys
 import threading
 import time
 import tracemalloc
@@ -52,6 +53,7 @@ from agecast.simulator import (
     _ledger_rows,
     _map_replications,
     _mean_se,
+    _ordered_map,
     _pool_size,
     _replication_estimates,
 )
@@ -528,6 +530,34 @@ class TestReplicationThreads:
         faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
         # measured 1.4 k; 114 k with new temporaries at every point
         assert faults <= 20_000
+
+
+def test_nested_items_run_once_each_in_item_order(monkeypatch):
+    # more threads than cores, switching often: an item that its caller
+    # cancelled to run itself and that a pool thread also started would
+    # run twice, and a lost one would hang
+    set_cpus(monkeypatch, 8)
+    runs = {}
+    lock = threading.Lock()
+
+    def leaf(item):
+        with lock:
+            runs[item] = runs.get(item, 0) + 1
+        return item
+
+    def outer(i):
+        return _ordered_map(leaf, [(i, j) for j in range(50)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    faulthandler.dump_traceback_later(120, exit=True)
+    try:
+        results = _ordered_map(outer, range(20))
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+        sys.setswitchinterval(interval)
+    assert results == [[(i, j) for j in range(50)] for i in range(20)]
+    assert len(runs) == 1000 and set(runs.values()) == {1}
 
 
 def test_standard_error_keeps_its_bits_and_does_not_overflow():

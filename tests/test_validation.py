@@ -5,14 +5,15 @@ import os
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from agecast import validation
+from agecast import simulator, validation
 from agecast.cli import main
 from agecast.order_stats import ServiceDistribution, order_stat_mean, order_stat_var
-from agecast.simulator import MAX_SEED, InsufficientDataError
+from agecast.simulator import MAX_SEED, InsufficientDataError, SimConfig, _map_replications
 from agecast.validation import (
     _SAMPLE_BLOCK,
     CHECK_NAMES,
@@ -159,6 +160,130 @@ class TestCheckThreads:
                 tracemalloc.stop()
         # less than one block of the eight float64 samples
         assert peaks[1] - peaks[0] < 8 * 8 * _SAMPLE_BLOCK
+
+
+class TestOnePool:
+    """The checks and the replications and laws they simulate share one pool."""
+
+    def test_no_more_threads_than_cpus(self, monkeypatch):
+        set_cpus(monkeypatch, 1)
+        serial = run_checks(FAST_SETTINGS)
+        set_cpus(monkeypatch, 16)
+        most = 0
+        done = threading.Event()
+
+        def sample():
+            nonlocal most
+            while not done.is_set():
+                most = max(most, threading.active_count())
+                time.sleep(0.0005)
+
+        sampler = threading.Thread(target=sample)
+        before = threading.active_count()
+        sampler.start()
+        started = []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        try:
+            results = run_checks(FAST_SETTINGS)
+        finally:
+            done.set()
+            sampler.join()
+        # besides the caller (and any thread already running) and the
+        # sampler; nested pools ran up to 21 at once
+        assert most - before - 1 <= 16
+        # and started dozens, a pool per simulating call
+        assert len(started) <= 16
+        assert results == serial
+
+    def test_idle_threads_run_a_checks_replications(self, monkeypatch):
+        set_cpus(monkeypatch, 16)
+        threads = set()
+        sweep = simulator.generate_interval_sweep
+
+        def recorded(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return sweep(*args, **kwargs)
+
+        def slow(settings):
+            time.sleep(0.3)
+            return True, "slept"
+
+        monkeypatch.setattr(simulator, "generate_interval_sweep", recorded)
+        monkeypatch.setattr(validation, "_CHECKS", (validation.check_age_regression, slow))
+        age_regression, _ = run_checks(FAST_SETTINGS)
+        assert age_regression.passed, age_regression.detail
+        # running them all in the check's own thread would use one
+        assert len(threads) >= 2
+
+    def test_at_most_one_workspace_per_cpu(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        lock = threading.Lock()
+        alive = most = 0
+
+        def dropped():
+            nonlocal alive
+            with lock:
+                alive -= 1
+
+        class Counted(simulator._Workspace):
+            def __init__(self, size):
+                nonlocal alive, most
+                super().__init__(size)
+                with lock:
+                    alive += 1
+                    most = max(most, alive)
+                weakref.finalize(self, dropped)
+
+        monkeypatch.setattr(simulator, "_Workspace", Counted)
+        # the checks that replicate, so that two of them run at once
+        replicating = (
+            "estimator_agreement", "age_regression", "csv_round_trip", "simulation_determinism",
+        )
+        results = run_checks(ValidationSettings(num_intervals=20_000), replicating)
+        assert all(result.passed for result in results)
+        # a pool per check thread held four
+        assert 1 <= most <= 2
+        assert alive == 0
+
+    @pytest.mark.parametrize("cpus", [2, 16])
+    def test_a_failing_replication_inside_a_check(self, monkeypatch, cpus):
+        config = SimConfig(ServiceDistribution(1.0), k=1, num_intervals=100, seed=1, replications=6)
+        sooner = InsufficientDataError("raised sooner, later in check order")
+        calls = []
+        lock = threading.Lock()
+
+        def estimate(y, *columns):
+            with lock:
+                calls.append(None)
+                first = len(calls) == 1
+            # the first replication to start raises last
+            time.sleep(0.2 if first else 0.01)
+            raise InsufficientDataError(f"replication with y[0] = {y[0]!r}")
+
+        def replicating(settings):
+            _map_replications(config, (1,), estimate)
+
+        def fails_at_once(settings):
+            raise sooner
+
+        set_cpus(monkeypatch, 1)
+        with pytest.raises(InsufficientDataError) as serial:
+            _map_replications(config, (1,), estimate)
+        monkeypatch.setattr(validation, "_CHECKS", (replicating, fails_at_once))
+        set_cpus(monkeypatch, cpus)
+        calls.clear()
+        before = threading.active_count()
+        with pytest.raises(InsufficientDataError) as caught:
+            run_checks(FAST_SETTINGS)
+        # the first replication's, in replication order, of the first check
+        assert str(caught.value) == str(serial.value)
+        assert threading.active_count() == before
 
 
 def whole_matrix_order_stat_monte_carlo(settings):
