@@ -16,7 +16,9 @@ import sys
 
 # agecast calls no BLAS routine, so a CLI process needs no BLAS thread pool;
 # OpenBLAS reads this when numpy loads it, which the imports below do first
-# unless the caller loaded numpy already.  A value the user set wins.
+# unless the caller loaded numpy already.  A value the user set wins.  This
+# runs on import, not only in main: a program that imports agecast.cli
+# before numpy gets one BLAS thread, and so do the processes it starts.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .order_stats import MAX_K, ServiceDistribution
@@ -299,8 +301,6 @@ def _run_sweep(sweep, spec: SweepSpec) -> int:
 
 def _run_validate(request: tuple) -> int:
     settings, names = request
-    # the sampling checks free and draw a block of arrays at a time
-    _keep_freed_heap()
     results = run_checks(settings, names)
     width = max(len(r.name) for r in results)
     for r in results:

@@ -199,8 +199,8 @@ def _run_bytes(num_intervals: int, replications: int) -> int:
 
     Per replication thread: a workspace of six float64 and two bool
     buffers, and int64 delivery or miss indices.  A run has at most one
-    thread per replication, and each pool thread keeps at most one
-    workspace, whichever call's replications it runs.
+    thread per replication, each pool thread keeps at most one workspace,
+    and a workspace goes when the last run that used it returns.
     """
     return (6 * 8 + 2 + 8) * num_intervals * min(_usable_cpus(), replications)
 
@@ -451,9 +451,20 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-# per thread: ``pool``, the executor whose thread it is, and ``work``, the
-# replication workspace of :func:`_map_replications`
+# per thread: ``pool``, the executor whose thread it is, and ``held``, its
+# replication workspace (:func:`_map_replications`)
 _here = threading.local()
+# guards the hand-over of a thread's workspace from one run to the next
+_hand_over = threading.Lock()
+
+
+class _Held:
+    """A thread's replication workspace and the run that last claimed it."""
+
+    __slots__ = ("work", "run")
+
+    def __init__(self) -> None:
+        self.work = self.run = None
 
 
 def _join_pool(pools: list) -> None:
@@ -532,19 +543,28 @@ def _map_replications(config: SimConfig, ks, fn) -> list[list]:
 
     Each thread keeps one :class:`_Workspace`, draws every replication it
     runs into it and passes it to ``fn`` as ``work`` for its scratch.  A
-    workspace is replaced when a replication needs another length, and
-    it outlives this call only in a pool thread, until the call that
-    opened the pool returns; so at most one workspace per pool thread is
-    alive.  The columns ``fn`` gets are overwritten at the next k, so
-    ``fn`` must not keep them.
+    workspace is replaced when a replication needs another length, and is
+    dropped when the last run that used it returns, so a run keeps at
+    most one workspace per thread that ran it, and a pool thread at most
+    one whichever runs it serves.  The columns ``fn`` gets are
+    overwritten at the next k, so ``fn`` must not keep them.
     """
     children = np.random.SeedSequence(config.seed).spawn(config.replications)
+    # the holders of the threads that ran a replication; the list is also
+    # this run's mark on the holders it last claimed
+    claimed: list[_Held] = []
 
     def replicate(child) -> list:
-        work = getattr(_here, "work", None)
+        held = getattr(_here, "held", None)
+        if held is None:
+            held = _here.held = _Held()
+        with _hand_over:
+            held.run = claimed
+            work = held.work
+        claimed.append(held)
         if work is None or work.size != config.num_intervals:
-            work = _here.work = None  # freed before the next one is made
-            work = _here.work = _Workspace(config.num_intervals)
+            work = held.work = None  # freed before the next one is made
+            work = held.work = _Workspace(config.num_intervals)
         rng = np.random.default_rng(child)
         intervals = generate_interval_sweep(
             rng, config.dist, config.num_intervals, ks, work
@@ -554,10 +574,12 @@ def _map_replications(config: SimConfig, ks, fn) -> list[list]:
     try:
         return _ordered_map(replicate, children)
     finally:
-        if getattr(_here, "pool", None) is None:
-            # outside a pool: a workspace made in this thread goes now, and
-            # the pool threads' went with them
-            _here.work = None
+        # every replication has stopped; a holder that no later run claimed
+        # lets its workspace go
+        with _hand_over:
+            for held in claimed:
+                if held.run is claimed:
+                    held.work = held.run = None
 
 
 def _replication_estimates(y, x1, x_nonp, delivered, work=None) -> dict[str, float]:
@@ -834,13 +856,9 @@ def _keep_freed_heap() -> None:
     and faults in again on the next: a 1 M-row dump at k = 20 took about
     29 % more CPU on two CPUs without this call in the forked workers,
     and about 34 % more on one CPU without it in the ``ledger`` command.
-    ``simulation_moments`` frees each 16384-row block's arrays before it
-    draws the next, so ``validate --checks simulation_moments
-    --intervals 1000000`` took about 340 k minor faults and 0.7 s of
-    system time without this call, against 12 k and 0.3 s with it.
     The thresholds are process-wide, so this runs only in processes
-    agecast owns: the forked workers and the ``ledger`` and ``validate``
-    commands.  Without glibc's ``mallopt`` it does nothing.
+    agecast owns: the forked workers and the ``ledger`` command.
+    Without glibc's ``mallopt`` it does nothing.
     """
     try:
         import ctypes

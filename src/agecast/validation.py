@@ -16,7 +16,6 @@ import os
 import tempfile
 from collections.abc import Iterator
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -307,9 +306,6 @@ def _cycle_samples(blocks) -> Iterator[dict[str, np.ndarray]]:
         d = np.flatnonzero(delivered)
         # the rows, end times and x_nonp of the deliveries that bound cycles
         rows, times, openers = row + d, ends[d], x_nonp[d]
-        # a block's arrays go as soon as they are spent, so that a law keeps
-        # few at once and none while the next block is drawn
-        del ends, x_nonp
         if last is not None:
             rows, times, openers = (
                 np.concatenate(([carried], values))
@@ -319,9 +315,8 @@ def _cycle_samples(blocks) -> Iterator[dict[str, np.ndarray]]:
             last = rows[-1], times[-1], openers[-1]
         row += y.size
         w = np.diff(times)
-        del times
         miss = ~delivered
-        samples = {
+        yield {
             "y_mean": y,
             "w_mean": w,
             "w2_mean": w * w,
@@ -331,9 +326,6 @@ def _cycle_samples(blocks) -> Iterator[dict[str, np.ndarray]]:
             "yf_mean": y[miss],
             "ys_mean": y[d],
         }
-        del y, delivered, d, rows, openers, w, miss
-        yield samples
-        del samples
 
 
 def _run_moments(
@@ -353,16 +345,15 @@ def _run_moments(
             rng = np.random.default_rng(seed)
             rng.bit_generator.advance(skip)
             rows = (start, min(start + _SAMPLE_BLOCK, num_intervals))
-            # y, x_nonp and delivered; nothing of a block stays bound here
-            yield itemgetter(0, 2, 3)(
-                next(generate_interval_sweep(rng, dist, num_intervals, (k,), rows=rows))
+            y, _, x_nonp, delivered = next(
+                generate_interval_sweep(rng, dist, num_intervals, (k,), rows=rows)
             )
+            yield y, x_nonp, delivered
 
     moments: dict[str, _RunningMoments] = {}
     for samples in _cycle_samples(blocks()):
-        for name in samples:
-            moments.setdefault(name, _RunningMoments()).add(samples[name])
-        del samples  # freed before the next block is drawn
+        for name, values in samples.items():
+            moments.setdefault(name, _RunningMoments()).add(values)
     return moments
 
 
@@ -381,47 +372,26 @@ def check_simulation_moments(settings: ValidationSettings) -> tuple[bool, str]:
     every sample value is the one a whole-run draw gives, and each
     sample's count, mean and M2 are merged block by block by Chan's
     formula (:class:`_RunningMoments`).  Memory is therefore a few blocks
-    per law whatever the run length.  Each law starts at a known offset
-    of the stream, so the laws run on the thread pool
-    (:func:`agecast.simulator._ordered_map`) in any order with the same
-    numbers, and their z-scores are compared in law order.  They run as
-    two items of three laws each, which draw the same number of uniforms,
-    so that at most two laws' blocks are alive at once on any CPU count.
-    At the ``validate`` defaults the check failed on 0 of the seeds
-    1..100 (``tests/gate_seeds.py``, stream version 2).
+    whatever the run length.  At the ``validate`` defaults the check
+    failed on 0 of the seeds 1..100 (``tests/gate_seeds.py``, stream
+    version 2).
     """
     num_intervals = settings.num_intervals * settings.replications
-    laws = []
+    worst = 0.0
+    label = ""
     skip = 0
     for rate, shift in ((1.0, 0.0), (1.0, 1.0)):
         for k in (1, 2, 5):
-            laws.append((rate, shift, k, skip))
+            dist = ServiceDistribution(rate=rate, shift=shift)
+            moments = interval_moments(dist, k)
+            samples = _run_moments(settings.seed + 3, skip, dist, k, num_intervals)
+            for name, sample in samples.items():
+                tag = name.removesuffix("_mean")
+                z = _pooled_z(sample, getattr(moments, name), tag)
+                if z > worst:
+                    worst = z
+                    label = f"{tag} at rate={rate}, shift={shift}, k={k}"
             skip += num_intervals * (k + 1)
-
-    def law_z(law) -> list[tuple[float, str]]:
-        # the (z, label) pair of each sample of one law, in sample order
-        rate, shift, k, skip = law
-        dist = ServiceDistribution(rate=rate, shift=shift)
-        moments = interval_moments(dist, k)
-        samples = _run_moments(settings.seed + 3, skip, dist, k, num_intervals)
-        pairs = []
-        for name, sample in samples.items():
-            tag = name.removesuffix("_mean")
-            z = _pooled_z(sample, getattr(moments, name), tag)
-            pairs.append((z, f"{tag} at rate={rate}, shift={shift}, k={k}"))
-        return pairs
-
-    def chain_z(chain) -> list[list[tuple[float, str]]]:
-        return [law_z(law) for law in chain]
-
-    # every other law: 2 + 6 + 3 and 3 + 2 + 6 uniforms per interval
-    even, odd = _ordered_map(chain_z, (laws[0::2], laws[1::2]))
-    worst = 0.0
-    label = ""
-    for both in zip(even, odd):  # back in law order
-        for z, tag in both[0] + both[1]:
-            if z > worst:
-                worst, label = z, tag
     return worst < 4.0, f"worst deviation {worst:.2f} se ({label})"
 
 
@@ -598,13 +568,13 @@ def run_checks(
     The checks run on one thread per CPU of the affinity mask, at most one
     per check, and in this thread when that is one; the records come back
     in ``CHECK_NAMES`` order, so they do not depend on the CPU count.  The
-    replications and laws that the checks simulate join the same pool
+    replications that the checks simulate join the same pool
     (:func:`agecast.simulator._ordered_map`), so no more threads run than
-    CPUs, and each pool thread keeps at most one replication workspace.
-    If a check raises, the queued ones are cancelled and the first
-    exception in check order reaches the caller once the threads have
-    stopped.  Peak memory is the sum of the peaks of the items running
-    at once.
+    CPUs, and each pool thread keeps at most one replication workspace,
+    which goes when the run that last used it returns.  If a check
+    raises, the queued ones are cancelled and the first exception in
+    check order reaches the caller once the threads have stopped.  Peak
+    memory is the sum of the peaks of the items running at once.
     """
     wanted = set(names) if names is not None else set(CHECK_NAMES)
     unknown = wanted - set(CHECK_NAMES)

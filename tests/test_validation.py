@@ -163,7 +163,7 @@ class TestCheckThreads:
 
 
 class TestOnePool:
-    """The checks and the replications and laws they simulate share one pool."""
+    """The checks and the replications they simulate share one pool."""
 
     def test_no_more_threads_than_cpus(self, monkeypatch):
         set_cpus(monkeypatch, 1)
@@ -248,6 +248,43 @@ class TestOnePool:
         results = run_checks(ValidationSettings(num_intervals=20_000), replicating)
         assert all(result.passed for result in results)
         # a pool per check thread held four
+        assert 1 <= most <= 2
+        assert alive == 0
+
+    def test_a_run_drops_its_workspaces_when_it_returns(self, monkeypatch):
+        # more CPUs than replications: idle pool threads pick up the
+        # replications of one run after another, and each thread keeping
+        # the workspace of the last run it served held up to one per thread
+        set_cpus(monkeypatch, 16)
+        lock = threading.Lock()
+        alive = most = 0
+
+        def dropped():
+            nonlocal alive
+            with lock:
+                alive -= 1
+
+        class Counted(simulator._Workspace):
+            def __init__(self, size):
+                nonlocal alive, most
+                super().__init__(size)
+                with lock:
+                    alive += 1
+                    most = max(most, alive)
+                weakref.finalize(self, dropped)
+
+        monkeypatch.setattr(simulator, "_Workspace", Counted)
+        config = SimConfig(
+            ServiceDistribution(1.0), k=1, num_intervals=20_000, seed=1, replications=2
+        )
+
+        def runs(item):
+            if item == 0:  # the others return at once and leave their threads idle
+                for _ in range(20):
+                    _map_replications(config, (1,), lambda *columns: time.sleep(0.002))
+
+        simulator._ordered_map(runs, range(8))
+        # what _run_bytes budgets for one run: min(CPUs, replications)
         assert 1 <= most <= 2
         assert alive == 0
 
