@@ -164,12 +164,14 @@ class ServiceDistribution:
     def _inverse_cdf(self, u, out=None):
         # the one inverse-CDF transform; u must already lie in [0, 1).  The
         # ufuncs of shift - log1p(-u) / rate run in place on ``out`` (a new
-        # array when None; it may be ``u``), so an array makes no temporaries
+        # array when None; it may be ``u``), so an array makes no temporaries.
+        # x / 1.0 == x for every double, so rate 1 skips the divide
         if out is None:
             out = np.empty(np.shape(u))
         np.negative(u, out=out)
         np.log1p(out, out=out)
-        np.divide(out, self.rate, out=out)
+        if self.rate != 1.0:
+            np.divide(out, self.rate, out=out)
         np.subtract(self.shift, out, out=out)
         return float(out) if out.ndim == 0 else out
 

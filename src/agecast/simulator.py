@@ -23,6 +23,7 @@ import numpy as np
 from .order_stats import MAX_K, ServiceDistribution, check_count
 
 __all__ = [
+    "AgeEstimates",
     "CrossCheck",
     "CycleLedger",
     "InsufficientDataError",
@@ -35,6 +36,7 @@ __all__ = [
     "check_simulable",
     "generate_interval_sweep",
     "generate_intervals",
+    "run_age_sweep",
     "run_k_sweep",
     "run_simulation",
     "sample_path_cross_check",
@@ -157,19 +159,21 @@ def _cycles(y, x_nonp, delivered, work=None) -> tuple[np.ndarray, np.ndarray, np
     cycle is dropped, so with fewer than two deliveries both are empty.
 
     With a :class:`_Workspace` ``work``, the end times and ``w`` are
-    written into its ``spans`` buffer and the gathered end times and
-    ``xtilde`` into its ``picks`` buffer, with the same values; ``w`` and
-    ``xtilde`` are then valid until those buffers are written again.
+    written into its ``y`` buffer and the gathered end times and
+    ``xtilde`` into its ``spans`` buffer, with the same values; ``w`` and
+    ``xtilde`` are then valid until those buffers are written again.  If
+    ``y`` is that ``y`` buffer, its running sum is taken in place, so the
+    caller must be done with ``y``.
     """
     d = np.flatnonzero(delivered)
     if work is None:
         return d, np.diff(np.cumsum(y)[d]), x_nonp[d[:-1]]
-    spans, picks = work("spans"), work("picks")
+    ends, spans = work("y"), work("spans")
     # the indices come from flatnonzero, so clipping never moves one; the
     # default mode would copy ``out`` first
-    ends = np.take(np.cumsum(y, out=spans), d, out=picks[: d.size], mode="clip")
-    w = np.subtract(ends[1:], ends[:-1], out=spans[: ends[1:].size])
-    return d, w, np.take(x_nonp, d[:-1], out=picks[: w.size], mode="clip")
+    gathered = np.take(np.cumsum(y, out=ends), d, out=spans[: d.size], mode="clip")
+    w = np.subtract(gathered[1:], gathered[:-1], out=ends[: gathered[1:].size])
+    return d, w, np.take(x_nonp, d[:-1], out=spans[: w.size], mode="clip")
 
 
 class _Workspace:
@@ -179,7 +183,11 @@ class _Workspace:
     elements (the workspace's size by default); the dtype and size of its
     first request stay.  A buffer holds whatever its last writer left, so
     every user writes a slice before it reads it and reads only that
-    slice.
+    slice.  A replication thread's workspace holds the columns that
+    :func:`generate_interval_sweep` draws (float64 ``x_nonp``, ``u_max``,
+    ``x1`` and ``y``, the bool ``delivered`` and a short ``chunk``), the
+    float64 ``spans`` that :func:`_cycles` and the estimators write, and,
+    for :func:`_replication_estimates` only, the bool ``miss`` mask.
     """
 
     def __init__(self, size: int):
@@ -197,10 +205,12 @@ class _Workspace:
 def _run_bytes(num_intervals: int, replications: int) -> int:
     """Bytes of the arrays that a run or sweep holds at once.
 
-    Per replication thread: a workspace of six float64 and two bool
-    buffers, and int64 delivery or miss indices.  A run has at most one
-    thread per replication, each pool thread keeps at most one workspace,
-    and a workspace goes when the last run that used it returns.
+    Per replication thread: a :class:`_Workspace` of five float64
+    buffers and one bool (and a bool miss mask for the full estimates of
+    :func:`run_k_sweep`), and the int64 delivery or miss indices, so the
+    bound has one float64 buffer of slack.  A run has at most one thread
+    per replication, each pool thread keeps at most one workspace, and a
+    workspace goes when the last run that used it returns.
     """
     return (6 * 8 + 2 + 8) * num_intervals * min(_usable_cpus(), replications)
 
@@ -435,6 +445,16 @@ class SimResult:
     intervals_used: int
 
 
+@dataclass(frozen=True)
+class AgeEstimates:
+    """The two replication-averaged ages of a :class:`SimResult`, with their stderrs."""
+
+    age_priority_hat: float
+    age_priority_se: float
+    age_nonpriority_hat: float
+    age_nonpriority_se: float
+
+
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     values = np.asarray(values, dtype=np.float64)
     if values.size == 1:
@@ -582,54 +602,114 @@ def _map_replications(config: SimConfig, ks, fn) -> list[list]:
                     held.work = held.run = None
 
 
+def _replication_ages(y, x1, x_nonp, delivered, work=None) -> dict[str, float]:
+    """One replication's two ages at one k, keyed by SimResult field without suffix.
+
+    All a sweep point writes.  Bit for bit ``accumulate_priority`` and
+    ``accumulate_nonpriority`` of a CycleLedger of the same columns; see
+    :func:`_ages` for the buffers it uses and spends.
+    """
+    return _ages(y, x1, x_nonp, delivered, work)[0]
+
+
+def _ages(y, x1, x_nonp, delivered, work):
+    """:func:`_replication_ages`, with the delivery indices and the sums of w**2 and w.
+
+    The priority age comes first, its products in the ``spans`` buffer of
+    the workspace ``work`` (a new one when it is None).  :func:`_cycles`
+    then writes the cycles into the ``y`` and ``spans`` buffers, so a
+    ``y`` drawn into the workspace is spent; at k = 1, ``y`` is ``x1``,
+    which it never writes.  Raises :class:`InsufficientDataError` unless
+    the run sees two deliveries and a miss.
+    """
+    if work is None:
+        work = _Workspace(y.size)
+    age_priority = _priority_age(y, x1, out=work("spans"))
+    d, w, xtilde = _cycles(y, x_nonp, delivered, work)
+    if d.size == y.size or d.size < 2:
+        raise InsufficientDataError(
+            "replication too short to observe both delivery outcomes"
+        )
+    age_nonpriority, w_sq_sum, w_sum = _nonpriority_age(w, xtilde)
+    ages = {"age_priority": age_priority, "age_nonpriority": age_nonpriority}
+    return ages, d, w_sq_sum, w_sum
+
+
 def _replication_estimates(y, x1, x_nonp, delivered, work=None) -> dict[str, float]:
     """One replication's estimates at one k, keyed by SimResult field without suffix.
 
     Read straight off the interval columns and their :func:`_cycles`, with
     every length-N temporary in the buffers of the workspace ``work`` (a
     new one when it is None), so a thread that reuses one workspace makes
-    no length-N array per point.  Each sum sees the same values as the
-    one over a new array, contiguous and of the same length, so it keeps
-    its bits: each value equals, bit for bit, ``accumulate_priority``,
-    ``accumulate_nonpriority`` of a CycleLedger of the same columns, or
-    the mean of the whole-run array of the sample it is named after (y,
-    the cycles' w, w**2, xtilde and lengths from :func:`_cycles`, the miss
-    flags, and y at the misses and at the deliveries).
+    no length-N array per point.  The sums of y come first, because
+    :func:`_ages` spends a ``y`` drawn into the workspace.  Each sum sees
+    the same values as the one over a new array, contiguous and of the
+    same length, so it keeps its bits: each value equals, bit for bit,
+    ``accumulate_priority``, ``accumulate_nonpriority`` of a CycleLedger of
+    the same columns, or the mean of the whole-run array of the sample it
+    is named after (y, the cycles' w, w**2, xtilde and lengths from
+    :func:`_cycles`, the miss flags, and y at the misses and at the
+    deliveries).
     """
     num_intervals = y.size
     if work is None:
         work = _Workspace(num_intervals)
-    d, w, xtilde = _cycles(y, x_nonp, delivered, work)
-    deliveries = d.size
-    if deliveries == num_intervals or deliveries < 2:
-        raise InsufficientDataError(
-            "replication too short to observe both delivery outcomes"
-        )
-    cycles = w.size
-    xtilde_sum = xtilde.sum()
-    # the integer cycle lengths diff(d) sum exactly in float64
-    m_mean = float(d[-1] - d[0]) / cycles
-    age_nonpriority, w_sq_sum, w_sum = _nonpriority_age(w, xtilde)
-    # w and xtilde are spent: their buffers hold the remaining gathers and
-    # products (take's clip mode as in _cycles)
-    picks = work("picks")
-    ys_sum = np.take(y, d, out=picks[:deliveries], mode="clip").sum()
+    spans = work("spans")
+    y_sum = y.sum()
+    # the gathers of y go to ``spans`` until the ages need it (take's clip
+    # mode as in _cycles)
+    d = np.flatnonzero(delivered)
+    ys_sum = np.take(y, d, out=spans[: d.size], mode="clip").sum()
     del d
-    misses = num_intervals - deliveries
     missed = np.flatnonzero(np.logical_not(delivered, out=work("miss", bool)))
-    yf_sum = np.take(y, missed, out=picks[:misses], mode="clip").sum()
+    yf_sum = np.take(y, missed, out=spans[: missed.size], mode="clip").sum()
+    del missed
+    ages, d, w_sq_sum, w_sum = _ages(y, x1, x_nonp, delivered, work)
+    deliveries = d.size
+    misses = num_intervals - deliveries
+    cycles = deliveries - 1
+    xtilde_sum = np.take(x_nonp, d[:-1], out=spans[:cycles], mode="clip").sum()
     return {
-        "age_priority": _priority_age(y, x1, out=work("spans")),
-        "age_nonpriority": age_nonpriority,
-        "y_mean": float(y.sum() / num_intervals),
+        **ages,
+        "y_mean": float(y_sum / num_intervals),
         "w_mean": float(w_sum / cycles),
         "w2_mean": float(w_sq_sum / cycles),
         "xtilde_mean": float(xtilde_sum / cycles),
-        "m_mean": m_mean,
+        # the integer cycle lengths diff(d) sum exactly in float64
+        "m_mean": float(d[-1] - d[0]) / cycles,
         "q": misses / num_intervals,
         "yf_mean": float(yf_sum / misses),
         "ys_mean": float(ys_sum / deliveries),
     }
+
+
+def _combine(per_rep: Sequence[Sequence[dict]]) -> list[dict[str, float]]:
+    """Per point, each estimate's replication mean and stderr.
+
+    ``per_rep`` holds, in replication order, one dict of estimates per
+    point; each point's dict keys the mean and the stderr of an estimate
+    by its name with ``_hat`` and ``_se``.
+    """
+    points = []
+    for point in zip(*per_rep):
+        fields = {}
+        for name in point[0]:
+            values = [estimates[name] for estimates in point]
+            fields[f"{name}_hat"], fields[f"{name}_se"] = _mean_se(values)
+        points.append(fields)
+    return points
+
+
+def _k_sweep(configs: Sequence[SimConfig], estimate) -> tuple[SimConfig, list[dict]]:
+    """The first config, and per point the :func:`_combine` of ``estimate``."""
+    configs = tuple(configs)
+    if not configs:
+        raise ValueError("a k sweep needs at least one config")
+    first = configs[0]
+    if any(replace(config, k=first.k) != first for config in configs):
+        raise ValueError("the configs of a k sweep must differ only in k")
+    per_rep = _map_replications(first, [config.k for config in configs], estimate)
+    return first, _combine(per_rep)
 
 
 def run_k_sweep(configs: Sequence[SimConfig]) -> tuple[SimResult, ...]:
@@ -647,28 +727,23 @@ def run_k_sweep(configs: Sequence[SimConfig]) -> tuple[SimResult, ...]:
     the results do not depend on the CPU count.  Each thread reuses one
     workspace of a few length-N buffers for all its replications and
     points, so memory is about the thread count times that workspace at
-    any k (tracemalloc: 7.4 arrays at N = 100 000, k = 1..20, one thread).
+    any k (tracemalloc: 6.4 arrays at N = 100 000, k = 1..20, one thread;
+    6.3 for :func:`run_age_sweep`).
     """
-    configs = tuple(configs)
-    if not configs:
-        raise ValueError("a k sweep needs at least one config")
-    first = configs[0]
-    if any(replace(config, k=first.k) != first for config in configs):
-        raise ValueError("the configs of a k sweep must differ only in k")
-    per_rep = _map_replications(
-        first, [config.k for config in configs], _replication_estimates
-    )
-    results = []
-    # each point's estimates, in replication order
-    for point in zip(*per_rep):
-        fields = {}
-        for name in point[0]:
-            values = [estimates[name] for estimates in point]
-            fields[f"{name}_hat"], fields[f"{name}_se"] = _mean_se(values)
-        results.append(
-            SimResult(**fields, intervals_used=first.replications * first.num_intervals)
-        )
-    return tuple(results)
+    first, points = _k_sweep(configs, _replication_estimates)
+    used = first.replications * first.num_intervals
+    return tuple(SimResult(**fields, intervals_used=used) for fields in points)
+
+
+def run_age_sweep(configs: Sequence[SimConfig]) -> tuple[AgeEstimates, ...]:
+    """The two ages of :func:`run_k_sweep`, bit for bit, and nothing else.
+
+    Each point computes only its ages (:func:`_replication_ages`), which
+    saves the cycle moments' gathers and the miss mask's buffer; the
+    sweeps and the age checks read no other field.
+    """
+    _, points = _k_sweep(configs, _replication_ages)
+    return tuple(AgeEstimates(**fields) for fields in points)
 
 
 def run_simulation(config: SimConfig) -> SimResult:
@@ -681,13 +756,8 @@ def run_simulation(config: SimConfig) -> SimResult:
 
 
 @dataclass(frozen=True)
-class CrossCheck:
+class CrossCheck(AgeEstimates):
     """Sawtooth-integration age estimates, aggregated like SimResult."""
-
-    age_priority_hat: float
-    age_priority_se: float
-    age_nonpriority_hat: float
-    age_nonpriority_se: float
 
 
 def _integrate_age(y: np.ndarray, events: np.ndarray, reset: np.ndarray) -> float:
@@ -719,18 +789,17 @@ def sample_path_cross_check(config: SimConfig) -> CrossCheck:
             f"{CROSS_CHECK_MAX_INTERVALS} intervals, got {config.num_intervals}"
         )
     per_rep = _map_replications(config, (config.k,), _integrated_ages)
-    ages_p, ages_e = zip(*(ages for (ages,) in per_rep))
-    return CrossCheck(*_mean_se(ages_p), *_mean_se(ages_e))
+    return CrossCheck(**_combine(per_rep)[0])
 
 
-def _integrated_ages(y, x1, x_nonp, delivered, work) -> tuple[float, float]:
+def _integrated_ages(y, x1, x_nonp, delivered, work) -> dict[str, float]:
     # node 1 receives every update; the tracked node only its deliveries.
     # ``work`` goes unused: the cross-check's runs are short
     d = np.flatnonzero(delivered)
-    return (
-        _integrate_age(y, np.arange(y.size), x1),
-        _integrate_age(y, d, x_nonp[d]),
-    )
+    return {
+        "age_priority": _integrate_age(y, np.arange(y.size), x1),
+        "age_nonpriority": _integrate_age(y, d, x_nonp[d]),
+    }
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,12 @@
 A sweep walks the priority group size k or the service-time shift c,
 evaluates both closed forms at each point, runs the simulator with the
 same master seed, and emits one CSV row per point under a fixed schema.
-The points of either sweep share their draws (common random numbers), so
-the curves move smoothly.  A c sweep reuses the same raw uniforms at each
-shift.  A k sweep runs all its points in one pass per replication
-(``agecast.simulator.run_k_sweep``): node i's service times are the same
-at every k >= i, so each point adds one node to the previous one's
+The simulator computes only the two ages a row holds
+(``agecast.simulator.run_age_sweep``).  The points of either sweep share
+their draws (common random numbers), so the curves move smoothly.  A c
+sweep reuses the same raw uniforms at each shift.  A k sweep runs all
+its points in one pass per replication: node i's service times are the
+same at every k >= i, so each point adds one node to the previous one's
 priority group.
 """
 
@@ -17,7 +18,9 @@ import csv
 from dataclasses import dataclass, fields
 
 from .order_stats import MAX_K, ServiceDistribution, check_count, check_real
-from .simulator import SimConfig, check_simulable, run_k_sweep, run_simulation
+from .simulator import SimConfig, check_simulable, run_age_sweep
+# no sweep calls it, but perfbench/tracer.py times it under this name
+from .simulator import run_simulation  # noqa: F401
 from .theory import age_nonpriority, age_priority_lower_bound, priority_age
 
 __all__ = [
@@ -132,7 +135,7 @@ class AgeReport:
 
 
 def _sweep(spec: SweepSpec, configs, sims, include_bound: bool) -> AgeReport:
-    """One row per sweep value, from its SimConfig and its SimResult.
+    """One row per sweep value, from its SimConfig and its AgeEstimates.
 
     The report is also written to ``spec.out_path`` when that is set.
     """
@@ -185,7 +188,7 @@ def sweep_k(spec: SweepSpec) -> AgeReport:
         raise ValueError(f"sweep_k needs a k-variable spec, got {spec.variable!r}")
     dist = ServiceDistribution(rate=spec.rate, shift=spec.shift)
     configs = [_config(spec, dist, k) for k in spec.values]
-    return _sweep(spec, configs, run_k_sweep(configs), spec.shift > 0)
+    return _sweep(spec, configs, run_age_sweep(configs), spec.shift > 0)
 
 
 def sweep_shift(spec: SweepSpec) -> AgeReport:
@@ -200,7 +203,8 @@ def sweep_shift(spec: SweepSpec) -> AgeReport:
         _config(spec, ServiceDistribution(rate=spec.rate, shift=c), spec.k)
         for c in spec.values
     ]
-    return _sweep(spec, configs, map(run_simulation, configs), True)
+    sims = (run_age_sweep((config,))[0] for config in configs)
+    return _sweep(spec, configs, sims, True)
 
 
 def _format_cell(value: float | None) -> str:

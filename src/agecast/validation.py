@@ -33,6 +33,7 @@ from .simulator import (
     _cycles,
     _ordered_map,
     generate_interval_sweep,
+    run_age_sweep,
     run_simulation,
     sample_path_cross_check,
     simulate_ledger,
@@ -439,7 +440,7 @@ def check_estimator_agreement(settings: ValidationSettings) -> tuple[bool, str]:
             seed=(settings.seed + 23 + offset) % (MAX_SEED + 1),
             replications=4,
         )
-        sim = run_simulation(config)
+        (sim,) = run_age_sweep((config,))
         integrated = sample_path_cross_check(config)
         for hat, se, other, other_se in (
             (
@@ -470,13 +471,15 @@ def check_age_regression(settings: ValidationSettings) -> tuple[bool, str]:
         (ServiceDistribution(rate=1.0, shift=1.0), 1),
     )
     for dist, k in cases:
-        sim = run_simulation(
-            SimConfig(
-                dist=dist,
-                k=k,
-                num_intervals=settings.num_intervals,
-                seed=settings.seed,
-                replications=settings.replications,
+        (sim,) = run_age_sweep(
+            (
+                SimConfig(
+                    dist=dist,
+                    k=k,
+                    num_intervals=settings.num_intervals,
+                    seed=settings.seed,
+                    replications=settings.replications,
+                ),
             )
         )
         for hat, target, tag in (

@@ -130,6 +130,17 @@ class TestServiceDistribution:
         assert dist.quantile(0.0) == 2.0
         assert dist.quantile(1.0 - math.exp(-1.0)) == pytest.approx(3.0, rel=1e-12)
 
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    def test_rate_one_transform_keeps_its_bits(self, shift):
+        # rate 1 skips the divide, which changes no double
+        dist = ServiceDistribution(rate=1.0, shift=shift)
+        u = np.concatenate(([0.0], np.random.default_rng(5).random(10_000)))
+        expected = shift - np.log1p(-u)
+        np.testing.assert_array_equal(expected, shift - np.log1p(-u) / 1.0)
+        np.testing.assert_array_equal(dist.quantile(u), expected)
+        np.testing.assert_array_equal(dist._inverse_cdf(u.copy(), out=u), expected)
+        assert dist.quantile(0.0) == shift
+
     def test_quantile_domain(self):
         dist = ServiceDistribution.exponential(1.0)
         with pytest.raises(ValueError, match=r"\[0, 1\)"):

@@ -26,6 +26,7 @@ from agecast import simulator
 from agecast.order_stats import ServiceDistribution
 from agecast.simulator import (
     CROSS_CHECK_MAX_INTERVALS,
+    AgeEstimates,
     CycleLedger,
     InsufficientDataError,
     LedgerSpec,
@@ -35,6 +36,7 @@ from agecast.simulator import (
     accumulate_priority,
     generate_interval_sweep,
     generate_intervals,
+    run_age_sweep,
     run_k_sweep,
     run_simulation,
     sample_path_cross_check,
@@ -55,6 +57,7 @@ from agecast.simulator import (
     _mean_se,
     _ordered_map,
     _pool_size,
+    _replication_ages,
     _replication_estimates,
 )
 from agecast.theory import (
@@ -264,6 +267,18 @@ class TestRunKSweep:
         with pytest.raises(ValueError, match="at least one config"):
             run_k_sweep([])
 
+    @pytest.mark.parametrize("ks", [range(1, 9), range(3, 7)])
+    def test_age_sweep_equals_the_k_sweep_ages(self, ks):
+        configs = self.configs(ks)
+        names = [field.name for field in dataclasses.fields(AgeEstimates)]
+        expected = tuple(
+            AgeEstimates(**{name: getattr(result, name) for name in names})
+            for result in run_k_sweep(configs)
+        )
+        assert run_age_sweep(configs) == expected
+        with pytest.raises(ValueError, match="differ only in k"):
+            run_age_sweep([*self.configs([1]), *self.configs([2], seed=32)])
+
 
 @pytest.mark.parametrize("shift", [0.0, 1.0])
 @pytest.mark.parametrize("k", [1, 2, 5, 20])
@@ -283,6 +298,9 @@ def test_replication_estimates_equal_the_ledger_estimates(shift, k, seed, num_in
     estimates = _replication_estimates(*columns)
     assert list(estimates) == list(expected)
     assert estimates == expected
+    ages = {name: expected[name] for name in ("age_priority", "age_nonpriority")}
+    for work in (None, _Workspace(num_intervals)):
+        assert _replication_ages(*columns, work) == ages
 
 
 class TestStreamedCycleMoments:
@@ -344,9 +362,9 @@ class TestStreamedCycleMoments:
         self.assert_blocks_give_the_oracle(ledger, [0, 1, 2, 7, 4096, 4097, 15_000, 20_011])
 
 
-def estimates_or_error(columns, work=None):
+def estimates_or_error(columns, work=None, estimate=_replication_estimates):
     try:
-        return _replication_estimates(*columns, work)
+        return estimate(*columns, work)
     except InsufficientDataError as exc:
         return str(exc)
 
@@ -368,7 +386,7 @@ class TestWorkspace:
             deliveries.append(int(columns[3].sum()))
             assert _replication_estimates(*columns, work) == _replication_estimates(*columns)
             # a slice read past what this point wrote would now read NaN
-            for name in ("spans", "picks"):
+            for name in ("spans", "y"):
                 work(name).fill(np.nan)
         assert deliveries[1] < min(deliveries[0], deliveries[2])
         assert deliveries[4] < deliveries[3] < deliveries[2]
@@ -378,22 +396,26 @@ class TestWorkspace:
         [2, 3, _COLUMN_CHUNK - 1, _COLUMN_CHUNK, _COLUMN_CHUNK + 1, 20_011],
     )
     def test_one_workspace_over_replications_equals_new_arrays(self, num_intervals):
-        # two replications of a k sweep from k = 1, where y is x1, share one
-        # workspace for the draws and the estimates
-        ks = (1, 2, 5, 20)
+        # two replications of a k sweep share one workspace for the draws and
+        # the estimates: from k = 1, where y is x1, and from k = 3, where y
+        # is always the buffer that the cycles then overwrite
         work = _Workspace(num_intervals)
-        for seed in (11, 12):
-            reused = generate_interval_sweep(
-                np.random.default_rng(seed), self.SEXP, num_intervals, ks, work
-            )
-            new = generate_interval_sweep(
-                np.random.default_rng(seed), self.SEXP, num_intervals, ks
-            )
-            for k, in_work, columns in zip(ks, reused, new):
-                assert (in_work[0] is in_work[1]) == (k == 1)
-                for a, b in zip(in_work, columns):
-                    np.testing.assert_array_equal(a, b)
-                assert estimates_or_error(in_work, work) == estimates_or_error(columns)
+        for ks in ((1, 2, 5, 20), (3, 4, 9)):
+            for estimate in (_replication_estimates, _replication_ages):
+                for seed in (11, 12):
+                    reused = generate_interval_sweep(
+                        np.random.default_rng(seed), self.SEXP, num_intervals, ks, work
+                    )
+                    new = generate_interval_sweep(
+                        np.random.default_rng(seed), self.SEXP, num_intervals, ks
+                    )
+                    for k, in_work, columns in zip(ks, reused, new):
+                        assert (in_work[0] is in_work[1]) == (k == 1)
+                        for a, b in zip(in_work, columns):
+                            np.testing.assert_array_equal(a, b)
+                        assert estimates_or_error(in_work, work, estimate) == (
+                            estimates_or_error(columns, None, estimate)
+                        )
 
     @pytest.mark.parametrize("deliveries", [0, 1, 2, 7])
     def test_cycles_in_a_workspace_equal_new_arrays(self, deliveries):
@@ -403,7 +425,7 @@ class TestWorkspace:
         delivered[[0, 2, 3, 5, 6, 8, 9][:deliveries]] = True
         work = _Workspace(10)
         work("spans").fill(np.nan)
-        work("picks").fill(np.nan)
+        work("y").fill(np.nan)
         for a, b in zip(_cycles(y, x_nonp, delivered, work), _cycles(y, x_nonp, delivered)):
             np.testing.assert_array_equal(a, b)
             assert a.size == b.size
@@ -415,10 +437,11 @@ class TestWorkspace:
         columns = (y, y, np.full(6, x_nonp), np.full(6, x_nonp) < y)
         columns[3][0] = True
         message = "replication too short to observe both delivery outcomes"
-        for work in (None, _Workspace(6)):
-            with pytest.raises(InsufficientDataError) as caught:
-                _replication_estimates(*columns, work)
-            assert str(caught.value) == message
+        for estimate in (_replication_estimates, _replication_ages):
+            for work in (None, _Workspace(6)):
+                with pytest.raises(InsufficientDataError) as caught:
+                    estimate(*columns, work)
+                assert str(caught.value) == message
 
     def test_refuses_a_workspace_of_another_length(self):
         with pytest.raises(ValueError, match="workspace holds 10 intervals"):
@@ -501,7 +524,7 @@ class TestReplicationThreads:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # measured 7.4 arrays; a CycleLedger per k needed about 14
+        # measured 6.4 arrays; a CycleLedger per k needed about 14
         assert peak <= 10 * 8 * num_intervals
 
     @pytest.mark.parametrize("cpus", [1, 2])
