@@ -2,9 +2,9 @@
 
 The k-th smallest of n i.i.d. shifted-exponential draws has closed-form
 mean and variance built from truncated harmonic sums.  This module holds
-the harmonic-number tables, the two input validators every request object
-uses, the service-law abstraction used everywhere else, and the two
-order-statistic moment formulas.
+the harmonic numbers (a table, then series), the two input validators every
+request object uses, the service-law abstraction used everywhere else, and
+the two order-statistic moment formulas.
 """
 
 from __future__ import annotations
@@ -12,13 +12,12 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "MAX_HARMONIC",
+    "EULER_GAMMA",
     "MAX_K",
     "ServiceDistribution",
     "check_count",
@@ -29,53 +28,53 @@ __all__ = [
     "order_stat_var",
 ]
 
-# The largest n whose H(n) and H2(n) the tables hold.
-MAX_HARMONIC = 1 << 22
+EULER_GAMMA = 0.5772156649015329
 
-# The largest group size k anywhere: the closed forms look up H(k+1).
-MAX_K = MAX_HARMONIC - 1
+# The largest group size k anywhere: a larger k exits 2, an exit-code contract,
+# and stream v2 simulates O(k) uniforms per interval.  The closed forms read H(k+1).
+MAX_K = 4194303
 
-# (H, H2): H(n) and H2(n) at index n, grown on demand by _harmonic_tables.
-# Both are replaced in one assignment, so a reader never sees one table
-# longer than the other.
-_TABLES = (np.zeros(1), np.zeros(1))
-_GROW_LOCK = threading.Lock()
+# H(n) and H2(n) for n <= 2**14, added left to right; the series serve larger n
+_J = np.arange(1, (1 << 14) + 1, dtype=np.float64)
+_H1 = np.concatenate(([0.0], np.cumsum(1.0 / _J)))
+_H2 = np.concatenate(([0.0], np.cumsum(1.0 / _J**2)))
 
 
-def _harmonic_tables(n: int) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
-    """``n`` as an index, and tables that cover it, grown if they did not."""
-    global _TABLES
+def _check_index(n: int) -> int:
     n = operator.index(n)
     if n < 0:
         raise ValueError(f"harmonic index must be nonnegative, got {n}")
-    if n > MAX_HARMONIC:
-        raise ValueError(f"harmonic index {n} exceeds MAX_HARMONIC {MAX_HARMONIC}")
-    tables = _TABLES
-    if n >= tables[0].size:
-        with _GROW_LOCK:
-            tables = _TABLES
-            # another thread may have grown them while this one waited
-            if n >= tables[0].size:
-                size = min(MAX_HARMONIC, max(n, 2 * (tables[0].size - 1), 1024))
-                j = np.arange(1, size + 1, dtype=np.float64)
-                # np.cumsum adds left to right, so growing never changes an entry
-                tables = _TABLES = (
-                    np.concatenate(([0.0], np.cumsum(1.0 / j))),
-                    np.concatenate(([0.0], np.cumsum(1.0 / j**2))),
-                )
-    return n, tables
+    if n > MAX_K + 1:
+        raise ValueError(f"harmonic index {n} exceeds MAX_K + 1 = {MAX_K + 1}")
+    return n
 
 
 def harmonic(n: int) -> float:
-    """H(n) = sum_{j=1..n} 1/j, with H(0) = 0."""
-    n, (h1, _) = _harmonic_tables(n)
-    return float(h1[n])
+    """H(n) = sum_{j=1..n} 1/j, with H(0) = 0.
+
+    Above the table, its asymptotic series, within 1/(252n**6) (Knuth, TAOCP 1.2.7).
+    """
+    n = _check_index(n)
+    if n < _H1.size:
+        return float(_H1[n])
+    x = float(n)
+    log = math.log(x)
+    # ln x - log, to about 2**-53: without it the error passes one ulp at some n
+    return math.fsum(
+        (log, (x - math.exp(log)) / x, EULER_GAMMA, 0.5 / x, -1 / (12 * x**2), 1 / (120 * x**4))
+    )
 
 
 def harmonic2(n: int) -> float:
-    """H2(n) = sum_{j=1..n} 1/j**2, with H2(0) = 0."""
-    n, (_, h2) = _harmonic_tables(n)
-    return float(h2[n])
+    """H2(n) = sum_{j=1..n} 1/j**2, with H2(0) = 0.
+
+    Above the table, pi**2/6 - psi'(n+1) by its series (Abramowitz and Stegun 6.4.12).
+    """
+    n = _check_index(n)
+    if n < _H2.size:
+        return float(_H2[n])
+    x = float(n)
+    return math.fsum((math.pi**2 / 6, -1 / x, 0.5 / x**2, -1 / (6 * x**3), 1 / (30 * x**5)))
 
 
 def check_count(name: str, value, minimum: int = 1, maximum: int | None = None) -> int:

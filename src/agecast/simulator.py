@@ -148,15 +148,16 @@ class CycleLedger:
         return max(int(np.count_nonzero(self.delivered)) - 1, 0)
 
 
-def _cycles(y, x_nonp, delivered, work=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The complete renewal cycles of one run: ``(d, w, xtilde)``.
+def _cycles(y, x_nonp, d, work=None) -> tuple[np.ndarray, np.ndarray]:
+    """The complete renewal cycles of one run: ``(w, xtilde)``.
 
     The one place that turns deliveries into cycles.  ``d`` indexes the
-    delivering intervals, and cycle l covers intervals d[l-1]+1 .. d[l]
-    (``np.diff(d)`` counts them).  Its span ``w`` is the difference of the
-    interval end times at its two deliveries, and ``xtilde`` is the
-    service time of the delivery that opened it.  A trailing incomplete
-    cycle is dropped, so with fewer than two deliveries both are empty.
+    delivering intervals (``np.flatnonzero`` of the flags), and cycle l
+    covers intervals d[l-1]+1 .. d[l] (``np.diff(d)`` counts them).  Its
+    span ``w`` is the difference of the interval end times at its two
+    deliveries, and ``xtilde`` is the service time of the delivery that
+    opened it.  A trailing incomplete cycle is dropped, so with fewer than
+    two deliveries both are empty.
 
     With a :class:`_Workspace` ``work``, the end times and ``w`` are
     written into its ``y`` buffer and the gathered end times and
@@ -165,15 +166,14 @@ def _cycles(y, x_nonp, delivered, work=None) -> tuple[np.ndarray, np.ndarray, np
     ``y`` is that ``y`` buffer, its running sum is taken in place, so the
     caller must be done with ``y``.
     """
-    d = np.flatnonzero(delivered)
     if work is None:
-        return d, np.diff(np.cumsum(y)[d]), x_nonp[d[:-1]]
+        return np.diff(np.cumsum(y)[d]), x_nonp[d[:-1]]
     ends, spans = work("y"), work("spans")
     # the indices come from flatnonzero, so clipping never moves one; the
     # default mode would copy ``out`` first
     gathered = np.take(np.cumsum(y, out=ends), d, out=spans[: d.size], mode="clip")
     w = np.subtract(gathered[1:], gathered[:-1], out=ends[: gathered[1:].size])
-    return d, w, np.take(x_nonp, d[:-1], out=spans[: w.size], mode="clip")
+    return w, np.take(x_nonp, d[:-1], out=spans[: w.size], mode="clip")
 
 
 class _Workspace:
@@ -389,7 +389,8 @@ def accumulate_nonpriority(ledger: CycleLedger) -> float:
     Each complete cycle of :func:`_cycles` contributes area
     w**2 / 2 + xtilde * w over its span w.
     """
-    d, w, xtilde = _cycles(ledger.y, ledger.x_nonp, ledger.delivered)
+    d = np.flatnonzero(ledger.delivered)
+    w, xtilde = _cycles(ledger.y, ledger.x_nonp, d)
     if w.size < 1:
         raise InsufficientDataError(
             f"non-priority age needs at least 2 deliveries, got {d.size}"
@@ -609,11 +610,11 @@ def _replication_ages(y, x1, x_nonp, delivered, work=None) -> dict[str, float]:
     ``accumulate_nonpriority`` of a CycleLedger of the same columns; see
     :func:`_ages` for the buffers it uses and spends.
     """
-    return _ages(y, x1, x_nonp, delivered, work)[0]
+    return _ages(y, x1, x_nonp, np.flatnonzero(delivered), work)[0]
 
 
-def _ages(y, x1, x_nonp, delivered, work):
-    """:func:`_replication_ages`, with the delivery indices and the sums of w**2 and w.
+def _ages(y, x1, x_nonp, d, work):
+    """:func:`_replication_ages` from the delivery indices ``d``, with the sums of w**2 and w.
 
     The priority age comes first, its products in the ``spans`` buffer of
     the workspace ``work`` (a new one when it is None).  :func:`_cycles`
@@ -625,14 +626,14 @@ def _ages(y, x1, x_nonp, delivered, work):
     if work is None:
         work = _Workspace(y.size)
     age_priority = _priority_age(y, x1, out=work("spans"))
-    d, w, xtilde = _cycles(y, x_nonp, delivered, work)
+    w, xtilde = _cycles(y, x_nonp, d, work)
     if d.size == y.size or d.size < 2:
         raise InsufficientDataError(
             "replication too short to observe both delivery outcomes"
         )
     age_nonpriority, w_sq_sum, w_sum = _nonpriority_age(w, xtilde)
     ages = {"age_priority": age_priority, "age_nonpriority": age_nonpriority}
-    return ages, d, w_sq_sum, w_sum
+    return ages, w_sq_sum, w_sum
 
 
 def _replication_estimates(y, x1, x_nonp, delivered, work=None) -> dict[str, float]:
@@ -656,15 +657,14 @@ def _replication_estimates(y, x1, x_nonp, delivered, work=None) -> dict[str, flo
         work = _Workspace(num_intervals)
     spans = work("spans")
     y_sum = y.sum()
-    # the gathers of y go to ``spans`` until the ages need it (take's clip
-    # mode as in _cycles)
-    d = np.flatnonzero(delivered)
-    ys_sum = np.take(y, d, out=spans[: d.size], mode="clip").sum()
-    del d
+    # the gathers of y go to ``spans`` until the ages need it, the misses' first
+    # so that their indices are freed early (take's clip mode as in _cycles)
     missed = np.flatnonzero(np.logical_not(delivered, out=work("miss", bool)))
     yf_sum = np.take(y, missed, out=spans[: missed.size], mode="clip").sum()
     del missed
-    ages, d, w_sq_sum, w_sum = _ages(y, x1, x_nonp, delivered, work)
+    d = np.flatnonzero(delivered)
+    ys_sum = np.take(y, d, out=spans[: d.size], mode="clip").sum()
+    ages, w_sq_sum, w_sum = _ages(y, x1, x_nonp, d, work)
     deliveries = d.size
     misses = num_intervals - deliveries
     cycles = deliveries - 1

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .order_stats import (
+    EULER_GAMMA,
     MAX_K,
     ServiceDistribution,
     check_count,
@@ -41,8 +42,6 @@ __all__ = [
     "priority_age",
     "xtilde_mean",
 ]
-
-EULER_GAMMA = 0.5772156649015329
 
 
 @dataclass(frozen=True)

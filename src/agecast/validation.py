@@ -401,7 +401,8 @@ def check_cycle_bookkeeping(settings: ValidationSettings) -> tuple[bool, str]:
     rng = np.random.default_rng(settings.seed + 17)
     dist = ServiceDistribution(rate=1.0, shift=0.5)
     ledger = simulate_ledger(dist, 2, settings.num_intervals, rng)
-    deliveries, w, _ = _cycles(ledger.y, ledger.x_nonp, ledger.delivered)
+    deliveries = np.flatnonzero(ledger.delivered)
+    w, _ = _cycles(ledger.y, ledger.x_nonp, deliveries)
     m = np.diff(deliveries)
     if m.size < 2:
         raise InsufficientDataError(

@@ -1,26 +1,28 @@
 """Harmonic sums, the service law and order-statistic moments."""
 
 import math
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from harmonic_ulps import DIGITS, exact_harmonic, exact_harmonic2, ulps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agecast import order_stats
 from agecast.order_stats import (
-    MAX_HARMONIC,
+    MAX_K,
     ServiceDistribution,
     harmonic,
     harmonic2,
     order_stat_mean,
     order_stat_var,
 )
+from agecast.theory import age_nonpriority, priority_age
 
 ZETA2 = math.pi**2 / 6.0
+# the largest n the table holds; the series serve every n above it
+TABLE_MAX = 1 << 14
 
 
 class TestHarmonic:
@@ -45,43 +47,56 @@ class TestHarmonic:
         assert harmonic2(n) == pytest.approx(math.fsum(1.0 / j**2), rel=1e-12)
 
     def test_step_invariant(self):
-        for n in (1, 2, 17, 1023, 1024, 1025, 4096, 50_000):
+        edges = (TABLE_MAX, TABLE_MAX + 1, MAX_K + 1)
+        for n in (1, 2, 17, 1023, 1024, 1025, 4096, 50_000, *edges):
             step = harmonic(n) - harmonic(n - 1)
             assert step == pytest.approx(1.0 / n, abs=1e-12)
 
     def test_matches_sequential_sum(self):
-        # the tables add left to right, so no growth changes an earlier entry
+        # the table adds left to right, so every entry it holds is the loop's
         h1 = h2 = 0.0
-        for n in range(1, 5000):
+        for n in range(1, TABLE_MAX + 1):
             h1 += 1.0 / n
             h2 += 1.0 / float(n) ** 2
             assert harmonic(n) == h1
             assert harmonic2(n) == h2
-        harmonic(300_000)
-        assert (harmonic(4999), harmonic2(4999)) == (h1, h2)
 
-    def test_tables_grow_safely_under_threads(self, monkeypatch):
-        # threads grow fresh tables to different sizes at once; none may
-        # index a table shorter than the one it checked
-        threads = 4
-        ns = [20_000 * (t + 1) for t in range(threads)]
-        want = [[(harmonic(n), harmonic2(n))] * 5 for n in ns]
+    def test_within_one_ulp_of_a_direct_sum_above_the_table(self):
+        with localcontext() as ctx:
+            ctx.prec = DIGITS
+            h1 = sum(1 / Decimal(j) for j in range(1, TABLE_MAX + 1))
+            h2 = sum(1 / Decimal(j) ** 2 for j in range(1, TABLE_MAX + 1))
+            for n in range(TABLE_MAX + 1, TABLE_MAX + 9):
+                h1 += 1 / Decimal(n)
+                h2 += 1 / Decimal(n) ** 2
+                assert ulps(harmonic(n), h1) <= 1.0
+                assert ulps(harmonic2(n), h2) <= 1.0
 
-        def read(barrier, n):
-            barrier.wait()
-            return [(harmonic(n), harmonic2(n)) for _ in range(5)]
+    def test_within_one_ulp_of_the_long_series_up_to_max_k(self):
+        # about 50 n from the table's edge to the largest index the closed forms read,
+        # and one where the series without the rounding residual of ln n is 1.002 ulp off
+        ns = np.unique(np.geomspace(TABLE_MAX + 1, MAX_K + 1, 50).round().astype(int))
+        assert ns[-1] == MAX_K + 1
+        for n in [*ns.tolist(), 3_590_202]:
+            assert ulps(harmonic(n), exact_harmonic(n)) <= 1.0
+            assert ulps(harmonic2(n), exact_harmonic2(n)) <= 1.0
 
-        interval = sys.getswitchinterval()
-        # switch threads often, so that a race shows within a few trials
-        sys.setswitchinterval(1e-6)
+    def test_increasing_across_the_table_edge(self):
+        ns = range(TABLE_MAX - 8, TABLE_MAX + 9)
+        for form in (harmonic, harmonic2):
+            values = [form(n) for n in ns]
+            assert all(b > a for a, b in zip(values, values[1:]))
+
+    def test_closed_forms_at_max_k_allocate_little(self):
+        dist = ServiceDistribution(rate=1.0, shift=1.0)
+        tracemalloc.start()
         try:
-            with ThreadPoolExecutor(threads) as pool:
-                for _ in range(300):
-                    monkeypatch.setattr(order_stats, "_TABLES", (np.zeros(1), np.zeros(1)))
-                    barrier = threading.Barrier(threads, timeout=10)
-                    assert list(pool.map(read, [barrier] * threads, ns)) == want
+            priority_age(dist, MAX_K)
+            age_nonpriority(dist, MAX_K)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
-            sys.setswitchinterval(interval)
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_harmonic2_bounded_by_zeta2(self):
         for n in (1, 5, 100, 10_000):
@@ -96,12 +111,12 @@ class TestHarmonic:
             harmonic2(-3)
 
     def test_capacity_exceeded_rejected(self):
-        # the bound is inclusive: theory.MAX_K leans on H(MAX_HARMONIC) existing
-        assert harmonic(MAX_HARMONIC) > 0 and harmonic2(MAX_HARMONIC) > 0
-        with pytest.raises(ValueError, match="exceeds MAX_HARMONIC"):
-            harmonic(MAX_HARMONIC + 1)
-        with pytest.raises(ValueError, match="exceeds MAX_HARMONIC"):
-            harmonic2(MAX_HARMONIC + 1)
+        # the bound is inclusive: the closed forms read H(MAX_K + 1)
+        assert harmonic(MAX_K + 1) > 0 and harmonic2(MAX_K + 1) > 0
+        with pytest.raises(ValueError, match=r"exceeds MAX_K \+ 1"):
+            harmonic(MAX_K + 2)
+        with pytest.raises(ValueError, match=r"exceeds MAX_K \+ 1"):
+            harmonic2(MAX_K + 2)
 
 
 class TestServiceDistribution:

@@ -77,7 +77,8 @@ def moment_samples(ledger):
     Keyed by the RenewalCycleMoments field each one estimates, in
     SimResult's order, with the cycles of ``_cycles``.
     """
-    d, w, xtilde = _cycles(ledger.y, ledger.x_nonp, ledger.delivered)
+    d = np.flatnonzero(ledger.delivered)
+    w, xtilde = _cycles(ledger.y, ledger.x_nonp, d)
     miss = ~ledger.delivered
     return {
         "y_mean": ledger.y,
@@ -104,7 +105,8 @@ class TestCycleLedger:
         y = np.arange(1.0, 8.0)
         x_nonp = np.arange(10.0, 17.0)
         delivered = np.array([False, True, False, False, True, True, False])
-        d, w, xtilde = _cycles(y, x_nonp, delivered)
+        d = np.flatnonzero(delivered)
+        w, xtilde = _cycles(y, x_nonp, d)
         # deliveries at intervals 1, 4, 5 give cycles (1,4] and (4,5]
         np.testing.assert_array_equal(np.diff(d), [3, 1])
         np.testing.assert_allclose(w, [12.0, 6.0])
@@ -141,13 +143,15 @@ class TestCycleLedger:
             delivered = np.array(delivered)
             ledger = CycleLedger.from_intervals(y, y, y, delivered)
             assert ledger.num_cycles == 0
-            d, w, xtilde = _cycles(y, y, delivered)
+            d = np.flatnonzero(delivered)
+            w, xtilde = _cycles(y, y, d)
             assert np.diff(d).size == w.size == xtilde.size == 0
 
     def test_cycle_tiling(self):
         rng = np.random.default_rng(42)
         ledger = simulate_ledger(EXP1, 2, 2000, rng)
-        d, w, _ = _cycles(ledger.y, ledger.x_nonp, ledger.delivered)
+        d = np.flatnonzero(ledger.delivered)
+        w, _ = _cycles(ledger.y, ledger.x_nonp, d)
         assert np.diff(d).sum() == d[-1] - d[0]
         ends = np.cumsum(ledger.y)
         assert w.sum() == pytest.approx(ends[d[-1]] - ends[d[0]], rel=1e-12)
@@ -190,7 +194,7 @@ class TestAccumulators:
     def test_nonpriority_matches_plain_loop(self):
         rng = np.random.default_rng(8)
         ledger = simulate_ledger(EXP1, 3, 500, rng)
-        _, spans, openers = _cycles(ledger.y, ledger.x_nonp, ledger.delivered)
+        spans, openers = _cycles(ledger.y, ledger.x_nonp, np.flatnonzero(ledger.delivered))
         area = sum(0.5 * w**2 + xt * w for w, xt in zip(spans, openers))
         expected = area / spans.sum()
         assert accumulate_nonpriority(ledger) == pytest.approx(expected, rel=1e-12)
@@ -426,7 +430,8 @@ class TestWorkspace:
         work = _Workspace(10)
         work("spans").fill(np.nan)
         work("y").fill(np.nan)
-        for a, b in zip(_cycles(y, x_nonp, delivered, work), _cycles(y, x_nonp, delivered)):
+        d = np.flatnonzero(delivered)
+        for a, b in zip(_cycles(y, x_nonp, d, work), _cycles(y, x_nonp, d)):
             np.testing.assert_array_equal(a, b)
             assert a.size == b.size
 

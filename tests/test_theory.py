@@ -265,7 +265,7 @@ class TestExponentialIdentity:
             age_exponential(1.0, 0)
 
     def test_k_bounded_by_the_harmonic_tables(self):
-        # age_nonpriority looks up H(k+1), the last entry the tables hold at MAX_K
+        # age_nonpriority reads H(k+1), the largest index harmonic takes at MAX_K
         too_big = MAX_K + 1
         for form in (
             lambda: age_priority(EXP1, too_big),
