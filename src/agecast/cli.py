@@ -26,7 +26,6 @@ from .simulator import (
     InsufficientDataError,
     LedgerSpec,
     _keep_freed_heap,
-    _ledger_bytes,
     _run_bytes,
     write_ledger_csv,
 )
@@ -239,11 +238,11 @@ def _validate_request(merged: dict) -> tuple:
         replications=merged["replications"],
         tolerance=merged["tolerance"],
     )
-    # the largest arrays the checks still hold: age_regression's runs and
-    # cycle_bookkeeping's ledger, which may run at the same time
+    # the checks' only arrays that grow with the run, perhaps at once:
+    # age_regression's runs and order_stat_monte_carlo's 16 bytes per draw
     _check_memory(
         _run_bytes(settings.num_intervals, settings.replications)
-        + _ledger_bytes(settings.num_intervals)
+        + 16 * settings.num_intervals
     )
     return settings, merged["checks"]
 
@@ -259,9 +258,6 @@ def _ledger_request(merged: dict) -> tuple:
         num_intervals=merged["intervals"],
         seed=merged["seed"],
     )
-    # sized by the whole columns, which the writer no longer holds: this
-    # refusal is an exit-code contract
-    _check_memory(_ledger_bytes(spec.num_intervals))
     return spec, merged["out"]
 
 

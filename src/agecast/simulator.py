@@ -120,36 +120,12 @@ class SimConfig:
         )
 
 
-@dataclass(frozen=True)
-class CycleLedger:
-    """The per-interval draws of one simulated run, and nothing derived.
-
-    Per interval: length ``y``, node 1's service time ``x1``, the tracked
-    non-priority service time ``x_nonp`` and its ``delivered`` flag.  The
-    renewal cycles are read off these columns by :func:`_cycles` where
-    they are needed.
-    """
-
-    y: np.ndarray
-    x1: np.ndarray
-    x_nonp: np.ndarray
-    delivered: np.ndarray
-
-    @classmethod
-    def from_intervals(cls, y, x1, x_nonp, delivered) -> "CycleLedger":
-        return cls(y, x1, x_nonp, delivered)
-
-    @property
-    def num_intervals(self) -> int:
-        return self.y.size
-
-    @property
-    def num_cycles(self) -> int:
-        return max(int(np.count_nonzero(self.delivered)) - 1, 0)
+# the carry of :func:`_cycles` into a run's first row window
+_RUN_START = (0.0, (np.empty(0, np.intp), np.empty(0), np.empty(0)))
 
 
-def _cycles(y, x_nonp, d, work=None) -> tuple[np.ndarray, np.ndarray]:
-    """The complete renewal cycles of one run: ``(w, xtilde)``.
+def _cycles(y, x_nonp, d, work=None, carry=None) -> tuple:
+    """The complete renewal cycles of one run, ``(w, xtilde)``, or of a row window of it.
 
     The one place that turns deliveries into cycles.  ``d`` indexes the
     delivering intervals (``np.flatnonzero`` of the flags), and cycle l
@@ -159,13 +135,30 @@ def _cycles(y, x_nonp, d, work=None) -> tuple[np.ndarray, np.ndarray]:
     opened it.  A trailing incomplete cycle is dropped, so with fewer than
     two deliveries both are empty.
 
-    With a :class:`_Workspace` ``work``, the end times and ``w`` are
-    written into its ``y`` buffer and the gathered end times and
+    With a ``carry``, the columns are a row window of a run, and the
+    result is ``(w, xtilde, m, carry)``: the cycles that close in the
+    window, their lengths and the carry into the next window.  A carry is
+    ``(end, last)``: the run's end time so far, and the row, end time and
+    x_nonp of its last delivery so far as arrays of one element (of none
+    before the first delivery), the row counted from the next window's
+    start.  ``_RUN_START`` begins a run.  The carried end time joins the
+    window's first y before the running sum, so joined over the windows,
+    w, xtilde and m = ``np.diff(d)`` are the whole run's bit for bit.
+
+    With a :class:`_Workspace` ``work`` and no carry, the end times and
+    ``w`` are written into its ``y`` buffer and the gathered end times and
     ``xtilde`` into its ``spans`` buffer, with the same values; ``w`` and
     ``xtilde`` are then valid until those buffers are written again.  If
     ``y`` is that ``y`` buffer, its running sum is taken in place, so the
     caller must be done with ``y``.
     """
+    if carry is not None:
+        ends = y.copy()
+        ends[0] += carry[0]
+        np.cumsum(ends, out=ends)
+        rows, times, openers = map(np.concatenate, zip(carry[1], (d, ends[d], x_nonp[d])))
+        last = rows[-1:] - y.size, times[-1:], openers[-1:]
+        return np.diff(times), openers[:-1], np.diff(rows), (ends[-1], last)
     if work is None:
         return np.diff(np.cumsum(y)[d]), x_nonp[d[:-1]]
     ends, spans = work("y"), work("spans")
@@ -174,6 +167,28 @@ def _cycles(y, x_nonp, d, work=None) -> tuple[np.ndarray, np.ndarray]:
     gathered = np.take(np.cumsum(y, out=ends), d, out=spans[: d.size], mode="clip")
     w = np.subtract(gathered[1:], gathered[:-1], out=ends[: gathered[1:].size])
     return w, np.take(x_nonp, d[:-1], out=spans[: w.size], mode="clip")
+
+
+def _priority_age(y: np.ndarray, x1: np.ndarray, out=None) -> float:
+    # ``out``, if given, holds each product in turn instead of a new array
+    products = None if out is None else out[: y.size - 1]
+    area = (
+        np.multiply(y[:-1], x1[1:], out=products).sum()
+        + 0.5 * np.multiply(y[1:], y[1:], out=products).sum()
+    )
+    return float(area / y[1:].sum())
+
+
+def _nonpriority_age(w: np.ndarray, xtilde: np.ndarray) -> tuple[float, float, float]:
+    """The non-priority age estimate, the sum of w**2 and the sum of w.
+
+    Overwrites ``w`` with w**2 and ``xtilde`` with xtilde * w.
+    """
+    w_sum = w.sum()
+    xw_sum = np.multiply(xtilde, w, out=xtilde).sum()
+    w_sq_sum = np.multiply(w, w, out=w).sum()
+    area = 0.5 * w_sq_sum + xw_sum
+    return float(area / w_sum), w_sq_sum, w_sum
 
 
 class _Workspace:
@@ -210,18 +225,10 @@ def _run_bytes(num_intervals: int, replications: int) -> int:
     :func:`run_k_sweep`), and the int64 delivery or miss indices, so the
     bound has one float64 buffer of slack.  A run has at most one thread
     per replication, each pool thread keeps at most one workspace, and a
-    workspace goes when the last run that used it returns.
+    workspace goes when the last run that used it returns.  ``validate``
+    adds only ``order_stat_monte_carlo``'s column; its other runs stream.
     """
     return (6 * 8 + 2 + 8) * num_intervals * min(_usable_cpus(), replications)
-
-
-def _ledger_bytes(num_intervals: int) -> int:
-    """Bytes of the arrays that :func:`simulate_ledger` holds at once.
-
-    Four float64 columns (x_nonp, the running max, x1 and y) and the
-    delivery flags.
-    """
-    return (4 * 8 + 1) * num_intervals
 
 
 # the version of the random-stream layout below; every seeded output
@@ -333,6 +340,39 @@ def generate_interval_sweep(
         del y  # so the caller can free it before the next draw
 
 
+# The whole-run API, down to accumulate_nonpriority, has no caller left in
+# agecast.  It stays for perfbench: checks.py builds its ledger oracle from
+# simulate_ledger, and tracer.py times the rest under these names.
+
+
+@dataclass(frozen=True)
+class CycleLedger:
+    """The per-interval draws of one simulated run, and nothing derived.
+
+    Per interval: length ``y``, node 1's service time ``x1``, the tracked
+    non-priority service time ``x_nonp`` and its ``delivered`` flag.  The
+    renewal cycles are read off these columns by :func:`_cycles` where
+    they are needed.
+    """
+
+    y: np.ndarray
+    x1: np.ndarray
+    x_nonp: np.ndarray
+    delivered: np.ndarray
+
+    @classmethod
+    def from_intervals(cls, y, x1, x_nonp, delivered) -> "CycleLedger":
+        return cls(y, x1, x_nonp, delivered)
+
+    @property
+    def num_intervals(self) -> int:
+        return self.y.size
+
+    @property
+    def num_cycles(self) -> int:
+        return max(int(np.count_nonzero(self.delivered)) - 1, 0)
+
+
 def generate_intervals(
     rng: np.random.Generator, dist: ServiceDistribution, num_intervals: int, k: int
 ):
@@ -352,7 +392,7 @@ def simulate_ledger(
 
     With ``rng = default_rng(SeedSequence(seed))`` these are the rows that
     :func:`write_ledger_csv` dumps for ``LedgerSpec(dist, k, num_intervals,
-    seed)`` without ever holding them whole.
+    seed)`` without ever holding them whole, so it is the dump's oracle.
     """
     return CycleLedger.from_intervals(*generate_intervals(rng, dist, num_intervals, k))
 
@@ -373,16 +413,6 @@ def accumulate_priority(ledger: CycleLedger) -> float:
     return _priority_age(ledger.y, ledger.x1)
 
 
-def _priority_age(y: np.ndarray, x1: np.ndarray, out=None) -> float:
-    # ``out``, if given, holds each product in turn instead of a new array
-    products = None if out is None else out[: y.size - 1]
-    area = (
-        np.multiply(y[:-1], x1[1:], out=products).sum()
-        + 0.5 * np.multiply(y[1:], y[1:], out=products).sum()
-    )
-    return float(area / y[1:].sum())
-
-
 def accumulate_nonpriority(ledger: CycleLedger) -> float:
     """Renewal-reward age estimate for the tracked non-priority node.
 
@@ -396,18 +426,6 @@ def accumulate_nonpriority(ledger: CycleLedger) -> float:
             f"non-priority age needs at least 2 deliveries, got {d.size}"
         )
     return _nonpriority_age(w, xtilde)[0]
-
-
-def _nonpriority_age(w: np.ndarray, xtilde: np.ndarray) -> tuple[float, float, float]:
-    """The non-priority age estimate, the sum of w**2 and the sum of w.
-
-    Overwrites ``w`` with w**2 and ``xtilde`` with xtilde * w.
-    """
-    w_sum = w.sum()
-    xw_sum = np.multiply(xtilde, w, out=xtilde).sum()
-    w_sq_sum = np.multiply(w, w, out=w).sum()
-    area = 0.5 * w_sq_sum + xw_sum
-    return float(area / w_sum), w_sq_sum, w_sum
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .order_stats import (
 from .simulator import (
     MAX_SEED,
     InsufficientDataError,
+    _RUN_START,
     SimConfig,
     _cycles,
     _ordered_map,
@@ -36,7 +37,6 @@ from .simulator import (
     run_age_sweep,
     run_simulation,
     sample_path_cross_check,
-    simulate_ledger,
 )
 from .sweeps import SweepSpec, read_report_csv, sweep_k, write_report_csv
 from .theory import (
@@ -223,11 +223,14 @@ def check_order_stat_monte_carlo(settings: ValidationSettings) -> tuple[bool, st
         # the inverse CDF is nondecreasing, so it maps each row's k-th smallest
         # uniform to the k-th smallest of the row's service times
         dist._inverse_cdf(col, out=col)
-        mean_se = col.std(ddof=1) / math.sqrt(draws)
-        worst = max(worst, abs(col.mean() - order_stat_mean(dist, k, n)) / mean_se)
-        centered = (col - col.mean()) ** 2
-        var_se = centered.std(ddof=1) / math.sqrt(draws)
-        worst = max(worst, abs(col.var(ddof=1) - order_stat_var(dist, k, n)) / var_se)
+        mean = col.mean()
+        # the squared deviations in place: bit for bit numpy's var and std
+        np.subtract(col, mean, out=col)
+        var = np.multiply(col, col, out=col).sum() / (draws - 1)
+        mean_se = math.sqrt(var) / math.sqrt(draws)
+        worst = max(worst, abs(mean - order_stat_mean(dist, k, n)) / mean_se)
+        var_se = col.std(ddof=1) / math.sqrt(draws)
+        worst = max(worst, abs(var - order_stat_var(dist, k, n)) / var_se)
     return (
         worst < 4.0,
         f"worst moment deviation {worst:.2f} se over 20 laws, {draws} draws each",
@@ -237,41 +240,44 @@ def check_order_stat_monte_carlo(settings: ValidationSettings) -> tuple[bool, st
 class _RunningMoments:
     """Count, mean and sum of squared deviations (M2) of a sample fed in blocks.
 
-    Each block's mean and M2 are taken in two passes over the block, then
-    merged into the running ones by the pairwise formula of Chan, Golub and
-    LeVeque (*Amer. Statistician*, 1983), so that the sample is never held
-    whole.  One block alone gives the two-pass values bit for bit.
+    ``add(values, other)`` feeds paired samples instead: ``other_mean`` is
+    the mean of ``other``, and M2 the co-moment, the sum of the products of
+    the two samples' deviations.  Each block's means and M2 are taken in
+    two passes over the block, then merged into the running ones by the
+    pairwise formula of Chan, Golub and LeVeque (*Amer. Statistician*,
+    1983), so that the sample is never held whole.  One block alone gives
+    the two-pass values bit for bit.
     """
 
     def __init__(self) -> None:
         self.count = 0
-        self.mean = 0.0
+        self.mean = self.other_mean = 0.0
         self.m2 = 0.0
 
-    def add(self, values) -> None:
+    def add(self, values, other=None) -> None:
         values = np.asarray(values, dtype=np.float64)
         size = values.size
         if size == 0:
             return
         mean = float(values.mean())
         deviations = np.subtract(values, mean)
+        other_mean, other_deviations = mean, deviations
+        if other is not None:
+            other = np.asarray(other, dtype=np.float64)
+            other_mean = float(other.mean())
+            other_deviations = np.subtract(other, other_mean)
         # numpy's own reduction: a BLAS dot product would wake its threads
-        m2 = float(np.multiply(deviations, deviations, out=deviations).sum())
+        m2 = float(np.multiply(deviations, other_deviations, out=deviations).sum())
         count = self.count + size
-        delta = mean - self.mean
+        delta, other_delta = mean - self.mean, other_mean - self.other_mean
         self.mean += delta * (size / count)
-        self.m2 += m2 + delta * delta * (self.count * size / count)
+        self.other_mean += other_delta * (size / count)
+        self.m2 += m2 + delta * other_delta * (self.count * size / count)
         self.count = count
 
 
-def _pooled_z(sample, target: float, tag: str) -> float:
-    """|mean - target| in standard errors; inf or 0 when the values have no spread.
-
-    ``sample`` is a :class:`_RunningMoments`, or an array of the values.
-    """
-    if not isinstance(sample, _RunningMoments):
-        values, sample = sample, _RunningMoments()
-        sample.add(values)
+def _pooled_z(sample: _RunningMoments, target: float, tag: str) -> float:
+    """|mean - target| in standard errors; inf or 0 when the values have no spread."""
     if sample.count < 2:
         raise InsufficientDataError(
             f"simulation moments need at least 2 samples of {tag}, got {sample.count}"
@@ -283,76 +289,42 @@ def _pooled_z(sample, target: float, tag: str) -> float:
     return gap / se
 
 
-def _cycle_samples(blocks) -> Iterator[dict[str, np.ndarray]]:
-    """Per block of one run, the samples whose means estimate the cycle moments.
+def _run_cycles(
+    seed: int, skip: int, dist: ServiceDistribution, k: int, num_intervals: int
+) -> Iterator[tuple]:
+    """Per block of one run at group size k: ``(y, delivered, d, w, xtilde, m)``.
 
-    ``blocks`` yields ``(y, x_nonp, delivered)`` of consecutive row windows
-    of the run.  Each dict is keyed by the
-    :class:`agecast.theory.RenewalCycleMoments` field its samples estimate,
-    in SimResult's order.  Two things carry from block to block: the end
-    time of the last interval so far, and the row, end time and x_nonp of
-    the last delivery so far.  A block's end times are the ``cumsum`` of
-    its y with the carried end time prepended, which is the whole run's
-    ``cumsum`` bit for bit, and the carried delivery opens the block's
-    first cycle.  So, concatenated over the blocks, every sample equals
-    bit for bit its array over the whole run, with the cycles of
-    :func:`_cycles`, whatever the block lengths.
+    The run is the pass of :func:`generate_interval_sweep` that starts
+    ``skip`` uniforms into the stream of ``default_rng(seed)``, drawn
+    ``_SAMPLE_BLOCK`` rows at a time as row windows of the pass, so memory
+    is one block whatever ``num_intervals``.  ``d`` indexes the block's
+    deliveries, and w, xtilde and m are its :func:`_cycles`, carried.
     """
-    end = 0.0
-    last = None
-    row = 0
-    for y, x_nonp, delivered in blocks:
-        ends = np.cumsum(np.concatenate(([end], y)))[1:]
-        end = ends[-1]
+    carry = _RUN_START
+    for start in range(0, num_intervals, _SAMPLE_BLOCK):
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.advance(skip)
+        rows = (start, min(start + _SAMPLE_BLOCK, num_intervals))
+        y, _, x_nonp, delivered = next(
+            generate_interval_sweep(rng, dist, num_intervals, (k,), rows=rows)
+        )
         d = np.flatnonzero(delivered)
-        # the rows, end times and x_nonp of the deliveries that bound cycles
-        rows, times, openers = row + d, ends[d], x_nonp[d]
-        if last is not None:
-            rows, times, openers = (
-                np.concatenate(([carried], values))
-                for carried, values in zip(last, (rows, times, openers))
-            )
-        if rows.size:
-            last = rows[-1], times[-1], openers[-1]
-        row += y.size
-        w = np.diff(times)
-        miss = ~delivered
-        yield {
-            "y_mean": y,
-            "w_mean": w,
-            "w2_mean": w * w,
-            "xtilde_mean": openers[:-1],
-            "m_mean": np.diff(rows),
-            "q": miss,
-            "yf_mean": y[miss],
-            "ys_mean": y[d],
-        }
+        w, xtilde, m, carry = _cycles(y, x_nonp, d, carry=carry)
+        yield y, delivered, d, w, xtilde, m
 
 
 def _run_moments(
     seed: int, skip: int, dist: ServiceDistribution, k: int, num_intervals: int
 ) -> dict[str, _RunningMoments]:
-    """Running moments of the :func:`_cycle_samples` of one run at group size k.
-
-    The run is the pass of :func:`generate_interval_sweep` that starts
-    ``skip`` uniforms into the stream of ``default_rng(seed)``.  It is
-    drawn ``_SAMPLE_BLOCK`` rows at a time, each block a row window of
-    the pass from a new generator jumped ahead by ``skip``, so that
-    memory is one block whatever ``num_intervals``.
-    """
-
-    def blocks():
-        for start in range(0, num_intervals, _SAMPLE_BLOCK):
-            rng = np.random.default_rng(seed)
-            rng.bit_generator.advance(skip)
-            rows = (start, min(start + _SAMPLE_BLOCK, num_intervals))
-            y, _, x_nonp, delivered = next(
-                generate_interval_sweep(rng, dist, num_intervals, (k,), rows=rows)
-            )
-            yield y, x_nonp, delivered
-
+    """Running moments of a :func:`_run_cycles` run's samples, keyed in SimResult's
+    order by the :class:`agecast.theory.RenewalCycleMoments` field each estimates."""
     moments: dict[str, _RunningMoments] = {}
-    for samples in _cycle_samples(blocks()):
+    for y, delivered, d, w, xtilde, m in _run_cycles(seed, skip, dist, k, num_intervals):
+        miss = ~delivered
+        samples = {
+            "y_mean": y, "w_mean": w, "w2_mean": w * w, "xtilde_mean": xtilde,
+            "m_mean": m, "q": miss, "yf_mean": y[miss], "ys_mean": y[d],
+        }
         for name, values in samples.items():
             moments.setdefault(name, _RunningMoments()).add(values)
     return moments
@@ -365,17 +337,10 @@ def check_simulation_moments(settings: ValidationSettings) -> tuple[bool, str]:
     per-sample standard errors, so each comparison is an effectively
     normal z-score.  The six laws are consecutive passes of one stream,
     ``default_rng(seed + 3)``: each starts where the ones before it end,
-    as a run at group size k takes k + 1 uniforms per interval.
-
-    A law's run is drawn and reduced ``_SAMPLE_BLOCK`` rows at a time
-    (:func:`_run_moments`).  The cycle that spans two blocks is closed
-    from the carried end time and opener (:func:`_cycle_samples`), so
-    every sample value is the one a whole-run draw gives, and each
-    sample's count, mean and M2 are merged block by block by Chan's
-    formula (:class:`_RunningMoments`).  Memory is therefore a few blocks
-    whatever the run length.  At the ``validate`` defaults the check
-    failed on 0 of the seeds 1..100 (``tests/gate_seeds.py``, stream
-    version 2).
+    as a run at group size k takes k + 1 uniforms per interval, and each
+    run streams (:func:`_run_moments`).  At the ``validate`` defaults the
+    check failed on 0 of the seeds 1..100 (``tests/gate_seeds.py``,
+    stream version 2).
     """
     num_intervals = settings.num_intervals * settings.replications
     worst = 0.0
@@ -396,31 +361,51 @@ def check_simulation_moments(settings: ValidationSettings) -> tuple[bool, str]:
     return worst < 4.0, f"worst deviation {worst:.2f} se ({label})"
 
 
-def check_cycle_bookkeeping(settings: ValidationSettings) -> tuple[bool, str]:
-    """Cycle counts and spans tile the simulated horizon."""
-    rng = np.random.default_rng(settings.seed + 17)
+def _bookkeeping(settings: ValidationSettings) -> tuple:
+    """``(cycles, counted, expect, w_sum, y_sum, corr)`` of the check's run.
+
+    The run is ``num_intervals`` rows at k = 2, the pass of
+    ``default_rng(seed + 17)``, streamed by :func:`_run_cycles`.
+    ``counted`` adds the rows after the last delivery to the summed cycle
+    lengths m, and ``expect`` is the rows after the first delivery.
+    ``corr`` pairs each m with the y that closes its cycle, from merged
+    moments, or is 0 when either has no spread.
+    """
+    lengths, closing, paired = _RunningMoments(), _RunningMoments(), _RunningMoments()
+    first = last = None
+    row = counted = w_sum = y_sum = 0
+    num_intervals = settings.num_intervals
     dist = ServiceDistribution(rate=1.0, shift=0.5)
-    ledger = simulate_ledger(dist, 2, settings.num_intervals, rng)
-    deliveries = np.flatnonzero(ledger.delivered)
-    w, _ = _cycles(ledger.y, ledger.x_nonp, deliveries)
-    m = np.diff(deliveries)
-    if m.size < 2:
+    for y, _, d, w, _, m in _run_cycles(settings.seed + 17, 0, dist, 2, num_intervals):
+        if d.size:
+            first = row + d[0] if first is None else first
+            last = row + d[-1]
+        row += y.size
+        counted += int(m.sum())
+        w_sum += w.sum()
+        y_sum += y.sum()
+        # each of the block's deliveries closes a cycle, but the run's first
+        closing_y = y[d[d.size - m.size :]]
+        lengths.add(m)
+        closing.add(closing_y)
+        paired.add(m, closing_y)
+    if lengths.count < 2:
         raise InsufficientDataError(
-            f"cycle bookkeeping needs at least 3 deliveries, got {deliveries.size}"
+            "cycle bookkeeping needs at least 3 deliveries, got "
+            f"{lengths.count + (first is not None)}"
         )
-    trailing = ledger.num_intervals - 1 - deliveries[-1]
-    counted = int(m.sum() + trailing)
-    expect = ledger.num_intervals - 1 - deliveries[0]
+    # 0 for a constant series, which has no correlation to estimate
+    corr = paired.m2 / (math.sqrt(lengths.m2) * math.sqrt(closing.m2) or math.inf)
+    expect = num_intervals - 1 - first
+    return lengths.count, counted + num_intervals - 1 - last, expect, w_sum, y_sum, corr
+
+
+def check_cycle_bookkeeping(settings: ValidationSettings) -> tuple[bool, str]:
+    """Cycle counts and spans tile the simulated horizon (:func:`_bookkeeping`)."""
+    cycles, counted, expect, w_sum, y_sum, corr = _bookkeeping(settings)
     tiling_ok = counted == expect
-    span_ok = w.sum() <= ledger.y.sum()
-    closing_y = ledger.y[deliveries[1:]]
-    # a constant series has no correlation to estimate, and corrcoef would
-    # divide by its zero spread
-    if np.ptp(m) == 0 or np.ptp(closing_y) == 0:
-        corr = 0.0
-    else:
-        corr = float(np.corrcoef(m, closing_y)[0, 1])
-    corr_ok = abs(corr) < 4.0 / math.sqrt(m.size)
+    span_ok = w_sum <= y_sum
+    corr_ok = abs(corr) < 4.0 / math.sqrt(cycles)
     return (
         tiling_ok and span_ok and corr_ok,
         f"interval tiling {tiling_ok}, span bound {span_ok}, "

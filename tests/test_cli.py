@@ -14,7 +14,7 @@ import pytest
 
 import agecast
 from agecast.cli import _age_text, main, parse_config
-from agecast.simulator import _ledger_bytes, _run_bytes, simulate_ledger
+from agecast.simulator import _run_bytes, simulate_ledger
 from agecast.sweeps import CSV_COLUMNS, SweepSpec, read_report_csv
 
 
@@ -134,7 +134,6 @@ class TestParsing:
                 "sweep-k", "--k", "1..2", "--intervals", "10000000000000",
                 "--replications", "2", "--out", "x.csv",
             ],
-            ["ledger", "--k", "2", "--intervals", "10000000000000", "--out", "x.csv"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
@@ -149,9 +148,8 @@ class TestParsing:
                 "sweep-shift", "--dist", "sexp", "--k", "2", "--c-values", "0,1",
                 "--intervals", "10000000000000",
             ],
-            ["ledger", "--k", "2", "--intervals", "10000000000000", "--out", "x.csv"],
-            # the replication workspaces and cycle_bookkeeping's whole ledger of
-            # intervals rows would exceed memory; refused when parsed, before
+            # the replication workspaces and order_stat_monte_carlo's column of
+            # intervals draws would exceed memory; refused when parsed, before
             # any check runs
             ["validate", "--intervals", "20000000000"],
         ],
@@ -181,18 +179,28 @@ class TestParsing:
 
     def test_validate_is_refused_by_the_arrays_its_checks_hold(self, monkeypatch, capsys):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        pages = {"SC_PHYS_PAGES": 50_000, "SC_PAGE_SIZE": 4096}
+        pages = {"SC_PHYS_PAGES": 34_000, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__, raising=False)
-        memory = 50_000 * 4096
-        # one ledger of intervals x 8 replications, the old rule, does not fit;
-        # age_regression's runs on 2 threads and cycle_bookkeeping's ledger do
-        assert _ledger_bytes(8 * 10**6) > memory >= _run_bytes(10**6, 8) + _ledger_bytes(10**6)
+        memory = 34_000 * 4096
+        # age_regression's runs on 2 threads and order_stat_monte_carlo's 16
+        # bytes per draw fit; with the 33 bytes per interval of a whole
+        # ledger for cycle_bookkeeping, which now streams, they would not
+        assert _run_bytes(10**6, 8) + 33 * 10**6 > memory >= _run_bytes(10**6, 8) + 16 * 10**6
+        assert _run_bytes(1_100_000, 8) + 16 * 1_100_000 > memory
         _, (settings, _) = parse_config(["validate", "--intervals", "1000000"])
         assert settings.num_intervals == 10**6
         with pytest.raises(SystemExit) as exc:
-            parse_config(["validate", "--intervals", "2000000"])
+            parse_config(["validate", "--intervals", "1100000"])
         assert exc.value.code == 2
         assert "intervals too large" in capsys.readouterr().err
+
+    def test_a_ledger_of_any_length_is_accepted(self):
+        # the writer holds a few tasks of rows whatever the length, so no
+        # memory check refuses it; parsed only, never run
+        _, (spec, out) = parse_config(
+            ["ledger", "--k", "2", "--intervals", "10000000000000", "--out", "x.csv"]
+        )
+        assert (spec.num_intervals, out) == (10**13, "x.csv")
 
     def test_largest_k_accepted(self):
         _, spec = parse_config(["sweep-k", "--k", "4194303"])

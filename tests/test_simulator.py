@@ -47,6 +47,7 @@ from agecast.simulator import (
     _BLOCK_ROWS,
     _COLUMN_CHUNK,
     _POOL_MIN_ROWS,
+    _RUN_START,
     _TASK_ROWS,
     _Workspace,
     _cycles,
@@ -66,7 +67,7 @@ from agecast.theory import (
     age_nonpriority,
     age_priority,
 )
-from agecast.validation import _SAMPLE_BLOCK, _cycle_samples, _run_moments
+from agecast.validation import _SAMPLE_BLOCK, _run_moments
 
 EXP1 = ServiceDistribution.exponential(1.0)
 
@@ -308,7 +309,7 @@ def test_replication_estimates_equal_the_ledger_estimates(shift, k, seed, num_in
 
 
 class TestStreamedCycleMoments:
-    """simulation_moments' block-by-block samples and moments, against the oracle."""
+    """Cycles of row windows with a carry, and the streamed moments, against the oracle."""
 
     @pytest.mark.parametrize("dist", [EXP1, ServiceDistribution(1.0, 1.0)], ids=["exp", "sexp"])
     @pytest.mark.parametrize("k", [1, 2, 5])
@@ -333,14 +334,19 @@ class TestStreamedCycleMoments:
 
     @staticmethod
     def assert_blocks_give_the_oracle(ledger, bounds):
-        blocks = [
-            (ledger.y[a:b], ledger.x_nonp[a:b], ledger.delivered[a:b])
-            for a, b in zip(bounds, bounds[1:])
-        ]
-        parts = list(_cycle_samples(blocks))
-        for name, values in moment_samples(ledger).items():
+        # each block's cycles from _cycles with the carry of the blocks before
+        carry = _RUN_START
+        parts = []
+        for a, b in zip(bounds, bounds[1:]):
+            d = np.flatnonzero(ledger.delivered[a:b])
+            w, xtilde, m, carry = _cycles(ledger.y[a:b], ledger.x_nonp[a:b], d, carry=carry)
+            parts.append({"w_mean": w, "w2_mean": w * w, "xtilde_mean": xtilde, "m_mean": m})
+        oracle = moment_samples(ledger)
+        for name in parts[0]:
             joined = np.concatenate([part[name] for part in parts])
-            np.testing.assert_array_equal(joined, values, err_msg=name)
+            np.testing.assert_array_equal(joined, oracle[name], err_msg=name)
+        # the carried end time is the whole run's
+        assert carry[0] == np.cumsum(ledger.y)[-1]
         return parts
 
     def test_a_block_without_deliveries_carries_the_open_cycle(self):

@@ -13,13 +13,23 @@ import pytest
 from agecast import simulator, validation
 from agecast.cli import main
 from agecast.order_stats import ServiceDistribution, order_stat_mean, order_stat_var
-from agecast.simulator import MAX_SEED, InsufficientDataError, SimConfig, _map_replications
+from agecast.simulator import (
+    MAX_SEED,
+    InsufficientDataError,
+    SimConfig,
+    _cycles,
+    _map_replications,
+    simulate_ledger,
+)
 from agecast.validation import (
     _SAMPLE_BLOCK,
     CHECK_NAMES,
     CheckResult,
     ValidationSettings,
+    _bookkeeping,
     _pooled_z,
+    _RunningMoments,
+    check_cycle_bookkeeping,
     check_order_stat_monte_carlo,
     check_simulation_moments,
     run_checks,
@@ -76,11 +86,17 @@ class TestPooledZ:
     def test_too_few_samples_refused(self):
         for values in ([], [1.0]):
             with pytest.raises(InsufficientDataError, match="2 samples of w2, got"):
-                _pooled_z(np.array(values), 1.0, "w2")
+                _pooled_z(moments_of(values), 1.0, "w2")
 
     def test_zero_spread_needs_no_division(self):
-        assert _pooled_z(np.ones(2), 0.5, "q") == math.inf
-        assert _pooled_z(np.ones(2), 1.0, "q") == 0.0
+        assert _pooled_z(moments_of(np.ones(2)), 0.5, "q") == math.inf
+        assert _pooled_z(moments_of(np.ones(2)), 1.0, "q") == 0.0
+
+
+def moments_of(values):
+    sample = _RunningMoments()
+    sample.add(values)
+    return sample
 
 
 def set_cpus(monkeypatch, count):
@@ -159,6 +175,21 @@ class TestCheckThreads:
             finally:
                 tracemalloc.stop()
         # less than one block of the eight float64 samples
+        assert peaks[1] - peaks[0] < 8 * 8 * _SAMPLE_BLOCK
+
+    def test_cycle_bookkeeping_memory_does_not_grow_with_the_run(self):
+        # imports made on the first call stay out of the traced peaks
+        check_cycle_bookkeeping(ValidationSettings(num_intervals=2000))
+        peaks = []
+        for num_intervals in (200_000, 2_000_000):
+            tracemalloc.start()
+            try:
+                check_cycle_bookkeeping(ValidationSettings(num_intervals=num_intervals))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # less than one block of eight float64 arrays; the whole ledger and
+        # its cycles grew by about 65 bytes per interval
         assert peaks[1] - peaks[0] < 8 * 8 * _SAMPLE_BLOCK
 
 
@@ -355,6 +386,70 @@ def test_order_stat_monte_carlo_equals_the_whole_matrix(seed):
     assert check_order_stat_monte_carlo(settings) == whole_matrix_order_stat_monte_carlo(
         settings
     )
+
+
+BOOKKEEPING = ("cycles", "counted", "expect", "w_sum", "y_sum", "corr")
+
+
+def whole_run_bookkeeping(seed, num_intervals):
+    """What _bookkeeping returns, from one whole ledger: the oracle."""
+    rng = np.random.default_rng(seed)
+    ledger = simulate_ledger(ServiceDistribution(rate=1.0, shift=0.5), 2, num_intervals, rng)
+    d = np.flatnonzero(ledger.delivered)
+    w, _ = _cycles(ledger.y, ledger.x_nonp, d)
+    m = np.diff(d)
+    return (
+        m.size,
+        int(m.sum()) + num_intervals - 1 - d[-1],
+        num_intervals - 1 - d[0],
+        w.sum(),
+        ledger.y.sum(),
+        float(np.corrcoef(m, ledger.y[d[1:]])[0, 1]),
+    )
+
+
+@pytest.mark.parametrize(
+    "num_intervals", [_SAMPLE_BLOCK - 1, _SAMPLE_BLOCK + 1, 3 * _SAMPLE_BLOCK + 17]
+)
+@pytest.mark.parametrize("seed", [1729, 5])
+def test_streamed_cycle_bookkeeping_equals_the_whole_run(seed, num_intervals):
+    settings = ValidationSettings(seed=seed, num_intervals=num_intervals)
+    streamed = dict(zip(BOOKKEEPING, _bookkeeping(settings), strict=True))
+    oracle = dict(zip(BOOKKEEPING, whole_run_bookkeeping(seed + 17, num_intervals)))
+    for name in ("cycles", "counted", "expect"):
+        assert streamed[name] == oracle[name], name
+    assert streamed["counted"] == streamed["expect"]
+    assert (streamed["w_sum"] <= streamed["y_sum"]) == (oracle["w_sum"] <= oracle["y_sum"])
+    # block sums added in turn, against numpy's pairwise sums of the whole
+    for name in ("w_sum", "y_sum"):
+        assert streamed[name] == pytest.approx(oracle[name], rel=1e-12), name
+    assert streamed["corr"] == pytest.approx(oracle["corr"], rel=0, abs=1e-12)
+
+
+class TestRunningMoments:
+    def test_one_block_gives_the_two_pass_values(self):
+        rng = np.random.default_rng(4)
+        x, y = rng.random(1001), rng.integers(0, 9, 1001)
+        alone, paired = _RunningMoments(), _RunningMoments()
+        alone.add(x)
+        paired.add(x, y)
+        dx, dy = x - x.mean(), y - y.mean()
+        assert (alone.count, alone.mean, alone.m2) == (1001, x.mean(), (dx * dx).sum())
+        assert (paired.count, paired.mean, paired.other_mean) == (1001, x.mean(), y.mean())
+        assert paired.m2 == (dx * dy).sum()
+
+    def test_blocks_merge_to_the_whole_co_moment(self):
+        rng = np.random.default_rng(5)
+        x = rng.random(5000)
+        y = 3.0 * x + rng.random(5000) + 1e6
+        merged = _RunningMoments()
+        for a, b in zip([0, 1, 7, 2048, 4999], [1, 7, 2048, 4999, 5000]):
+            merged.add(x[a:b], y[a:b])
+        whole = ((x - x.mean()) * (y - y.mean())).sum()
+        assert merged.count == 5000
+        assert merged.mean == pytest.approx(x.mean(), rel=1e-14)
+        assert merged.other_mean == pytest.approx(y.mean(), rel=1e-14)
+        assert merged.m2 == pytest.approx(whole, rel=1e-12)
 
 
 @pytest.fixture(scope="module")
