@@ -1,8 +1,10 @@
-"""Shortest round-trip decimals of float64 arrays, byte for byte ``repr``.
+"""The ledger's CSV text, its floats the shortest round-trip decimals of ``repr``.
 
-:func:`write_reprs` writes a whole array of non-negative finite doubles
-at once, and :func:`float_reprs` is its ``S24`` view.  The digits come
-from Schubfach (R. Giulietti, "The Schubfach
+This module is the one place that knows the ledger's row format.
+:func:`ledger_text` lays out any run of rows as CSV lines, under the
+header line ``LEDGER_HEADER``.  :func:`write_reprs` writes the text of a
+whole array of non-negative finite doubles at once, each value followed
+by a comma.  The digits come from Schubfach (R. Giulietti, "The Schubfach
 way to render doubles", 2020), which finds the shortest decimal in a
 double's rounding interval, and the nearest one among equals, with a
 fixed number of 64-bit integer operations and no per-digit loop, so it
@@ -31,7 +33,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["float_reprs", "write_counting", "write_reprs"]
+__all__ = ["LEDGER_HEADER", "ledger_text", "write_counting", "write_reprs"]
+
+LEDGER_HEADER = b"j,Y_j,X_1j,X_nonp_j,delivered\n"
+
+# rows that ledger_text lays out at a time, which bounds its temporaries
+_BLOCK_ROWS = 4096
 
 _MASK32 = 0xFFFFFFFF
 _MASK63 = 2**63 - 1
@@ -50,18 +57,22 @@ _DOTS = int.from_bytes(b"." * 8, "little")
 # the characters that follow the kept digits, as words: "." after a
 # value's integer digits, or "0.000" before the digits of one below 1
 _FILLS = np.array([_DOTS, int.from_bytes(b"0.000000", "little")], np.uint64)
-_ZERO_TEXT = int.from_bytes(b"0.0", "little")
-# _BYTE_AT[i + 16] is 1 in the low bit of character i of a word, 0 off the word
-_BYTE_AT = np.array([1 << 8 * i if 0 <= i < 8 else 0 for i in range(-16, 25)], np.uint64)
-_COMMA_AT = _BYTE_AT * ord(",")
-_POW10 = np.array([10**i for i in range(18)], np.uint64)
-# "e-324" .. "e+308", as words, by decimal exponent + 324
-_EXPONENTS = np.array(
-    [int.from_bytes(b"e%+03d" % e, "little") for e in range(-324, 309)], np.uint64
+_ZERO_TEXT = int.from_bytes(b"0.0,", "little")
+# _COMMA_AT[i + 16] is a comma at character i of a word, 0 off the word
+_COMMA_AT = np.array(
+    [ord(",") << 8 * i if 0 <= i < 8 else 0 for i in range(-16, 25)], np.uint64
 )
-# 1 in the low bit of the character after each of those
-_EXPONENT_ENDS = np.array(
-    [1 << 8 * len(b"e%+03d" % e) for e in range(-324, 309)], np.uint64
+_POW10 = np.array([10**i for i in range(18)], np.uint64)
+# "e-324," .. "e+308,", as words, by decimal exponent + 324, XOR a comma at
+# character 0: XORed onto the comma that ends a value's digits, each puts
+# its exponent there and the comma after it
+_EXPONENTS = np.array(
+    [int.from_bytes(b"e%+03d," % e, "little") ^ ord(",") for e in range(-324, 309)],
+    np.uint64,
+)
+# the delivered column's text and the newline, by flag, as a word
+_FLAG_LINES = np.array(
+    [int.from_bytes(b"%d\n" % flag, "little") for flag in (0, 1)], np.uint64
 )
 
 
@@ -214,27 +225,14 @@ def write_counting(first: int, out: np.ndarray) -> None:
             out[rows, w] = word & _BELOW[end] | _COMMA_AT[end]
 
 
-def float_reprs(values) -> np.ndarray:
-    """``repr`` of each non-negative finite double, as a NUL-padded ``S24`` array.
-
-    ``float_reprs(x).tolist()`` equals ``[repr(v).encode() for v in
-    x.tolist()]`` for a 1-d ``x``.  Raises ValueError when a value is
-    negative (-0.0 too), infinite or nan.
-    """
-    values = np.ascontiguousarray(values, np.float64).reshape(-1)
-    out = np.empty((values.size, 3), "<u8")
-    write_reprs(values, out)
-    return out.view("S24").reshape(-1)
-
-
-def write_reprs(values, out: np.ndarray, sep: bytes = b"") -> None:
-    """Write ``repr`` of each value, then ``sep``, as NUL-padded text into ``out``.
+def write_reprs(values, out: np.ndarray) -> None:
+    """Write ``repr`` of each value, then a comma, as NUL-padded text into ``out``.
 
     ``out[..., w]`` receives characters ``8 * w`` to ``8 * w + 7`` of the
     text of ``values[...]`` as one little-endian word, so ``out`` has the
     shape of ``values`` plus a last axis of 3 ``uint64`` words, and may be
     a strided view, such as three word columns of a row matrix.  A
-    ``repr`` is at most 23 characters, so one ``sep`` byte always fits.
+    ``repr`` is at most 23 characters, so its comma always fits.
     Raises ValueError when a value is negative (-0.0 too), infinite or
     nan, and then writes nothing.
     """
@@ -277,9 +275,7 @@ def write_reprs(values, out: np.ndarray, sep: bytes = b"") -> None:
     shift = (8 * fill).astype(np.uint64)
     unshift = 64 - shift
     fill_text = _FILLS[(point <= 0).view(np.uint8)]
-    sep_byte = ord(sep or b"\0")
-    sep_at = _BYTE_AT * sep_byte
-    # indices into _BELOW and sep_at, whose entry 16 is a word's character 0
+    # indices into _BELOW and _COMMA_AT, whose entry 16 is a word's character 0
     keep_at = keep + 16
     fill_at = keep_at + fill
     length_at = length + 16
@@ -293,15 +289,13 @@ def write_reprs(values, out: np.ndarray, sep: bytes = b"") -> None:
         word = fill_text ^ ((fill_text ^ text) & _BELOW[keep_at - 8 * w])
         word = moved ^ ((moved ^ word) & _BELOW[fill_at - 8 * w])
         word &= _BELOW[length_at - 8 * w]
-        if sep:
-            word |= sep_at[length_at - 8 * w]
+        word |= _COMMA_AT[length_at - 8 * w]
         out[..., w] = word
         fill_text = _DOTS
     if has_sci:
-        # the exponent goes where the loop put sep, which moves after it
+        # the exponent goes where the loop put the comma, which moves after it
         rows = np.nonzero(sci)
-        exponent = decpt[rows] + (324 - 1)
-        suffix = _EXPONENTS[exponent] + _EXPONENT_ENDS[exponent] * sep_byte ^ sep_byte
+        suffix = _EXPONENTS[decpt[rows] + (324 - 1)]
         offset = 8 * (length[rows][:, None] - np.array([0, 8, 16]))
         out[rows] ^= np.where(
             offset >= 0,
@@ -309,4 +303,37 @@ def write_reprs(values, out: np.ndarray, sep: bytes = b"") -> None:
             suffix[:, None] >> np.maximum(-offset, 0).astype(np.uint64),
         )
     if has_zero:
-        out[zero] = (_ZERO_TEXT | sep_byte << 24, 0, 0)
+        out[zero] = (_ZERO_TEXT, 0, 0)
+
+
+def ledger_text(first: int, y, x1, x_nonp, delivered) -> bytes:
+    """The CSV lines of the ledger rows numbered ``first``, ``first + 1``, ...
+
+    The columns are those that ``simulator.generate_interval_sweep``
+    yields, one entry per row.  The rows are laid out ``_BLOCK_ROWS`` at a
+    time, so the temporaries stay a few blocks whatever the row count.
+    """
+    columns = (y, x1, x_nonp, delivered)
+    return b"".join(
+        _block_text(first + a, *(c[a : a + _BLOCK_ROWS] for c in columns))
+        for a in range(0, y.size, _BLOCK_ROWS)
+    )
+
+
+def _block_text(first: int, y, x1, x_nonp, delivered) -> np.ndarray:
+    """The CSV lines of one block whose first row is row ``first``, as ``uint8`` text.
+
+    Each row is laid out in fixed-width ``uint64`` words: j and its comma,
+    three 24-character fields that each hold a float's ``repr`` and its
+    comma, and a word with the flag and the newline.  Every unused
+    character is NUL, and one compaction drops them all.
+    """
+    size = y.size
+    j_words = (len(str(first + size - 1)) + 8) // 8  # the digits and a comma
+    rows = np.empty((size, j_words + 10), np.uint64)
+    write_counting(first, rows[:, :j_words])
+    floats = rows[:, j_words : j_words + 9].reshape(size, 3, 3)
+    write_reprs(np.stack((y, x1, x_nonp), axis=1), floats)
+    rows[:, -1] = _FLAG_LINES[delivered.view(np.uint8)]
+    text = rows.view(np.uint8).reshape(-1)
+    return text[text != 0]

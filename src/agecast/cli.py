@@ -30,7 +30,7 @@ from .simulator import (
     write_ledger_csv,
 )
 from .sweeps import SweepSpec, sweep_k, sweep_shift
-from .validation import CHECK_NAMES, ValidationSettings, run_checks
+from .validation import ValidationSettings, run_checks, select_checks
 
 __all__ = ["main", "parse_config"]
 
@@ -78,12 +78,11 @@ def _checks(text: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in text.split(",") if part.strip())
     if not names:
         raise argparse.ArgumentTypeError("checks must name at least one check")
-    unknown = set(names) - set(CHECK_NAMES)
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown checks {sorted(unknown)}; available: {', '.join(CHECK_NAMES)}"
-        )
-    return names
+    try:
+        return select_checks(names)
+    except ValueError as exc:
+        # argparse shows its own message for a ValueError
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # dest -> (flag, default, argparse keywords).  A config-file value

@@ -46,20 +46,12 @@ __all__ = [
 
 CROSS_CHECK_MAX_INTERVALS = 100_000
 
-# rows the ledger writer lays out at a time
-_BLOCK_ROWS = 4096
-
 # uniforms the interval kernel draws into its buffer at a time when it
 # folds a node into the running max; the same stream as a whole column
 _COLUMN_CHUNK = 16384
 
-# the delivered column's text and the newline, by flag, as a word
-_FLAG_LINES = np.array(
-    [int.from_bytes(b"%d\n" % flag, "little") for flag in (0, 1)], np.uint64
-)
-
 # rows the ledger writer draws, formats and writes as one task
-_TASK_ROWS = 4 * _BLOCK_ROWS
+_TASK_ROWS = 16384
 
 # from this many rows on, the ledger writer formats on a worker pool; below
 # it, starting the workers costs more than they save
@@ -263,7 +255,8 @@ def generate_interval_sweep(
     the last column.  A window short of the whole pass therefore needs a
     PCG64 or PCG64DXSM generator (any other raises ValueError), while the
     whole pass never jumps and takes any generator.  The ledger writer
-    draws each block of a dump this way, in the process that formats it.
+    draws each 16384-row task of a dump this way, in the process that
+    formats it.
 
     Each node after node 1 is drawn ``_COLUMN_CHUNK`` uniforms at a time
     and folded into a running max of the raw uniforms, which the
@@ -621,7 +614,7 @@ def _map_replications(config: SimConfig, ks, fn) -> list[list]:
                     held.work = held.run = None
 
 
-def _replication_ages(y, x1, x_nonp, delivered, work=None) -> dict[str, float]:
+def _replication_ages(y, x1, x_nonp, delivered, work) -> dict[str, float]:
     """One replication's two ages at one k, keyed by SimResult field without suffix.
 
     All a sweep point writes.  Bit for bit ``accumulate_priority`` and
@@ -635,14 +628,12 @@ def _ages(y, x1, x_nonp, d, work):
     """:func:`_replication_ages` from the delivery indices ``d``, with the sums of w**2 and w.
 
     The priority age comes first, its products in the ``spans`` buffer of
-    the workspace ``work`` (a new one when it is None).  :func:`_cycles`
-    then writes the cycles into the ``y`` and ``spans`` buffers, so a
-    ``y`` drawn into the workspace is spent; at k = 1, ``y`` is ``x1``,
-    which it never writes.  Raises :class:`InsufficientDataError` unless
-    the run sees two deliveries and a miss.
+    the workspace ``work``.  :func:`_cycles` then writes the cycles into
+    the ``y`` and ``spans`` buffers, so a ``y`` drawn into the workspace
+    is spent; at k = 1, ``y`` is ``x1``, which it never writes.  Raises
+    :class:`InsufficientDataError` unless the run sees two deliveries and
+    a miss.
     """
-    if work is None:
-        work = _Workspace(y.size)
     age_priority = _priority_age(y, x1, out=work("spans"))
     w, xtilde = _cycles(y, x_nonp, d, work)
     if d.size == y.size or d.size < 2:
@@ -654,25 +645,22 @@ def _ages(y, x1, x_nonp, d, work):
     return ages, w_sq_sum, w_sum
 
 
-def _replication_estimates(y, x1, x_nonp, delivered, work=None) -> dict[str, float]:
+def _replication_estimates(y, x1, x_nonp, delivered, work) -> dict[str, float]:
     """One replication's estimates at one k, keyed by SimResult field without suffix.
 
     Read straight off the interval columns and their :func:`_cycles`, with
-    every length-N temporary in the buffers of the workspace ``work`` (a
-    new one when it is None), so a thread that reuses one workspace makes
-    no length-N array per point.  The sums of y come first, because
-    :func:`_ages` spends a ``y`` drawn into the workspace.  Each sum sees
-    the same values as the one over a new array, contiguous and of the
-    same length, so it keeps its bits: each value equals, bit for bit,
-    ``accumulate_priority``, ``accumulate_nonpriority`` of a CycleLedger of
-    the same columns, or the mean of the whole-run array of the sample it
-    is named after (y, the cycles' w, w**2, xtilde and lengths from
-    :func:`_cycles`, the miss flags, and y at the misses and at the
-    deliveries).
+    every length-N temporary in the buffers of the workspace ``work``, so
+    a thread that reuses one workspace makes no length-N array per point.
+    The sums of y come first, because :func:`_ages` spends a ``y`` drawn
+    into the workspace.  Each sum sees the same values as the one over a
+    new array, contiguous and of the same length, so it keeps its bits:
+    each value equals, bit for bit, ``accumulate_priority``,
+    ``accumulate_nonpriority`` of a CycleLedger of the same columns, or
+    the mean of the whole-run array of the sample it is named after (y,
+    the cycles' w, w**2, xtilde and lengths from :func:`_cycles`, the miss
+    flags, and y at the misses and at the deliveries).
     """
     num_intervals = y.size
-    if work is None:
-        work = _Workspace(num_intervals)
     spans = work("spans")
     y_sum = y.sum()
     # the gathers of y go to ``spans`` until the ages need it, the misses' first
@@ -843,52 +831,23 @@ class LedgerSpec:
         object.__setattr__(self, "seed", check_count("seed", self.seed, 0, MAX_SEED))
 
 
-def _block_text(first: int, y, x1, x_nonp, delivered) -> np.ndarray:
-    """The CSV lines of one block whose first row is row ``first``, as ``uint8`` text.
-
-    Each row is laid out in fixed-width ``uint64`` words: j and its comma,
-    three 24-character fields that each hold a float's ``repr`` and its
-    comma, and a word with the flag and the newline.  Every unused
-    character is NUL, and one compaction drops them all.
-    """
-    from ._shortest import write_counting, write_reprs
-
-    size = y.size
-    j_words = (len(str(first + size - 1)) + 8) // 8  # the digits and a comma
-    rows = np.empty((size, j_words + 10), np.uint64)
-    write_counting(first, rows[:, :j_words])
-    floats = rows[:, j_words : j_words + 9].reshape(size, 3, 3)
-    write_reprs(np.stack((y, x1, x_nonp), axis=1), floats, b",")
-    rows[:, -1] = _FLAG_LINES[delivered.view(np.uint8)]
-    text = rows.view(np.uint8).reshape(-1)
-    return text[text != 0]
-
-
-def _ledger_rows(
-    spec: LedgerSpec, start: int, stop: int | None = None
-) -> tuple[bytes, int]:
+def _ledger_rows(spec: LedgerSpec, start: int, stop: int) -> tuple[bytes, int]:
     """CSV lines and delivery count of rows ``start .. stop - 1`` of a ledger.
 
-    ``stop`` defaults to the end of the block that begins at ``start``.
     The rows are drawn here, as one row window of the whole pass from the
     seed's PCG64 start state, so no process holds more than these rows of
-    any column.  They are laid out a block of ``_BLOCK_ROWS`` at a time by
-    :func:`_block_text`, whose floats come from ``_shortest.write_reprs``,
-    byte for byte their ``repr``.
+    any column.  ``_shortest.ledger_text`` lays them out, its floats byte
+    for byte their ``repr``.
     """
-    if stop is None:
-        stop = min(start + _BLOCK_ROWS, spec.num_intervals)
+    from ._shortest import ledger_text
+
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     columns = next(
         generate_interval_sweep(
             rng, spec.dist, spec.num_intervals, (spec.k,), rows=(start, stop)
         )
     )
-    blocks = (
-        _block_text(start + 1 + a, *(c[a : a + _BLOCK_ROWS] for c in columns))
-        for a in range(0, stop - start, _BLOCK_ROWS)
-    )
-    return b"".join(blocks), int(np.count_nonzero(columns[3]))
+    return ledger_text(start + 1, *columns), int(np.count_nonzero(columns[3]))
 
 
 def _write_all(fd: int, data) -> None:
@@ -979,11 +938,10 @@ def write_ledger_csv(ledger: LedgerSpec, path) -> int:
     Returns the number of deliveries.  ``ledger`` names the dump.  Its
     rows are drawn, formatted and written a task of ``_TASK_ROWS`` =
     16384 at a time, each drawn as one row window of the seed's stream
-    and laid out as byte text a block of 4096 rows at a time; memory
-    stays a few tasks whatever ``num_intervals``.  Floats are written as
-    the shortest decimal that reads back to the same double, byte for
-    byte ``repr``, by the vectorised kernel ``_shortest.write_reprs``,
-    which the tests check against ``repr``.  From ``_POOL_MIN_ROWS`` =
+    and laid out as byte text by ``_shortest.ledger_text``; memory stays
+    a few tasks whatever ``num_intervals``.  Floats are written as the
+    shortest decimal that reads back to the same double, byte for byte
+    ``repr``, which the tests check.  From ``_POOL_MIN_ROWS`` =
     65536 rows on, where the ``fork`` start method exists and the
     process may run on more than one CPU, the tasks run on a pool of
     forked workers, at most one per CPU of the affinity mask.  Each
@@ -996,13 +954,13 @@ def write_ledger_csv(ledger: LedgerSpec, path) -> int:
     """
     # imported on the ledger path only, and before the fork, so that the
     # workers inherit it
-    from . import _shortest  # noqa: F401
+    from ._shortest import LEDGER_HEADER
 
     starts = range(0, ledger.num_intervals, _TASK_ROWS)
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
         # written before the fork, so the workers' writes follow it
-        _write_all(fd, b"j,Y_j,X_1j,X_nonp_j,delivered\n")
+        _write_all(fd, LEDGER_HEADER)
         workers = _pool_size(ledger.num_intervals)
         if workers == 1:
             return sum(map(partial(_write_rows, ledger, fd, None), starts))

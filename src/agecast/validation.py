@@ -49,7 +49,7 @@ from .theory import (
     xtilde_mean,
 )
 
-__all__ = ["CheckResult", "ValidationSettings", "run_checks", "CHECK_NAMES"]
+__all__ = ["CheckResult", "ValidationSettings", "run_checks", "select_checks", "CHECK_NAMES"]
 
 # rows that a sampling check draws and reduces at a time; small enough that a
 # block's arrays stay below a short run's whole arrays
@@ -549,6 +549,16 @@ _CHECKS = (
 CHECK_NAMES = tuple(fn.__name__.removeprefix("check_") for fn in _CHECKS)
 
 
+def select_checks(names) -> tuple[str, ...]:
+    """``names`` as a tuple; ValueError listing the checks if one names none."""
+    unknown = set(names) - set(CHECK_NAMES)
+    if unknown:
+        raise ValueError(
+            f"unknown checks {sorted(unknown)}; available: {', '.join(CHECK_NAMES)}"
+        )
+    return tuple(names)
+
+
 def run_checks(
     settings: ValidationSettings, names: tuple[str, ...] | None = None
 ) -> list[CheckResult]:
@@ -565,10 +575,7 @@ def run_checks(
     check order reaches the caller once the threads have stopped.  Peak
     memory is the sum of the peaks of the items running at once.
     """
-    wanted = set(names) if names is not None else set(CHECK_NAMES)
-    unknown = wanted - set(CHECK_NAMES)
-    if unknown:
-        raise ValueError(f"unknown check names: {sorted(unknown)}")
+    wanted = set(CHECK_NAMES if names is None else select_checks(names))
 
     def run(check) -> CheckResult:
         name, fn = check

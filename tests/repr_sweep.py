@@ -1,10 +1,11 @@
-"""How many random doubles ``float_reprs`` formats differently from ``repr``.
+"""How many random doubles ``write_reprs`` formats differently from ``repr``.
 
 Draws uniformly random bit patterns of non-negative finite doubles from
-a fixed seed, formats each chunk with ``agecast._shortest.float_reprs``
-and with ``repr``, and prints the count, the mismatches (the first few
-in full) and the run time.  It exits 1 on any mismatch.  Slow (about
-3 s per million doubles on one core), so it is not part of the test suite:
+a fixed seed, formats each chunk with ``agecast._shortest.write_reprs``
+(through :func:`float_reprs`, which the tests share) and with ``repr``,
+and prints the count, the mismatches (the first few in full) and the run
+time.  It exits 1 on any mismatch.  Slow (about 3 s per million doubles
+on one core), so it is not part of the test suite:
 
     PYTHONPATH=src python3 tests/repr_sweep.py [COUNT]
 
@@ -18,12 +19,26 @@ import time
 
 import numpy as np
 
-from agecast._shortest import float_reprs
+from agecast._shortest import write_reprs
 
 SEED = 2020
 CHUNK = 2**16
 # the bit pattern of inf; below it lie 0.0 and every positive finite double
 INF_BITS = 0x7FF0000000000000
+
+
+def float_reprs(values) -> np.ndarray:
+    """``write_reprs``' text of each value less its comma, as a NUL-padded ``S24`` array.
+
+    ``float_reprs(x).tolist()`` equals ``[repr(v).encode() for v in
+    x.tolist()]`` for a 1-d ``x`` of non-negative finite doubles.
+    """
+    values = np.ascontiguousarray(values, np.float64).reshape(-1)
+    out = np.empty((values.size, 3), "<u8")
+    write_reprs(values, out)
+    text = out.view(np.uint8)
+    text[text == ord(",")] = 0  # a repr holds no comma
+    return out.view("S24").reshape(-1)
 
 
 def main(argv: list[str]) -> int:

@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from agecast._shortest import _BLOCK_ROWS
 from agecast.order_stats import MAX_K, ServiceDistribution
 from agecast.simulator import (
-    _BLOCK_ROWS,
     _COLUMN_CHUNK,
     _Workspace,
     generate_interval_sweep,

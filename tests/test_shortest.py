@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agecast._shortest import float_reprs
+from agecast._shortest import write_reprs
+from repr_sweep import float_reprs
 
 # the bit pattern of inf; below it lie 0.0 and every positive finite double
 INF_BITS = 0x7FF0000000000000
@@ -91,5 +92,8 @@ def test_layout():
 
 @pytest.mark.parametrize("value", [-1.0, -0.0, np.inf, np.nan, -np.inf])
 def test_negative_and_non_finite_values_are_refused(value):
+    # and nothing is written
+    out = np.arange(6, dtype=np.uint64).reshape(2, 3)
     with pytest.raises(ValueError, match="non-negative finite"):
-        float_reprs(np.array([1.0, value]))
+        write_reprs(np.array([1.0, value]), out)
+    assert out.tolist() == [[0, 1, 2], [3, 4, 5]]

@@ -23,6 +23,7 @@ except ImportError:  # no resource module on this platform
     resource = None
 
 from agecast import simulator
+from agecast._shortest import _BLOCK_ROWS
 from agecast.order_stats import ServiceDistribution
 from agecast.simulator import (
     CROSS_CHECK_MAX_INTERVALS,
@@ -44,7 +45,6 @@ from agecast.simulator import (
     write_ledger_csv,
 )
 from agecast.simulator import (
-    _BLOCK_ROWS,
     _COLUMN_CHUNK,
     _POOL_MIN_ROWS,
     _RUN_START,
@@ -300,11 +300,13 @@ def test_replication_estimates_equal_the_ledger_estimates(shift, k, seed, num_in
         "age_nonpriority": accumulate_nonpriority(ledger),
     }
     expected.update((name, float(values.mean())) for name, values in moment_samples(ledger).items())
-    estimates = _replication_estimates(*columns)
+    work = _Workspace(num_intervals)
+    estimates = _replication_estimates(*columns, work)
     assert list(estimates) == list(expected)
     assert estimates == expected
     ages = {name: expected[name] for name in ("age_priority", "age_nonpriority")}
-    for work in (None, _Workspace(num_intervals)):
+    # a new workspace, and the one the estimates used
+    for work in (_Workspace(num_intervals), work):
         assert _replication_ages(*columns, work) == ages
 
 
@@ -372,7 +374,7 @@ class TestStreamedCycleMoments:
         self.assert_blocks_give_the_oracle(ledger, [0, 1, 2, 7, 4096, 4097, 15_000, 20_011])
 
 
-def estimates_or_error(columns, work=None, estimate=_replication_estimates):
+def estimates_or_error(columns, work, estimate):
     try:
         return estimate(*columns, work)
     except InsufficientDataError as exc:
@@ -394,7 +396,10 @@ class TestWorkspace:
                 np.random.default_rng(seed), self.SEXP, num_intervals, k
             )
             deliveries.append(int(columns[3].sum()))
-            assert _replication_estimates(*columns, work) == _replication_estimates(*columns)
+            fresh = _Workspace(num_intervals)
+            assert _replication_estimates(*columns, work) == (
+                _replication_estimates(*columns, fresh)
+            )
             # a slice read past what this point wrote would now read NaN
             for name in ("spans", "y"):
                 work(name).fill(np.nan)
@@ -424,7 +429,7 @@ class TestWorkspace:
                         for a, b in zip(in_work, columns):
                             np.testing.assert_array_equal(a, b)
                         assert estimates_or_error(in_work, work, estimate) == (
-                            estimates_or_error(columns, None, estimate)
+                            estimates_or_error(columns, _Workspace(num_intervals), estimate)
                         )
 
     @pytest.mark.parametrize("deliveries", [0, 1, 2, 7])
@@ -449,10 +454,9 @@ class TestWorkspace:
         columns[3][0] = True
         message = "replication too short to observe both delivery outcomes"
         for estimate in (_replication_estimates, _replication_ages):
-            for work in (None, _Workspace(6)):
-                with pytest.raises(InsufficientDataError) as caught:
-                    estimate(*columns, work)
-                assert str(caught.value) == message
+            with pytest.raises(InsufficientDataError) as caught:
+                estimate(*columns, _Workspace(6))
+            assert str(caught.value) == message
 
     def test_refuses_a_workspace_of_another_length(self):
         with pytest.raises(ValueError, match="workspace holds 10 intervals"):
@@ -811,7 +815,8 @@ class TestLedgerCsv:
     def test_block_bytes_equal_the_repr_oracle(self, dist, k):
         spec = LedgerSpec(dist, k, 2 * _BLOCK_ROWS + 17, 23)
         for start in range(0, spec.num_intervals, _BLOCK_ROWS):
-            assert _ledger_rows(spec, start) == repr_ledger_rows(spec, start)
+            stop = min(start + _BLOCK_ROWS, spec.num_intervals)
+            assert _ledger_rows(spec, start, stop) == repr_ledger_rows(spec, start)
 
     @pytest.mark.parametrize(
         "start",
@@ -823,7 +828,8 @@ class TestLedgerCsv:
         # with its comma it takes a second word from 10**7 on and a third
         # from 10**15 on
         spec = LedgerSpec(EXP1, 2, 10**16 + 10, 29)
-        assert _ledger_rows(spec, start) == repr_ledger_rows(spec, start)
+        stop = min(start + _BLOCK_ROWS, spec.num_intervals)
+        assert _ledger_rows(spec, start, stop) == repr_ledger_rows(spec, start)
 
     def test_a_task_of_blocks_equals_its_blocks(self):
         spec = LedgerSpec(EXP1, 4, 10**9, 3)
@@ -926,7 +932,7 @@ class TestLedgerWorkerPool:
         set_cpus(monkeypatch, 2)
         ledger_rows = simulator._ledger_rows
 
-        def failing_rows(spec, start, stop=None):
+        def failing_rows(spec, start, stop):
             # the later tasks wait for this one's turn, which never comes
             if start == _TASK_ROWS:
                 raise ValueError("task 1 failed")
