@@ -27,6 +27,13 @@ words per value, so it too is a fixed sequence of array operations, and
 it writes those words straight into the caller's array, such as three
 word columns of a ledger block's row matrix.  :func:`write_counting`
 lays out the ledger's row numbers in the same words.
+
+Every intermediate of a block goes to a small set of named buffers in a
+scratch that the caller owns and passes in, a ``simulator._Workspace``,
+and each step writes its result into one of them with ``out=``, so a
+warm call allocates no array but the compacted text of one block.  A
+ufunc's ``where=`` and ``np.copyto``'s take a branch per element, so a
+mask that mixes True and False enters the arithmetic as 0 or 1 instead.
 """
 
 from __future__ import annotations
@@ -37,8 +44,12 @@ __all__ = ["LEDGER_HEADER", "ledger_text", "write_counting", "write_reprs"]
 
 LEDGER_HEADER = b"j,Y_j,X_1j,X_nonp_j,delivered\n"
 
-# rows that ledger_text lays out at a time, which bounds its temporaries
+# rows that ledger_text lays out at a time, which bounds its scratch
 _BLOCK_ROWS = 4096
+
+# the uint64 slots and bool flags of scratch that formatting holds at most
+_SLOTS = 12
+_FLAGS = 8
 
 _MASK32 = 0xFFFFFFFF
 _MASK63 = 2**63 - 1
@@ -53,10 +64,10 @@ _K_MAX = 292
 # characters before index i of a word, -16 <= i <= 24
 _BELOW = np.array([(1 << 8 * min(max(i, 0), 8)) - 1 for i in range(-16, 25)], np.uint64)
 _ASCII_ZEROS = int.from_bytes(b"0" * 8, "little")
-_DOTS = int.from_bytes(b"." * 8, "little")
 # the characters that follow the kept digits, as words: "." after a
 # value's integer digits, or "0.000" before the digits of one below 1
-_FILLS = np.array([_DOTS, int.from_bytes(b"0.000000", "little")], np.uint64)
+_DOTS = int.from_bytes(b"." * 8, "little")
+_FILL_BELOW_ONE = int.from_bytes(b"0.000000", "little")
 _ZERO_TEXT = int.from_bytes(b"0.0,", "little")
 # _COMMA_AT[i + 16] is a comma at character i of a word, 0 off the word
 _COMMA_AT = np.array(
@@ -74,12 +85,6 @@ _EXPONENTS = np.array(
 _FLAG_LINES = np.array(
     [int.from_bytes(b"%d\n" % flag, "little") for flag in (0, 1)], np.uint64
 )
-
-
-def _flog10pow2(e, three_quarters=0):
-    """floor(log10(2**e)), or floor(log10(3/4 * 2**e)) where ``three_quarters``
-    is 1 or True, for |e| up to about 5e6."""
-    return (e * 661971961083 - three_quarters * 274743187321) >> 41
 
 
 def _flog2pow10(e):
@@ -108,107 +113,260 @@ def _g_table() -> np.ndarray:
 _G = _g_table()
 
 
-def _mul_high(a0, a1, b0, b1):
-    """The high 64 bits of a * b, given the 32-bit limbs of a and of b."""
-    low = a0 * b0
-    cross1 = a1 * b0
-    cross2 = a0 * b1
-    mid = (low >> 32) + (cross1 & _MASK32) + (cross2 & _MASK32)
-    return a1 * b1 + (cross1 >> 32) + (cross2 >> 32) + (mid >> 32)
+def _scratch(scratch, n: int) -> tuple[list, list]:
+    """The ``_SLOTS`` uint64 slots and ``_FLAGS`` bool flags of ``n`` values in ``scratch``.
 
-
-def _plus(high, low, g, e):
-    """The 128-bit high:low + g * 2**e, as its high and low words; 1 <= e < 64."""
-    part = g << e
-    low = low + part
-    return high + (g >> (64 - e)) + (low < part), low
-
-
-def _minus(high, low, g, e):
-    """The 128-bit high:low - g * 2**e, as its high and low words; 1 <= e < 64."""
-    part = g << e
-    return high - (g >> (64 - e)) - (low < part), low - part
-
-
-def _rop(x1, y1, y0):
-    """floor(g * cp / 2**127), its last bit set when the remainder is not 0.
-
-    x1 is the high word of g0 * cp, and y1:y0 is g1 * cp.
+    Every function here takes its buffers from this one set, so the set
+    is as large as the most that one of them holds at once; no function
+    keeps a slot across a call to another that takes the set.
     """
-    z = (y0 >> 1) + x1
-    return (y1 + (z >> 63)) | (((z & _MASK63) + _MASK63) >> 63)
+    slots = [scratch(f"slot{i}", np.uint64, n) for i in range(_SLOTS)]
+    flags = [scratch(f"flag{i}", bool, n) for i in range(_FLAGS)]
+    return slots, flags
 
 
-def _shortest(bits):
+def _ones(flag, out):
+    """1 where ``flag``, else 0, into ``out``.
+
+    Arithmetic with these words takes the place of a ufunc's ``where=``
+    or ``np.copyto``'s, which take one branch per element and run many
+    times slower on a mixed mask.
+    """
+    np.copyto(out, flag)
+    return out
+
+
+def _divmod(v, divisor, quotient, product):
+    """``v // divisor`` into ``quotient``, and ``v`` left as ``v % divisor``.
+
+    ``product`` is overwritten.  About five times faster than
+    ``np.divmod`` on ``uint64`` arrays.
+    """
+    np.floor_divide(v, divisor, out=quotient)
+    v -= np.multiply(quotient, divisor, out=product)
+    return quotient
+
+
+def _take(row, column, out):
+    """Row ``row`` of ``_G`` at each column, into ``out``."""
+    return np.take(_G[row], column, out=out, mode="clip")
+
+
+def _below(at, out):
+    """``_BELOW[at]``, the masks of the characters before index ``at`` of a word, into ``out``."""
+    return np.take(_BELOW, at, out=out, mode="clip")
+
+
+def _mul_high(a0, a1, b0, b1, mid, cross, part):
+    """The high 64 bits of a * b, given the 32-bit limbs of a and of b, into ``a1``.
+
+    ``a0`` and the last three arguments are overwritten.
+    """
+    np.multiply(a0, b0, out=mid)
+    mid >>= 32
+    np.multiply(a1, b0, out=cross)
+    np.multiply(a0, b1, out=a0)
+    np.multiply(a1, b1, out=a1)
+    for c in (cross, a0):
+        # the low half of each cross product joins the middle sum, the high half a1
+        np.bitwise_and(c, _MASK32, out=part)
+        mid += part
+        c >>= 32
+        a1 += c
+    mid >>= 32
+    a1 += mid
+    return a1
+
+
+def _shifted(row, column, e, back, g, part):
+    """Row ``row`` of ``_G`` at each column, as ``part = g << e`` and ``g >> back`` in ``g``.
+
+    With ``back = 64 - e``, they are the low and high words of g * 2**e.
+    """
+    np.left_shift(_take(row, column, g), e, out=part)
+    g >>= back
+    return g, part
+
+
+def _rop(x1, y1, y0, z, out):
+    """floor(g * cp / 2**127) into ``out``, its last bit set when the remainder is not 0.
+
+    x1 is the high word of g0 * cp, and y1:y0 is g1 * cp.  ``z`` is
+    overwritten; it may be ``y0``, and ``out`` may be ``x1``.
+    """
+    np.right_shift(y0, 1, out=z)
+    z += x1
+    np.right_shift(z, 63, out=out)
+    out += y1
+    z &= _MASK63
+    z += _MASK63
+    z >>= 63
+    out |= z
+    return out
+
+
+def _shortest(slots, flags):
     """The shortest round-trip decimal f * 10**k of each positive double.
 
     Of the decimals in the double's rounding interval, f * 10**k has the
     fewest significant digits and, among those, lies nearest the double,
-    ties going to even f.  f may end in zeros.
+    ties going to even f.  f may end in zeros.  The doubles' bits are
+    read from ``slots[0]``; f is left in ``slots[0]`` and k - _K_MIN,
+    the column of g(k) in ``_G``, in ``slots[1]`` as int64.  The other
+    slots and the flags are overwritten.
     """
-    biased = bits >> 52
-    fraction = bits & (2**52 - 1)
-    c = fraction | np.minimum(biased, 1) << 52
-    q = np.maximum(biased, 1).astype(np.int64) - 1075
+    bits, column, cp, e, c0, c1, *t = slots
+    odd, irregular, carry, uin, win, nearer = flags
+    np.bitwise_and(bits, 1, out=c0)
+    np.not_equal(c0, 0, out=odd)
+    fraction = np.bitwise_and(bits, 2**52 - 1, out=cp)
+    biased = np.right_shift(bits, 52, out=bits)
     # a normal power of two above the least has a closer lower neighbour,
     # so its interval reaches only a quarter ulp below it
-    irregular = (fraction == 0) & (biased > 1)
-    k = _flog10pow2(q, irregular)
-    h = (q + _flog2pow10(-k) + 2).astype(np.uint64)
-    g0, g1, *limbs = np.take(_G, k - _K_MIN, axis=1)
+    np.equal(fraction, 0, out=irregular)
+    irregular &= np.greater(biased, 1, out=carry)
+    # c = fraction | min(biased, 1) << 52 and q = max(biased, 1) - 1075
+    np.minimum(biased, 1, out=c0)
+    c0 <<= 52
+    c = np.bitwise_or(fraction, c0, out=cp)
+    q = np.maximum(biased, 1, out=biased).view(np.int64)
+    q -= 1075
+    # k = floor(log10(2**q)), or floor(log10(3/4 * 2**q)) for the irregular,
+    # and e = h + 1 for h = q + _flog2pow10(-k) + 2
+    k = np.multiply(q, 661971961083, out=column.view(np.int64))
+    k -= np.multiply(_ones(irregular, c1), 274743187321, out=c1).view(np.int64)
+    k >>= 41
+    h = np.multiply(k, -913124641741, out=e.view(np.int64))
+    h >>= 38
+    h += q
+    h += 3
+    column = np.subtract(k, _K_MIN, out=k)
     # the double and its interval's lower and upper ends, times 4 * 10**-k,
     # are g * cp / 2**127 for cp = 4 * c * 2**h and cp -+ 2**e, so each end
     # is the double's product plus or minus g shifted left; the interval
     # is closed for even c and open for odd c
-    cp = c << h + 2
-    c0, c1 = cp & _MASK32, cp >> 32
-    x = _mul_high(limbs[0], limbs[1], c0, c1), g0 * cp
-    y = _mul_high(limbs[2], limbs[3], c0, c1), g1 * cp
-    vb = _rop(x[0], *y)
-    e = h + 1
-    vbr = _rop(_plus(*x, g0, e)[0], *_plus(*y, g1, e)) - (c & 1)
-    e = e - irregular
-    vbl = _rop(_minus(*x, g0, e)[0], *_minus(*y, g1, e)) + (c & 1)
-    s = vb >> 2
+    c <<= 1
+    cp = np.left_shift(c, e, out=c)
+    np.bitwise_and(cp, _MASK32, out=c0)
+    np.right_shift(cp, 32, out=c1)
+    x1 = _mul_high(_take(2, column, bits), _take(3, column, t[0]), c0, c1, *t[1:4])
+    x0 = _take(0, column, bits)
+    x0 *= cp
+    y1 = _mul_high(_take(4, column, t[1]), _take(5, column, t[2]), c0, c1, *t[3:6])
+    y0 = _take(1, column, t[1])
+    y0 *= cp
+    vb = _rop(x1, y1, y0, c0, cp)
+    # the upper end: x + g0 * 2**e and y + g1 * 2**e, 128 bits each
+    back = np.subtract(64, e, out=c1)
+    high, part = _shifted(0, column, e, back, t[3], t[4])
+    np.less(np.add(x0, part, out=t[5]), part, out=carry)
+    high += x1
+    high += _ones(carry, t[5])
+    y_high, part = _shifted(1, column, e, back, t[4], t[5])
+    y_low = np.add(y0, part, out=c0)
+    np.less(y_low, part, out=carry)
+    y_high += y1
+    y_high += _ones(carry, part)
+    vbr = _rop(high, y_high, y_low, y_low, high)
+    vbr -= _ones(odd, c0)
+    # the lower end, a quarter ulp nearer for the irregular ones: x and y
+    # less g * 2**e, in place
+    e -= _ones(irregular, c0)
+    back += c0
+    high, part = _shifted(0, column, e, back, t[4], t[5])
+    np.less(x0, part, out=carry)
+    x1 -= high
+    x1 -= _ones(carry, c0)
+    high, part = _shifted(1, column, e, back, t[4], t[5])
+    np.less(y0, part, out=carry)
+    y0 -= part
+    y1 -= high
+    y1 -= _ones(carry, c0)
+    vbl = _rop(x1, y1, y0, y0, x1)
+    vbl += _ones(odd, c0)
+    s = np.right_shift(vb, 2, out=bits)
     # one digit fewer: the multiple of 10 * 10**k in the interval, if just one
-    sp10 = s // 10 * 10
-    upin = vbl <= sp10 << 2
-    shorter = (s >= 10) & (upin != ((sp10 + 10) << 2 <= vbr))
-    # otherwise s or s + 1: the one in the interval, or the nearer if both
-    uin = vbl <= s << 2
-    win = (s + 1) << 2 <= vbr
-    middle = (s << 2) + 2
-    nearer_s = (vb < middle) | ((vb == middle) & ((s & 1) == 0))
-    f = s + ~np.where(uin != win, uin, nearer_s)
-    return np.where(shorter, sp10 + ~upin * np.uint64(10), f), k
+    sp10 = np.floor_divide(s, 10, out=t[1])
+    sp10 *= 10
+    end = np.left_shift(sp10, 2, out=t[2])
+    upin = np.less_equal(vbl, end, out=odd)
+    end += 40
+    np.not_equal(upin, np.less_equal(end, vbr, out=carry), out=carry)
+    shorter = np.greater_equal(s, 10, out=irregular)
+    shorter &= carry
+    # otherwise s or s + 1: the one in the interval, or the nearer if both.
+    # vb lies in [4s, 4s + 3], and s is the nearer below its middle 4s + 2,
+    # and at it when s is even
+    np.left_shift(s, 2, out=end)
+    np.less_equal(vbl, end, out=uin)
+    end += 4
+    np.less_equal(end, vbr, out=win)
+    np.bitwise_and(vb, 3, out=end)
+    end += np.bitwise_and(s, 1, out=e)
+    np.less(end, 3, out=nearer)
+    # nearer becomes uin where uin != win
+    np.not_equal(uin, win, out=win)
+    uin ^= nearer
+    uin &= win
+    nearer ^= uin
+    s += _ones(np.logical_not(nearer, out=nearer), e)
+    sp10 += np.multiply(_ones(np.logical_not(upin, out=upin), e), 10, out=e)
+    # s, or sp10 where shorter
+    sp10 -= s
+    sp10 *= _ones(shorter, e)
+    s += sp10
+    return s, column
 
 
-def _eight_digits(v):
-    """The eight decimal digits of each v < 10**8, one a byte, the first in the low byte."""
-    high = v // 10000
-    v = high | (v - high * 10000) << 32  # 4 + 4 digits in 32-bit lanes
-    q = (v * 10486) >> 20 & 0x0000007F0000007F  # each lane // 100
-    v = q | (v - q * 100) << 16  # 2-digit 16-bit lanes
-    q = (v * 103) >> 10 & 0x000F000F000F000F  # each lane // 10
-    return q | (v - q * 10) << 8
 
 
-def write_counting(first: int, out: np.ndarray) -> None:
+
+
+
+
+def _eight_digits(v, q, r):
+    """The eight decimal digits of each v < 10**8, one a byte, the first in the low byte.
+
+    In place in ``v``; ``q`` and ``r`` are overwritten.
+    """
+    _divmod(v, 10000, q, r)
+    v <<= 32
+    v |= q  # 4 + 4 digits in 32-bit lanes
+    for multiplier, bits, mask, base, shift in (
+        (10486, 20, 0x0000007F0000007F, 100, 16),  # each lane // 100
+        (103, 10, 0x000F000F000F000F, 10, 8),  # each lane // 10
+    ):
+        np.multiply(v, multiplier, out=q)
+        q >>= bits
+        q &= mask
+        v -= np.multiply(q, base, out=r)
+        v <<= shift
+        v |= q
+    return v
+
+
+def write_counting(first: int, out: np.ndarray, scratch) -> None:
     """Write the decimal text of ``first + i`` and a comma into row i of ``out``.
 
     ``out`` is an ``(n, width)`` array of ``uint64`` words, possibly a
     strided view, with room for the last number and its comma; each row
     gets its text NUL-padded, 8 characters to a little-endian word.
+    ``scratch`` is the caller's ``simulator._Workspace``, whose slots
+    hold the intermediates; see :func:`write_reprs`.
     """
     count, width = out.shape
     last = first + count - 1
+    (values, q, r, *groups), _ = _scratch(scratch, count)
+    values.fill(1)
+    values[:1] = first
+    np.cumsum(values, out=values)
     # each number's digits right-aligned in `groups` words, leading zeros first
-    values = np.arange(first, last + 1, dtype=np.uint64)
-    groups = []
-    for _ in range(-(-len(str(last)) // 8)):
-        high = values // 10**8
-        groups.insert(0, _eight_digits(values - high * 10**8) + _ASCII_ZEROS)
-        values = high
+    groups = groups[: -(-len(str(last)) // 8)]
+    for group in reversed(groups):
+        np.copyto(group, values)
+        _divmod(group, 10**8, values, q)
+        _eight_digits(group, q, r)
+        group += _ASCII_ZEROS
     # rows of one digit count run between powers of ten; in them, output
     # word w is characters lead + 8 * w .. lead + 8 * w + 7 of the groups
     for digits in range(len(str(first)), len(str(last)) + 1):
@@ -216,16 +374,22 @@ def write_counting(first: int, out: np.ndarray) -> None:
             max(first, 10 ** (digits - 1)) - first, min(last + 1, 10**digits) - first
         )
         lead = 8 * len(groups) - digits
+        word, high = q[rows], r[rows]
         for w in range(width):
-            g, r = divmod(lead + 8 * w, 8)
-            word = groups[g][rows] >> 8 * r if g < len(groups) else np.uint64(0)
-            if r and g + 1 < len(groups):
-                word = word | groups[g + 1][rows] << 64 - 8 * r
+            g, s = divmod(lead + 8 * w, 8)
+            if g < len(groups):
+                np.right_shift(groups[g][rows], 8 * s, out=word)
+            else:
+                word.fill(0)
+            if s and g + 1 < len(groups):
+                word |= np.left_shift(groups[g + 1][rows], 64 - 8 * s, out=high)
             end = digits - 8 * w + 16  # the comma's index into _BELOW and _COMMA_AT
-            out[rows, w] = word & _BELOW[end] | _COMMA_AT[end]
+            word &= _BELOW[end]
+            word |= _COMMA_AT[end]
+            np.copyto(out[rows, w], word)
 
 
-def write_reprs(values, out: np.ndarray) -> None:
+def write_reprs(values, out: np.ndarray, scratch) -> None:
     """Write ``repr`` of each value, then a comma, as NUL-padded text into ``out``.
 
     ``out[..., w]`` receives characters ``8 * w`` to ``8 * w + 7`` of the
@@ -235,105 +399,182 @@ def write_reprs(values, out: np.ndarray) -> None:
     ``repr`` is at most 23 characters, so its comma always fits.
     Raises ValueError when a value is negative (-0.0 too), infinite or
     nan, and then writes nothing.
+
+    ``scratch`` is a ``simulator._Workspace`` that the caller owns and
+    reuses from call to call: every intermediate is written into its
+    ``slot*`` and ``flag*`` buffers of ``values.size`` entries (a dozen
+    uint64 slots), so a call allocates no array.  The buffers hold
+    nothing between calls, and one scratch serves one call at a time.
     """
-    bits = np.asarray(values, np.float64).view(np.uint64)
-    if (bits >= _INF_BITS).any():
+    values = np.asarray(values, np.float64)
+    slots, flags = _scratch(scratch, values.size)
+    np.copyto(slots[0].view(np.float64).reshape(values.shape), values)
+    _format(slots, flags, out)
+
+
+def _format(slots, flags, out: np.ndarray) -> None:
+    """:func:`write_reprs` of the doubles whose bits are in ``slots[0]``, shaped as ``out[..., 0]``."""
+    shape = out.shape[:-1]
+    bits = slots[0]
+    zero, sci = flags[-2:]
+    if np.greater_equal(bits, _INF_BITS, out=zero).any():
         raise ValueError("only non-negative finite values are formatted")
-    zero = bits == 0
-    has_zero = zero.any()
+    has_zero = np.equal(bits, 0, out=zero).any()
     if has_zero:
-        bits = np.where(zero, _ONE_BITS, bits)  # any normal value; its text is replaced
-    f, k = _shortest(bits)
+        np.copyto(bits, _ONE_BITS, where=zero)  # any normal value; its text is replaced
+    f, column = _shortest(slots, flags[:-2])
+    below, one_digit = flags[:2]
+    ndigits, index, significant = (slots[i].view(np.int64) for i in (2, 3, 10))
+    m, *digits = slots[4:8]
+    q, r, moved = slots[8], slots[9], slots[11]
     # f's digits left-aligned in 17 places, 8 + 8 + 1 digits to a word.  A
     # normal double's f has 16 or 17 digits; only subnormals have fewer
-    ndigits = (f >= 10**16) + 16
-    if (f < 10**15).any():
-        ndigits = np.searchsorted(_POW10, f, side="right")
-    m = f * _POW10[17 - ndigits]
-    head = m // 10**9
-    rest = m - head * 10**9
-    tail = rest // 10
-    digits = [_eight_digits(head), _eight_digits(tail), (rest - tail * 10)]
+    _ones(np.greater_equal(f, 10**16, out=below), ndigits)
+    ndigits += 16
+    if np.less(f, 10**15, out=below).any():
+        for count, power in enumerate(_POW10, 1):
+            np.copyto(ndigits, count, where=np.greater_equal(f, power, out=below))
+    np.take(_POW10, np.subtract(17, ndigits, out=index), out=m, mode="clip")
+    m *= f
+    _divmod(m, 10**9, digits[0], q)
+    np.copyto(digits[2], m)
+    _divmod(digits[2], 10, digits[1], q)
+    for word in digits[:2]:
+        _eight_digits(word, q, r)
     # significant digits end at the last digit that is not 0; as a double,
     # a word's bits of its nonzero digits has the last one's in its exponent
-    significant = np.where(digits[2] > 0, 17, 0)
+    _ones(np.greater(digits[2], 0, out=below), significant)
+    significant *= 17
+    last = r.view(np.int64)
     for start, word in zip((0, 8), digits):
-        nonzero = (word + 0x7F7F7F7F7F7F7F7F) & 0x8080808080808080
-        last = ((nonzero.astype(np.float64).view(np.int64) >> 52) - 1030) >> 3
-        np.maximum(significant, last + start + 1, out=significant)
-    decpt = k + ndigits  # the value is 0.ddd * 10**decpt
-    sci = (decpt > 16) | (decpt < -3)
-    point = np.where(sci, 1, decpt)
+        np.add(word, 0x7F7F7F7F7F7F7F7F, out=q)
+        q &= 0x8080808080808080
+        np.copyto(r.view(np.float64), q, casting="unsafe")
+        last >>= 52
+        last -= 1030
+        last >>= 3
+        last += start + 1
+        np.maximum(significant, last, out=significant)
+    decpt = np.add(ndigits, column, out=ndigits)  # the value is 0.ddd * 10**decpt
+    decpt += _K_MIN
+    np.greater(decpt, 16, out=sci)
+    sci |= np.less(decpt, -3, out=below)
+    has_sci = sci.any()
+    point = f.view(np.int64)
+    np.copyto(point, decpt)
+    if has_sci:
+        np.copyto(point, 1, where=sci)
     # the first `keep` digits stay, `fill` characters follow ("." or
     # "0.000"), and the other digits move `fill` characters right
-    keep = np.maximum(point, 0)
-    fill = np.maximum(2 - point, 1)
-    length = np.maximum(significant, point + 1) + fill
-    has_sci = sci.any()
+    np.equal(significant, 1, out=one_digit)
+    np.less_equal(point, 0, out=below)
+    fill = np.subtract(2, point, out=r.view(np.int64))
+    np.maximum(fill, 1, out=fill)
+    length = np.maximum(significant, np.add(point, 1, out=index), out=significant)
+    length += fill
     if has_sci:
-        length[sci & (significant == 1)] = 1
-    shift = (8 * fill).astype(np.uint64)
-    unshift = 64 - shift
-    fill_text = _FILLS[(point <= 0).view(np.uint8)]
+        np.copyto(length, 1, where=np.logical_and(sci, one_digit, out=one_digit))
     # indices into _BELOW and _COMMA_AT, whose entry 16 is a word's character 0
-    keep_at = keep + 16
-    fill_at = keep_at + fill
-    length_at = length + 16
-    carried = 0
-    for w, word in enumerate(digits):
-        # character i of the value is character i - 8 * w of word w
-        text = word + _ASCII_ZEROS
-        moved = text << shift | carried
-        carried = text >> unshift
-        # characters before `keep` from text, then the fill, then moved
-        word = fill_text ^ ((fill_text ^ text) & _BELOW[keep_at - 8 * w])
-        word = moved ^ ((moved ^ word) & _BELOW[fill_at - 8 * w])
-        word &= _BELOW[length_at - 8 * w]
-        word |= _COMMA_AT[length_at - 8 * w]
-        out[..., w] = word
-        fill_text = _DOTS
+    keep_at = np.maximum(point, 0, out=point)
+    keep_at += 16
+    length_at = length
+    length_at += 16
+    shift = fill.view(np.uint64)
+    shift <<= 3
     if has_sci:
-        # the exponent goes where the loop put the comma, which moves after it
-        rows = np.nonzero(sci)
-        suffix = _EXPONENTS[decpt[rows] + (324 - 1)]
-        offset = 8 * (length[rows][:, None] - np.array([0, 8, 16]))
-        out[rows] ^= np.where(
-            offset >= 0,
-            suffix[:, None] << np.maximum(offset, 0).astype(np.uint64),
-            suffix[:, None] >> np.maximum(-offset, 0).astype(np.uint64),
-        )
-    if has_zero:
-        out[zero] = (_ZERO_TEXT, 0, 0)
+        # the exponent goes where the loop puts the comma, which moves after it
+        decpt += 324 - 1
+        suffix = np.take(_EXPONENTS, decpt, out=column.view(np.uint64), mode="clip")
+    carried, mask = m, decpt.view(np.uint64)
+    for w, text in enumerate(digits):
+        # character i of the value is character i - 8 * w of word w
+        text += _ASCII_ZEROS
+        np.left_shift(text, shift, out=moved)
+        if w:
+            moved |= carried
+        if w < 2:
+            np.right_shift(text, np.subtract(64, shift, out=q), out=carried)
+        # characters before `keep` from text, then the fill, then moved
+        if w == 0:
+            fill_text = np.multiply(_ones(below, q), _DOTS ^ _FILL_BELOW_ONE, out=q)
+            fill_text ^= _DOTS
+        else:
+            fill_text = _DOTS
+        text ^= fill_text
+        text &= _below(np.subtract(keep_at, 8 * w, out=index), mask)
+        text ^= fill_text
+        at = np.right_shift(shift, 3, out=index.view(np.uint64)).view(np.int64)
+        at += keep_at
+        at -= 8 * w
+        text ^= moved
+        text &= _below(at, mask)
+        text ^= moved
+        at = np.subtract(length_at, 8 * w, out=index)
+        text &= _below(at, mask)
+        text |= np.take(_COMMA_AT, at, out=mask, mode="clip")
+        if has_sci:
+            # the suffix shifted left by the comma's bit offset in this word,
+            # or right by minus it; a shift of 64 or more gives 0
+            offset = np.left_shift(length_at, 3, out=index)
+            offset -= 128 + 64 * w
+            np.left_shift(suffix, offset.view(np.uint64), out=mask)
+            mask |= np.right_shift(suffix, np.negative(offset, out=offset).view(np.uint64), out=q)
+            np.copyto(text, np.bitwise_xor(text, mask, out=mask), where=sci)
+        if has_zero:
+            np.copyto(text, _ZERO_TEXT if w == 0 else 0, where=zero)
+        np.copyto(out[..., w], text.reshape(shape))
 
 
-def ledger_text(first: int, y, x1, x_nonp, delivered) -> bytes:
-    """The CSV lines of the ledger rows numbered ``first``, ``first + 1``, ...
+def ledger_text(first: int, y, x1, x_nonp, delivered, scratch) -> np.ndarray:
+    """The CSV lines of the ledger rows numbered ``first``, ``first + 1``, ..., as ``uint8`` text.
 
     The columns are those that ``simulator.generate_interval_sweep``
     yields, one entry per row.  The rows are laid out ``_BLOCK_ROWS`` at a
-    time, so the temporaries stay a few blocks whatever the row count.
+    time in ``scratch``, a ``simulator._Workspace`` that the caller owns:
+    the block's intermediates go to the buffers that :func:`write_reprs`
+    names, its row words to ``rows`` and their nonzero mask to ``mask``,
+    each reused from block to block and from call to call, and the text
+    of every block to ``text``.  The result is a view of ``text``, valid
+    until the scratch is used again; apart from it, a call holds only
+    the compacted text of one block at a time.
     """
     columns = (y, x1, x_nonp, delivered)
-    return b"".join(
-        _block_text(first + a, *(c[a : a + _BLOCK_ROWS] for c in columns))
-        for a in range(0, y.size, _BLOCK_ROWS)
-    )
+    # a row's text never exceeds its fixed-width words
+    text = scratch("text", np.uint8, 8 * _row_words(first + y.size - 1) * y.size)
+    end = 0
+    for a in range(0, y.size, _BLOCK_ROWS):
+        block = (c[a : a + _BLOCK_ROWS] for c in columns)
+        end += _block_text(first + a, *block, scratch, text[end:])
+    return text[:end]
 
 
-def _block_text(first: int, y, x1, x_nonp, delivered) -> np.ndarray:
-    """The CSV lines of one block whose first row is row ``first``, as ``uint8`` text.
+def _row_words(last: int) -> int:
+    """The words of a row whose number has as many digits as ``last``'s.
 
-    Each row is laid out in fixed-width ``uint64`` words: j and its comma,
-    three 24-character fields that each hold a float's ``repr`` and its
-    comma, and a word with the flag and the newline.  Every unused
-    character is NUL, and one compaction drops them all.
+    j and its comma, three 24-character fields that each hold a float's
+    ``repr`` and its comma, and a word with the flag and the newline.
+    """
+    return (len(str(last)) + 8) // 8 + 10
+
+
+def _block_text(first: int, y, x1, x_nonp, delivered, scratch, out) -> int:
+    """Write the CSV lines of one block whose first row is row ``first`` to ``out``; their length.
+
+    Each row is laid out in fixed-width ``uint64`` words (see
+    :func:`_row_words`).  Every unused character is NUL, and one
+    compaction drops them all.
     """
     size = y.size
-    j_words = (len(str(first + size - 1)) + 8) // 8  # the digits and a comma
-    rows = np.empty((size, j_words + 10), np.uint64)
-    write_counting(first, rows[:, :j_words])
-    floats = rows[:, j_words : j_words + 9].reshape(size, 3, 3)
-    write_reprs(np.stack((y, x1, x_nonp), axis=1), floats)
-    rows[:, -1] = _FLAG_LINES[delivered.view(np.uint8)]
+    width = _row_words(first + size - 1)
+    rows = scratch("rows", np.uint64, size * width).reshape(size, width)
+    write_counting(first, rows[:, : width - 10], scratch)
+    slots, flags = _scratch(scratch, 3 * size)
+    np.stack((y, x1, x_nonp), axis=1, out=slots[0].view(np.float64).reshape(size, 3))
+    _format(slots, flags, rows[:, -10:-1].reshape(size, 3, 3))
+    np.copyto(rows[:, -1], _FLAG_LINES[0])
+    np.copyto(rows[:, -1], _FLAG_LINES[1], where=delivered)
     text = rows.view(np.uint8).reshape(-1)
-    return text[text != 0]
+    mask = np.not_equal(text, 0, out=scratch("mask", bool, text.size))
+    count = np.count_nonzero(mask)
+    out[:count] = text[mask]
+    return count

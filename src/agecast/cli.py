@@ -25,7 +25,6 @@ from .order_stats import MAX_K, ServiceDistribution
 from .simulator import (
     InsufficientDataError,
     LedgerSpec,
-    _keep_freed_heap,
     _run_bytes,
     write_ledger_csv,
 )
@@ -308,8 +307,6 @@ def _run_validate(request: tuple) -> int:
 
 def _run_ledger(request: tuple) -> int:
     spec, out_path = request
-    # on one CPU this process draws and formats every block itself
-    _keep_freed_heap()
     deliveries = write_ledger_csv(spec, out_path)
     print(f"wrote {out_path}: {spec.num_intervals} intervals, {deliveries} deliveries")
     return 0

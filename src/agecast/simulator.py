@@ -186,15 +186,24 @@ def _nonpriority_age(w: np.ndarray, xtilde: np.ndarray) -> tuple[float, float, f
 class _Workspace:
     """Named buffers that one thread reuses from pass to pass, made on first use.
 
-    ``work(name, dtype, size)`` is the buffer ``name``, of ``size``
-    elements (the workspace's size by default); the dtype and size of its
-    first request stay.  A buffer holds whatever its last writer left, so
-    every user writes a slice before it reads it and reads only that
-    slice.  A replication thread's workspace holds the columns that
+    ``work(name, dtype, size)`` is the first ``size`` elements (the
+    workspace's size by default) of the buffer ``name``.  A buffer is
+    made, of the request's dtype, on the first request and again,
+    larger, on a request for more than it holds, so each name keeps one
+    dtype.  A buffer holds whatever its last writer left, so every user
+    writes a slice before it reads it and reads only that slice.
+
+    The thread that makes a workspace owns it; nothing else holds one.
+    A replication thread's workspace holds the columns that
     :func:`generate_interval_sweep` draws (float64 ``x_nonp``, ``u_max``,
     ``x1`` and ``y``, the bool ``delivered`` and a short ``chunk``), the
     float64 ``spans`` that :func:`_cycles` and the estimators write, and,
-    for :func:`_replication_estimates` only, the bool ``miss`` mask.
+    for :func:`_replication_estimates` only, the bool ``miss`` mask.  A
+    ledger writer's workspace, one per :func:`write_ledger_csv` call or
+    per forked worker, holds a task's drawn columns and the scratch of
+    ``_shortest.ledger_text``: the uint64 ``slot0`` .. ``slot11`` and
+    bool ``flag0`` .. ``flag7`` of one block's floats, the ``rows``
+    words and their ``mask``, and the task's ``text``.
     """
 
     def __init__(self, size: int):
@@ -202,11 +211,11 @@ class _Workspace:
         self._buffers: dict[str, np.ndarray] = {}
 
     def __call__(self, name: str, dtype=np.float64, size: int | None = None) -> np.ndarray:
+        size = self.size if size is None else size
         buffer = self._buffers.get(name)
-        if buffer is None:
-            buffer = np.empty(self.size if size is None else size, dtype)
-            self._buffers[name] = buffer
-        return buffer
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size, dtype)
+        return buffer if buffer.size == size else buffer[:size]
 
 
 def _run_bytes(num_intervals: int, replications: int) -> int:
@@ -831,23 +840,29 @@ class LedgerSpec:
         object.__setattr__(self, "seed", check_count("seed", self.seed, 0, MAX_SEED))
 
 
-def _ledger_rows(spec: LedgerSpec, start: int, stop: int) -> tuple[bytes, int]:
+def _ledger_rows(
+    spec: LedgerSpec, start: int, stop: int, work: _Workspace
+) -> tuple[np.ndarray, int]:
     """CSV lines and delivery count of rows ``start .. stop - 1`` of a ledger.
 
     The rows are drawn here, as one row window of the whole pass from the
     seed's PCG64 start state, so no process holds more than these rows of
-    any column.  ``_shortest.ledger_text`` lays them out, its floats byte
-    for byte their ``repr``.
+    any column.  They are drawn into ``work`` when the window is
+    ``work.size`` rows long, and into a workspace of their own otherwise.
+    ``_shortest.ledger_text`` lays them out in ``work``, its floats byte
+    for byte their ``repr``, so the text is a ``uint8`` view of ``work``,
+    valid until ``work`` is used again.
     """
     from ._shortest import ledger_text
 
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    draws = work if work.size == stop - start else _Workspace(stop - start)
     columns = next(
         generate_interval_sweep(
-            rng, spec.dist, spec.num_intervals, (spec.k,), rows=(start, stop)
+            rng, spec.dist, spec.num_intervals, (spec.k,), draws, rows=(start, stop)
         )
     )
-    return ledger_text(start + 1, *columns), int(np.count_nonzero(columns[3]))
+    return ledger_text(start + 1, *columns, work), int(np.count_nonzero(columns[3]))
 
 
 def _write_all(fd: int, data) -> None:
@@ -857,17 +872,18 @@ def _write_all(fd: int, data) -> None:
         view = view[os.write(fd, view) :]
 
 
-def _write_rows(spec: LedgerSpec, fd: int, turn, start: int) -> int:
+def _write_rows(spec: LedgerSpec, fd: int, turn, work: _Workspace, start: int) -> int:
     """Draw, format and write the task of rows from ``start``; its delivery count.
 
-    A task is ``_TASK_ROWS`` rows.  With ``turn`` None, the text is
+    A task is ``_TASK_ROWS`` rows, drawn and laid out in ``work`` (see
+    :func:`_ledger_rows`).  With ``turn`` None, the text is
     written to ``fd`` at once.  On a pool, ``turn`` is a shared
     ``(Condition, value)``: the text is formatted first, then written
     once the value reaches this task's index, which it then moves on, so
     the workers write in row order through the file offset they share.
     """
     stop = min(start + _TASK_ROWS, spec.num_intervals)
-    text, deliveries = _ledger_rows(spec, start, stop)
+    text, deliveries = _ledger_rows(spec, start, stop, work)
     if turn is None:
         _write_all(fd, text)
         return deliveries
@@ -887,33 +903,10 @@ _worker_task = None
 
 def _start_worker(spec: LedgerSpec, fd: int, turn) -> None:
     global _worker_task
-    _worker_task = partial(_write_rows, spec, fd, turn)
+    # the worker's own workspace, made after the fork
+    _worker_task = partial(_write_rows, spec, fd, turn, _Workspace(_TASK_ROWS))
     # Ctrl-C reaches the whole process group; only the parent acts on it
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _keep_freed_heap()
-
-
-def _keep_freed_heap() -> None:
-    """Have glibc keep this process's freed heap for reuse.
-
-    Formatting a ledger task makes and frees a few MB of temporaries
-    and text in the process that formats it.  Under glibc's default
-    thresholds that memory goes back to the kernel after every block
-    and faults in again on the next: a 1 M-row dump at k = 20 took about
-    29 % more CPU on two CPUs without this call in the forked workers,
-    and about 34 % more on one CPU without it in the ``ledger`` command.
-    The thresholds are process-wide, so this runs only in processes
-    agecast owns: the forked workers and the ``ledger`` command.
-    Without glibc's ``mallopt`` it does nothing.
-    """
-    try:
-        import ctypes
-
-        mallopt = ctypes.CDLL(None).mallopt
-    except (ImportError, OSError, AttributeError, TypeError):
-        return
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MiB of free heap
-    mallopt(-3, 8 << 20)  # M_MMAP_THRESHOLD: serve blocks below 8 MiB from the heap
 
 
 def _worker_rows(start: int) -> int:
@@ -938,10 +931,16 @@ def write_ledger_csv(ledger: LedgerSpec, path) -> int:
     Returns the number of deliveries.  ``ledger`` names the dump.  Its
     rows are drawn, formatted and written a task of ``_TASK_ROWS`` =
     16384 at a time, each drawn as one row window of the seed's stream
-    and laid out as byte text by ``_shortest.ledger_text``; memory stays
-    a few tasks whatever ``num_intervals``.  Floats are written as the
-    shortest decimal that reads back to the same double, byte for byte
-    ``repr``, which the tests check.  From ``_POOL_MIN_ROWS`` =
+    and laid out as byte text by ``_shortest.ledger_text``.  Each process
+    that formats owns one :class:`_Workspace` of a task's rows, which
+    holds the task's columns, every intermediate of its text and the
+    text itself from task to task: this call makes one on the
+    single-process path, and each forked worker makes its own after the
+    fork.  No workspace is shared, so two threads may dump at once.
+    Memory stays one workspace per process whatever ``num_intervals``,
+    and no process-wide allocator setting is changed.  Floats are
+    written as the shortest decimal that reads back to the same double,
+    byte for byte ``repr``, which the tests check.  From ``_POOL_MIN_ROWS`` =
     65536 rows on, where the ``fork`` start method exists and the
     process may run on more than one CPU, the tasks run on a pool of
     forked workers, at most one per CPU of the affinity mask.  Each
@@ -963,7 +962,8 @@ def write_ledger_csv(ledger: LedgerSpec, path) -> int:
         _write_all(fd, LEDGER_HEADER)
         workers = _pool_size(ledger.num_intervals)
         if workers == 1:
-            return sum(map(partial(_write_rows, ledger, fd, None), starts))
+            work = _Workspace(_TASK_ROWS)
+            return sum(map(partial(_write_rows, ledger, fd, None, work), starts))
         import multiprocessing
 
         # fork, so that no worker imports agecast again and each inherits

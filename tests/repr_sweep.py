@@ -2,7 +2,8 @@
 
 Draws uniformly random bit patterns of non-negative finite doubles from
 a fixed seed, formats each chunk with ``agecast._shortest.write_reprs``
-(through :func:`float_reprs`, which the tests share) and with ``repr``,
+(through :func:`float_reprs`, which the tests share), every chunk in one
+reused scratch, and with ``repr``,
 and prints the count, the mismatches (the first few in full) and the run
 time.  It exits 1 on any mismatch.  Slow (about 3 s per million doubles
 on one core), so it is not part of the test suite:
@@ -20,6 +21,7 @@ import time
 import numpy as np
 
 from agecast._shortest import write_reprs
+from agecast.simulator import _Workspace
 
 SEED = 2020
 CHUNK = 2**16
@@ -27,15 +29,16 @@ CHUNK = 2**16
 INF_BITS = 0x7FF0000000000000
 
 
-def float_reprs(values) -> np.ndarray:
+def float_reprs(values, scratch: _Workspace) -> np.ndarray:
     """``write_reprs``' text of each value less its comma, as a NUL-padded ``S24`` array.
 
-    ``float_reprs(x).tolist()`` equals ``[repr(v).encode() for v in
-    x.tolist()]`` for a 1-d ``x`` of non-negative finite doubles.
+    ``float_reprs(x, scratch).tolist()`` equals ``[repr(v).encode() for v
+    in x.tolist()]`` for a 1-d ``x`` of non-negative finite doubles.
+    ``scratch`` is the workspace that ``write_reprs`` formats in.
     """
     values = np.ascontiguousarray(values, np.float64).reshape(-1)
     out = np.empty((values.size, 3), "<u8")
-    write_reprs(values, out)
+    write_reprs(values, out, scratch)
     text = out.view(np.uint8)
     text[text == ord(",")] = 0  # a repr holds no comma
     return out.view("S24").reshape(-1)
@@ -45,11 +48,12 @@ def main(argv: list[str]) -> int:
     count = int(float(argv[0])) if argv else 10**8
     rng = np.random.default_rng(SEED)
     mismatches = []
+    scratch = _Workspace(CHUNK)
     start = time.perf_counter()
     for offset in range(0, count, CHUNK):
         size = min(CHUNK, count - offset)
         values = rng.integers(0, INF_BITS, size=size, dtype=np.uint64).view(np.float64)
-        got = float_reprs(values).tolist()
+        got = float_reprs(values, scratch).tolist()
         want = list(map(repr, values.tolist()))
         if b"\n".join(got) != "\n".join(want).encode():
             mismatches += [

@@ -1,15 +1,24 @@
 """The vectorised float formatter against CPython's ``repr``, its oracle."""
 
+import tracemalloc
+from itertools import chain
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agecast._shortest import write_reprs
-from repr_sweep import float_reprs
+import repr_sweep
+from agecast._shortest import _BLOCK_ROWS, ledger_text, write_reprs
+from agecast.simulator import _Workspace
 
 # the bit pattern of inf; below it lie 0.0 and every positive finite double
 INF_BITS = 0x7FF0000000000000
+
+
+def float_reprs(values):
+    """``repr_sweep.float_reprs`` in a new scratch."""
+    return repr_sweep.float_reprs(values, _Workspace(np.size(values)))
 
 
 def assert_matches_repr(values):
@@ -95,5 +104,98 @@ def test_negative_and_non_finite_values_are_refused(value):
     # and nothing is written
     out = np.arange(6, dtype=np.uint64).reshape(2, 3)
     with pytest.raises(ValueError, match="non-negative finite"):
-        write_reprs(np.array([1.0, value]), out)
+        write_reprs(np.array([1.0, value]), out, _Workspace(2))
     assert out.tolist() == [[0, 1, 2], [3, 4, 5]]
+
+
+def poison(scratch):
+    """Fill every buffer of ``scratch`` with 0xFF bytes, as a stale write would leave it."""
+    for buffer in scratch._buffers.values():
+        buffer.view(np.uint8).fill(0xFF)
+
+
+def least_subnormals(size):
+    """0.0, 5e-324 and the next subnormals up."""
+    return np.arange(size, dtype=np.uint64).view(np.float64)
+
+
+class TestStaleScratch:
+    """One scratch reused over blocks of every kind gives a new scratch's text."""
+
+    def test_write_reprs(self):
+        rng = np.random.default_rng(41)
+        full = 3 * _BLOCK_ROWS
+        blocks = [
+            rng.exponential(size=full),
+            # the ledger's short last block of 369 rows
+            rng.exponential(size=3 * 369),
+            # every value in exponent notation
+            rng.exponential(size=full) * 1e90,
+            least_subnormals(full),
+            rng.integers(0, INF_BITS, size=full, dtype=np.uint64).view(np.float64),
+            rng.exponential(size=3 * 369) * 1e-90,
+            rng.exponential(size=full),
+        ]
+        scratch = _Workspace(full)
+        for values in blocks:
+            poison(scratch)
+            got = repr_sweep.float_reprs(values, scratch).tolist()
+            assert got == float_reprs(values).tolist()
+            assert got == [repr(v).encode() for v in values.tolist()]
+
+    def test_ledger_text(self):
+        rng = np.random.default_rng(43)
+
+        def columns(size, scale=1.0):
+            y, x1, x_nonp = (rng.exponential(size=size) * scale for _ in range(3))
+            return y, x1, x_nonp, x_nonp < y
+
+        zeros = np.zeros(_BLOCK_ROWS)
+        subnormals = least_subnormals(_BLOCK_ROWS)
+        blocks = [
+            (1, columns(_BLOCK_ROWS)),
+            # the short last block; j gains a digit at 10**6
+            (10**6 - 100, columns(369)),
+            # two blocks and a short one; j takes a second word at 10**7
+            (10**7 - _BLOCK_ROWS - 100, columns(2 * _BLOCK_ROWS + 369)),
+            # every value in exponent notation, j back in one word
+            (5, columns(_BLOCK_ROWS, 1e90)),
+            (7, (subnormals, zeros, subnormals[::-1], subnormals > 1e-320)),
+            (10**6 - 10, columns(_BLOCK_ROWS)),
+        ]
+        scratch = _Workspace(2 * _BLOCK_ROWS + 369)
+        for first, block in blocks:
+            poison(scratch)
+            got = ledger_text(first, *block, scratch).tobytes()
+            assert got == ledger_text(first, *block, _Workspace(block[0].size)).tobytes()
+            assert got == repr_lines(first, *block)
+
+
+def repr_lines(first, y, x1, x_nonp, delivered):
+    """The CSV lines of rows from ``first``, written with ``repr``: the oracle for ``ledger_text``."""
+    cols = (
+        map(str, range(first, first + y.size)),
+        map(repr, y.tolist()),
+        map(repr, x1.tolist()),
+        map(repr, x_nonp.tolist()),
+        map(str, delivered.view(np.uint8).tolist()),
+    )
+    return "\n".join(chain(map(",".join, zip(*cols)), ("",))).encode()
+
+
+def test_a_warm_call_holds_only_one_block_of_text():
+    rng = np.random.default_rng(47)
+    y, x1, x_nonp = (rng.exponential(size=4 * _BLOCK_ROWS) for _ in range(3))
+    columns = (y, x1, x_nonp, x_nonp < y)
+    scratch = _Workspace(y.size)
+    ledger_text(1, *columns, scratch)
+    tracemalloc.start()
+    try:
+        text = ledger_text(1, *columns, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the text is a view of the scratch; a block's mask is one bool per
+    # byte of its 11-word rows.  Measured 0.27 MB: one block's compacted text
+    mask = _BLOCK_ROWS * 11 * 8
+    assert peak <= text.nbytes + mask
