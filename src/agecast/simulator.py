@@ -194,16 +194,18 @@ class _Workspace:
     writes a slice before it reads it and reads only that slice.
 
     The thread that makes a workspace owns it; nothing else holds one.
-    A replication thread's workspace holds the columns that
-    :func:`generate_interval_sweep` draws (float64 ``x_nonp``, ``u_max``,
-    ``x1`` and ``y``, the bool ``delivered`` and a short ``chunk``), the
-    float64 ``spans`` that :func:`_cycles` and the estimators write, and,
-    for :func:`_replication_estimates` only, the bool ``miss`` mask.  A
-    ledger writer's workspace, one per :func:`write_ledger_csv` call or
-    per forked worker, holds a task's drawn columns and the scratch of
-    ``_shortest.ledger_text``: the uint64 ``slot0`` .. ``slot11`` and
-    bool ``flag0`` .. ``flag7`` of one block's floats, the ``rows``
-    words and their ``mask``, and the task's ``text``.
+    A replication workspace belongs to one thread of one
+    :func:`_map_replications` call and goes when that call returns.  It
+    holds the columns that :func:`generate_interval_sweep` draws (float64
+    ``x_nonp``, ``u_max``, ``x1`` and ``y``, the bool ``delivered`` and a
+    short ``chunk``), the float64 ``spans`` that :func:`_cycles` and the
+    estimators write, and, for :func:`_replication_estimates` only, the
+    bool ``miss`` mask.  A ledger writer's workspace, one per
+    :func:`write_ledger_csv` call or per forked worker, holds a task's
+    drawn columns and the scratch of ``_shortest.ledger_text``: the
+    uint64 ``slot0`` .. ``slot11`` and bool ``flag0`` .. ``flag7`` of one
+    block's floats, the ``rows`` words and their ``mask``, and the
+    task's ``text``.
     """
 
     def __init__(self, size: int):
@@ -225,8 +227,10 @@ def _run_bytes(num_intervals: int, replications: int) -> int:
     buffers and one bool (and a bool miss mask for the full estimates of
     :func:`run_k_sweep`), and the int64 delivery or miss indices, so the
     bound has one float64 buffer of slack.  A run has at most one thread
-    per replication, each pool thread keeps at most one workspace, and a
-    workspace goes when the last run that used it returns.  ``validate``
+    per replication and one workspace per thread, and its workspaces go
+    when it returns.  A run made from a pool thread, such as a
+    ``validate`` check's, runs in that thread, so each of ``validate``'s
+    check threads holds at most one workspace at a time.  ``validate``
     adds only ``order_stat_monte_carlo``'s column; its other runs stream.
     """
     return (6 * 8 + 2 + 8) * num_intervals * min(_usable_cpus(), replications)
@@ -492,85 +496,40 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-# per thread: ``pool``, the executor whose thread it is, and ``held``, its
-# replication workspace (:func:`_map_replications`)
-_here = threading.local()
-# guards the hand-over of a thread's workspace from one run to the next
-_hand_over = threading.Lock()
+# marks the threads of the pool that _ordered_map opens
+_in_pool = threading.local()
 
 
-class _Held:
-    """A thread's replication workspace and the run that last claimed it."""
-
-    __slots__ = ("work", "run")
-
-    def __init__(self) -> None:
-        self.work = self.run = None
-
-
-def _join_pool(pools: list) -> None:
-    # a pool thread's initializer: nested calls it makes share its pool
-    _here.pool = pools[0]
+def _mark_pool_thread() -> None:
+    _in_pool.marked = True
 
 
 def _ordered_map(fn, items: Sequence) -> list:
-    """``[fn(item) for item in items]``, on the process's one thread pool.
+    """``[fn(item) for item in items]``, on at most one level of threads.
 
-    A call from outside a pool with two or more items, on two or more
-    usable CPUs, opens a pool of one thread per CPU of the affinity mask
-    (threads start as items arrive, so at most one per item) and shuts
-    it down before it returns; otherwise ``fn`` runs in the caller's
-    thread.  A call made from one of the pool's threads submits its
-    items to that same pool, then walks them in item order: an item no
-    thread has started yet is cancelled and run in the calling thread,
-    and one that another thread runs is waited for.  So a thread never
-    waits on queued work, idle threads pick up nested items, and never
-    more than one pool thread per CPU runs.  Each pool thread keeps at
-    most one replication workspace (:func:`_map_replications`).
+    A call with two or more items, on two or more usable CPUs, runs them
+    on a pool of one thread per CPU of the affinity mask, at most one per
+    item, and shuts it down before it returns.  Any other call, and any
+    call made from one of the pool's threads, runs its items in the
+    caller's thread, so a nested map (a check's replications) stays in
+    the thread of the item that makes it and never more than one thread
+    per CPU runs.
 
     Results come back in item order, so they do not depend on the thread
     count.  If a call raises, the queued ones are cancelled and the first
-    exception in item order reaches the caller once the items already
-    running have stopped, and, for the call that opened the pool, once
-    its threads have stopped.
+    exception in item order reaches the caller once the pool's threads
+    have stopped.
     """
-    pool = getattr(_here, "pool", None)
-    if pool is not None and len(items) > 1:
-        return _walk(pool, fn, items, inline=True)
-    if pool is not None or min(_usable_cpus(), len(items)) <= 1:
+    workers = min(_usable_cpus(), len(items))
+    if workers <= 1 or getattr(_in_pool, "marked", False):
         return list(map(fn, items))
     # here, so that importing agecast stays as fast
     from concurrent.futures import ThreadPoolExecutor
 
-    pools: list = []
-    pool = ThreadPoolExecutor(_usable_cpus(), initializer=_join_pool, initargs=(pools,))
-    pools.append(pool)
-    try:
-        return _walk(pool, fn, items, inline=False)
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _walk(pool, fn, items: Sequence, inline: bool) -> list:
-    """Submit ``fn`` of every item to ``pool`` and collect the results in item order.
-
-    With ``inline``, an item that no thread has started is cancelled and
-    run in this thread instead of waited for (the help-first rule of
-    work-stealing schedulers).  If an item raises, the items not yet
-    started are cancelled and the running ones waited for before the
-    exception propagates.
-    """
-    futures = [pool.submit(fn, item) for item in items]
-    try:
-        return [
-            fn(item) if inline and future.cancel() else future.result()
-            for item, future in zip(items, futures)
-        ]
-    except BaseException:
-        # cancel every queued item first; the rest are running or done
-        for future in [future for future in futures if not future.cancel()]:
-            future.exception()
-        raise
+    # map cancels the queued items when one raises, and the with block
+    # joins the threads before the exception leaves it
+    with ThreadPoolExecutor(workers, initializer=_mark_pool_thread) as pool:
+        return list(pool.map(fn, items))
 
 
 def _map_replications(config: SimConfig, ks, fn) -> list[list]:
@@ -580,47 +539,32 @@ def _map_replications(config: SimConfig, ks, fn) -> list[list]:
     so it is reproducible on its own and independent of the others.  The
     replications run through :func:`_ordered_map`, one thread per usable
     CPU and at most one per replication (numpy releases the GIL while it
-    draws, transforms and sums), and come back in replication order.
+    draws, transforms and sums), or all in the caller's thread when it
+    is one of the pool's; they come back in replication order.
 
-    Each thread keeps one :class:`_Workspace`, draws every replication it
-    runs into it and passes it to ``fn`` as ``work`` for its scratch.  A
-    workspace is replaced when a replication needs another length, and is
-    dropped when the last run that used it returns, so a run keeps at
-    most one workspace per thread that ran it, and a pool thread at most
-    one whichever runs it serves.  The columns ``fn`` gets are
-    overwritten at the next k, so ``fn`` must not keep them.
+    Each thread that runs a replication of this call makes one
+    :class:`_Workspace`, draws every replication it runs into it and
+    passes it to ``fn`` as ``work`` for its scratch.  The workspaces
+    belong to this call and go when it returns, so a run holds at most
+    one per thread that ran it, and a thread at most one at a time.  The
+    columns ``fn`` gets are overwritten at the next k, so ``fn`` must not
+    keep them.
     """
     children = np.random.SeedSequence(config.seed).spawn(config.replications)
-    # the holders of the threads that ran a replication; the list is also
-    # this run's mark on the holders it last claimed
-    claimed: list[_Held] = []
+    # each thread's workspace, dropped with this local when the call returns
+    here = threading.local()
 
     def replicate(child) -> list:
-        held = getattr(_here, "held", None)
-        if held is None:
-            held = _here.held = _Held()
-        with _hand_over:
-            held.run = claimed
-            work = held.work
-        claimed.append(held)
-        if work is None or work.size != config.num_intervals:
-            work = held.work = None  # freed before the next one is made
-            work = held.work = _Workspace(config.num_intervals)
+        work = getattr(here, "work", None)
+        if work is None:
+            work = here.work = _Workspace(config.num_intervals)
         rng = np.random.default_rng(child)
         intervals = generate_interval_sweep(
             rng, config.dist, config.num_intervals, ks, work
         )
         return [fn(*columns, work) for columns in intervals]
 
-    try:
-        return _ordered_map(replicate, children)
-    finally:
-        # every replication has stopped; a holder that no later run claimed
-        # lets its workspace go
-        with _hand_over:
-            for held in claimed:
-                if held.run is claimed:
-                    held.work = held.run = None
+    return _ordered_map(replicate, children)
 
 
 def _replication_ages(y, x1, x_nonp, delivered, work) -> dict[str, float]:
@@ -738,11 +682,12 @@ def run_k_sweep(configs: Sequence[SimConfig]) -> tuple[SimResult, ...]:
     practical run lengths only happens for tiny ``num_intervals``.
 
     The replications run on one thread per CPU of the affinity mask, at
-    most one per replication, and are combined in replication order, so
-    the results do not depend on the CPU count.  Each thread reuses one
-    workspace of a few length-N buffers for all its replications and
-    points, so memory is about the thread count times that workspace at
-    any k (tracemalloc: 6.4 arrays at N = 100 000, k = 1..20, one thread;
+    most one per replication, or in the calling thread when it is a pool
+    thread (a ``validate`` check), and are combined in replication order,
+    so the results do not depend on the CPU count.  Each thread reuses
+    one workspace of a few length-N buffers for all its replications and
+    points, and the sweep drops them when it returns, so memory is about
+    the thread count times that workspace at any k (tracemalloc: 6.4 arrays at N = 100 000, k = 1..20, one thread;
     6.3 for :func:`run_age_sweep`).
     """
     first, points = _k_sweep(configs, _replication_estimates)

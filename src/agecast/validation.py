@@ -566,14 +566,14 @@ def run_checks(
 
     The checks run on one thread per CPU of the affinity mask, at most one
     per check, and in this thread when that is one; the records come back
-    in ``CHECK_NAMES`` order, so they do not depend on the CPU count.  The
-    replications that the checks simulate join the same pool
+    in ``CHECK_NAMES`` order, so they do not depend on the CPU count.  A
+    check runs the replications it simulates in its own thread
     (:func:`agecast.simulator._ordered_map`), so no more threads run than
-    CPUs, and each pool thread keeps at most one replication workspace,
-    which goes when the run that last used it returns.  If a check
-    raises, the queued ones are cancelled and the first exception in
-    check order reaches the caller once the threads have stopped.  Peak
-    memory is the sum of the peaks of the items running at once.
+    CPUs, and a check thread holds at most one replication workspace at a
+    time, which goes when its run returns.  If a check raises, the queued
+    ones are cancelled and the first exception in check order reaches the
+    caller once the threads have stopped.  Peak memory is the sum of the
+    peaks of the checks running at once.
     """
     wanted = set(CHECK_NAMES if names is None else select_checks(names))
 

@@ -569,9 +569,9 @@ class TestReplicationThreads:
 
 
 def test_nested_items_run_once_each_in_item_order(monkeypatch):
-    # more threads than cores, switching often: an item that its caller
-    # cancelled to run itself and that a pool thread also started would
-    # run twice, and a lost one would hang
+    # more threads than cores, switching often: the outer items run on
+    # the pool, and each runs its nested items in its own thread, once
+    # each and in item order
     set_cpus(monkeypatch, 8)
     runs = {}
     lock = threading.Lock()
@@ -579,10 +579,13 @@ def test_nested_items_run_once_each_in_item_order(monkeypatch):
     def leaf(item):
         with lock:
             runs[item] = runs.get(item, 0) + 1
-        return item
+        return item, threading.get_ident()
 
     def outer(i):
-        return _ordered_map(leaf, [(i, j) for j in range(50)])
+        here = threading.get_ident()
+        nested = _ordered_map(leaf, [(i, j) for j in range(50)])
+        assert {ident for _, ident in nested} == {here}
+        return [item for item, _ in nested]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -194,7 +194,7 @@ class TestCheckThreads:
 
 
 class TestOnePool:
-    """The checks and the replications they simulate share one pool."""
+    """The checks run on one pool, and each check's replications in its thread."""
 
     def test_no_more_threads_than_cpus(self, monkeypatch):
         set_cpus(monkeypatch, 1)
@@ -226,31 +226,47 @@ class TestOnePool:
             done.set()
             sampler.join()
         # besides the caller (and any thread already running) and the
-        # sampler; nested pools ran up to 21 at once
+        # sampler: the check threads, which run their replications
+        # themselves (a pool per simulating call ran up to 21 at once)
         assert most - before - 1 <= 16
         # and started dozens, a pool per simulating call
         assert len(started) <= 16
         assert results == serial
 
-    def test_idle_threads_run_a_checks_replications(self, monkeypatch):
+    def test_a_check_runs_its_replications_in_its_own_thread(self, monkeypatch):
         set_cpus(monkeypatch, 16)
-        threads = set()
+        checks = []
+        sweeps = []
+        starters = []
         sweep = simulator.generate_interval_sweep
+        start = threading.Thread.start
 
         def recorded(*args, **kwargs):
-            threads.add(threading.get_ident())
+            sweeps.append(threading.get_ident())
             return sweep(*args, **kwargs)
 
-        def slow(settings):
-            time.sleep(0.3)
-            return True, "slept"
+        def counted_start(thread):
+            starters.append(threading.get_ident())
+            start(thread)
+
+        def age_regression(settings):
+            checks.append(threading.get_ident())
+            return validation.check_age_regression(settings)
+
+        def at_once(settings):
+            # leaves its thread idle while age_regression runs
+            return True, "returned"
 
         monkeypatch.setattr(simulator, "generate_interval_sweep", recorded)
-        monkeypatch.setattr(validation, "_CHECKS", (validation.check_age_regression, slow))
-        age_regression, _ = run_checks(FAST_SETTINGS)
-        assert age_regression.passed, age_regression.detail
-        # running them all in the check's own thread would use one
-        assert len(threads) >= 2
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        monkeypatch.setattr(validation, "_CHECKS", (age_regression, at_once))
+        result, _ = run_checks(FAST_SETTINGS)
+        assert result.passed, result.detail
+        # in a pool thread, and every one of its runs with it
+        assert checks and checks[0] != threading.get_ident()
+        assert sweeps and set(sweeps) == set(checks)
+        # a check sharing the pool started threads as it queued its replications
+        assert checks[0] not in starters
 
     def test_at_most_one_workspace_per_cpu(self, monkeypatch):
         set_cpus(monkeypatch, 2)
@@ -283,9 +299,11 @@ class TestOnePool:
         assert alive == 0
 
     def test_a_run_drops_its_workspaces_when_it_returns(self, monkeypatch):
-        # more CPUs than replications: idle pool threads pick up the
-        # replications of one run after another, and each thread keeping
-        # the workspace of the last run it served held up to one per thread
+        # more CPUs than replications, and runs made from a pool thread,
+        # which run their replications in that thread: a thread that kept
+        # the workspace of the last run it ran would hold one after the
+        # runs return, and idle threads that ran other runs' replications
+        # held up to one each
         set_cpus(monkeypatch, 16)
         lock = threading.Lock()
         alive = most = 0
@@ -315,8 +333,8 @@ class TestOnePool:
                     _map_replications(config, (1,), lambda *columns: time.sleep(0.002))
 
         simulator._ordered_map(runs, range(8))
-        # what _run_bytes budgets for one run: min(CPUs, replications)
-        assert 1 <= most <= 2
+        # each run holds one workspace, in the thread that made it
+        assert most == 1
         assert alive == 0
 
     @pytest.mark.parametrize("cpus", [2, 16])
