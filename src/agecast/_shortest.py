@@ -25,8 +25,14 @@ after an integer; otherwise ``d.ddde±XX``; ``0.0`` for zero.  The
 layout works on the 24 output bytes as three little-endian 64-bit
 words per value, so it too is a fixed sequence of array operations, and
 it writes those words straight into the caller's array, such as three
-word columns of a ledger block's row matrix.  :func:`write_counting`
-lays out the ledger's row numbers in the same words.
+word columns of a ledger block's row matrix.  No character moves by a
+per-value amount: each part of a field has fixed characters, the digits
+first, any exponent at characters 18 to 22 and the comma at 23, with
+NULs between, which the ledger's compaction drops.  The digits are
+those of one 24-digit frame per value, which a table lookup by decpt
+turns into the field's text (see :func:`_layout_table`).
+:func:`write_counting` lays out the ledger's row numbers in the same
+words, each right-aligned before a comma in its field's last character.
 
 Every intermediate of a block goes to a small set of named buffers in a
 scratch that the caller owns and passes in, a ``simulator._Workspace``,
@@ -49,7 +55,7 @@ _BLOCK_ROWS = 4096
 
 # the uint64 slots and bool flags of scratch that formatting holds at most
 _SLOTS = 12
-_FLAGS = 8
+_FLAGS = 7
 
 _MASK32 = 0xFFFFFFFF
 _MASK63 = 2**63 - 1
@@ -59,32 +65,22 @@ _ONE_BITS = 0x3FF0000000000000
 # decimal exponents k of 10**-k that the doubles need
 _K_MIN = -324
 _K_MAX = 292
+# the places decpt of the decimal point, for the value 0.ddd * 10**decpt:
+# 5e-324 is 0.5 * 10**-323 and the largest double 0.17976931348623157 * 10**309
+_DECPT_MIN = -323
+_DECPT_MAX = 309
 
-# byte b of a word is character b of its 8.  _BELOW[i + 16] masks the
-# characters before index i of a word, -16 <= i <= 24
-_BELOW = np.array([(1 << 8 * min(max(i, 0), 8)) - 1 for i in range(-16, 25)], np.uint64)
+# byte b of a word is character b of its 8.  _BELOW[i] masks the
+# characters before index i of a word; under np.take's clip mode, an i
+# below 0 masks none and one above 8 all
+_BELOW = np.array([(1 << 8 * i) - 1 for i in range(9)], np.uint64)
 _ASCII_ZEROS = int.from_bytes(b"0" * 8, "little")
-# the characters that follow the kept digits, as words: "." after a
-# value's integer digits, or "0.000" before the digits of one below 1
-_DOTS = int.from_bytes(b"." * 8, "little")
-_FILL_BELOW_ONE = int.from_bytes(b"0.000000", "little")
-_ZERO_TEXT = int.from_bytes(b"0.0,", "little")
-# _COMMA_AT[i + 16] is a comma at character i of a word, 0 off the word
-_COMMA_AT = np.array(
-    [ord(",") << 8 * i if 0 <= i < 8 else 0 for i in range(-16, 25)], np.uint64
-)
+# the last word of a row number's field: its digits, and the comma that
+# takes the place of the 0 digit that ends the number times 10
+_ASCII_ZEROS_COMMA = int.from_bytes(b"0000000,", "little")
+# the delivered column's text for a False flag, and the newline, as a word
+_ZERO_LINE = np.uint64(int.from_bytes(b"0\n", "little"))
 _POW10 = np.array([10**i for i in range(18)], np.uint64)
-# "e-324," .. "e+308,", as words, by decimal exponent + 324, XOR a comma at
-# character 0: XORed onto the comma that ends a value's digits, each puts
-# its exponent there and the comma after it
-_EXPONENTS = np.array(
-    [int.from_bytes(b"e%+03d," % e, "little") ^ ord(",") for e in range(-324, 309)],
-    np.uint64,
-)
-# the delivered column's text and the newline, by flag, as a word
-_FLAG_LINES = np.array(
-    [int.from_bytes(b"%d\n" % flag, "little") for flag in (0, 1)], np.uint64
-)
 
 
 def _flog2pow10(e):
@@ -111,6 +107,47 @@ def _g_table() -> np.ndarray:
 
 
 _G = _g_table()
+
+
+def _layout_table() -> np.ndarray:
+    """How each decpt's values fill their 24-character fields, column decpt - _DECPT_MIN.
+
+    A field's characters start as the digits of a 24-digit frame.  A
+    value below 1 (decpt from -3 to 0) has its 17 digits m, left-aligned
+    as in :func:`_format`, after the frame's first 5 digits, 0s.  Any
+    other has at its first 18 the number 10 * m - 9 * (m mod 10**(17 - p)),
+    which is m with a 0 after digit p, for p = decpt, or 1 in exponent
+    form.  The rows are:
+
+    - the modulus 10**(17 - p), or 10**17 below 1, which leaves m as it is;
+    - 10**16 / s and s: the frame is that number times the scale s, so
+      its first word is the number over 10**16 / s;
+    - three words to XOR onto the frame's text, which turn its 0 at
+      character p into ``.``, or its first 5 into ``0.`` to ``0.000``
+      with NULs before;
+    - the least length of the text: p + 2 for a positional value of 1
+      or more, so that a digit follows its point, else 0;
+    - the last word's exponent at characters 18 to 22 and comma at 23.
+    """
+    columns = []
+    for decpt in range(_DECPT_MIN, _DECPT_MAX + 1):
+        positional = -3 <= decpt <= 16
+        if positional and decpt <= 0:
+            modulus, scale, least = 10**17, 10**2, 0
+            text = b"\0" * (decpt + 3) + b"0." + b"0" * -decpt
+        else:
+            p = decpt if positional else 1
+            modulus, scale, least = 10 ** (17 - p), 10**6, p + 2 if positional else 0
+            text = b"0" * p + b"."
+        point = int.from_bytes(bytes(c ^ ord("0") for c in text), "little")
+        exponent = b"" if positional else b"e%+03d" % (decpt - 1)
+        suffix = int.from_bytes(b"\0\0" + exponent.ljust(5, b"\0") + b",", "little")
+        words = (point >> 64 * w & 2**64 - 1 for w in range(3))
+        columns.append((modulus, 10**16 // scale, scale, *words, least, suffix))
+    return np.array(columns, np.uint64).T.copy()
+
+
+_MODULUS, _SPLIT, _SCALE, *_POINT, _LEAST, _SUFFIX = _layout_table()
 
 
 def _scratch(scratch, n: int) -> tuple[list, list]:
@@ -152,9 +189,9 @@ def _take(row, column, out):
     return np.take(_G[row], column, out=out, mode="clip")
 
 
-def _below(at, out):
-    """``_BELOW[at]``, the masks of the characters before index ``at`` of a word, into ``out``."""
-    return np.take(_BELOW, at, out=out, mode="clip")
+def _lookup(table, index, out):
+    """``table[index]`` into ``out``, an index past either end taking that end's entry."""
+    return np.take(table, index, out=out, mode="clip")
 
 
 def _mul_high(a0, a1, b0, b1, mid, cross, part):
@@ -318,12 +355,6 @@ def _shortest(slots, flags):
     return s, column
 
 
-
-
-
-
-
-
 def _eight_digits(v, q, r):
     """The eight decimal digits of each v < 10**8, one a byte, the first in the low byte.
 
@@ -349,56 +380,50 @@ def write_counting(first: int, out: np.ndarray, scratch) -> None:
     """Write the decimal text of ``first + i`` and a comma into row i of ``out``.
 
     ``out`` is an ``(n, width)`` array of ``uint64`` words, possibly a
-    strided view, with room for the last number and its comma; each row
-    gets its text NUL-padded, 8 characters to a little-endian word.
-    ``scratch`` is the caller's ``simulator._Workspace``, whose slots
-    hold the intermediates; see :func:`write_reprs`.
+    strided view, with room for the last number and its comma, 8
+    characters to a little-endian word.  Each row's comma is its last
+    character, the number's digits end just before it, and NULs fill the
+    characters before them.  ``scratch`` is the caller's
+    ``simulator._Workspace``, whose slots hold the intermediates; see
+    :func:`write_reprs`.
     """
     count, width = out.shape
-    last = first + count - 1
-    (values, q, r, *groups), _ = _scratch(scratch, count)
+    (values, lead, q, r, group, *_), (more, *_) = _scratch(scratch, count)
     values.fill(1)
     values[:1] = first
     np.cumsum(values, out=values)
-    # each number's digits right-aligned in `groups` words, leading zeros first
-    groups = groups[: -(-len(str(last)) // 8)]
-    for group in reversed(groups):
+    # the NULs before a number: its field's 8 * width - 1 digit places less its digits
+    lead = lead.view(np.int64)
+    lead.fill(8 * width - 2)
+    for digits in range(1, len(str(first + count - 1))):
+        lead -= np.greater_equal(values, 10**digits, out=more)
+    # the digits of 10 times the number, 8 to a word from the last, whose
+    # last digit, a 0, gives way to the comma
+    for w in reversed(range(width)):
         np.copyto(group, values)
-        _divmod(group, 10**8, values, q)
+        _divmod(group, 10**7 if w == width - 1 else 10**8, values, q)
+        if w == width - 1:
+            group *= 10
         _eight_digits(group, q, r)
-        group += _ASCII_ZEROS
-    # rows of one digit count run between powers of ten; in them, output
-    # word w is characters lead + 8 * w .. lead + 8 * w + 7 of the groups
-    for digits in range(len(str(first)), len(str(last)) + 1):
-        rows = slice(
-            max(first, 10 ** (digits - 1)) - first, min(last + 1, 10**digits) - first
-        )
-        lead = 8 * len(groups) - digits
-        word, high = q[rows], r[rows]
-        for w in range(width):
-            g, s = divmod(lead + 8 * w, 8)
-            if g < len(groups):
-                np.right_shift(groups[g][rows], 8 * s, out=word)
-            else:
-                word.fill(0)
-            if s and g + 1 < len(groups):
-                word |= np.left_shift(groups[g + 1][rows], 64 - 8 * s, out=high)
-            end = digits - 8 * w + 16  # the comma's index into _BELOW and _COMMA_AT
-            word &= _BELOW[end]
-            word |= _COMMA_AT[end]
-            np.copyto(out[rows, w], word)
+        group += _ASCII_ZEROS_COMMA if w == width - 1 else _ASCII_ZEROS
+        at = np.subtract(lead, 8 * w, out=q.view(np.int64))
+        group &= np.invert(_lookup(_BELOW, at, r), out=r)
+        np.copyto(out[:, w], group)
 
 
 def write_reprs(values, out: np.ndarray, scratch) -> None:
-    """Write ``repr`` of each value, then a comma, as NUL-padded text into ``out``.
+    """Write ``repr`` of each value, then a comma, as text in fixed slots into ``out``.
 
     ``out[..., w]`` receives characters ``8 * w`` to ``8 * w + 7`` of the
-    text of ``values[...]`` as one little-endian word, so ``out`` has the
-    shape of ``values`` plus a last axis of 3 ``uint64`` words, and may be
-    a strided view, such as three word columns of a row matrix.  A
-    ``repr`` is at most 23 characters, so its comma always fits.
-    Raises ValueError when a value is negative (-0.0 too), infinite or
-    nan, and then writes nothing.
+    24-character field of ``values[...]`` as one little-endian word, so
+    ``out`` has the shape of ``values`` plus a last axis of 3 ``uint64``
+    words, and may be a strided view, such as three word columns of a
+    row matrix.  A field's comma is its character 23 and an exponent
+    (``e-05`` to ``e+308``) starts at its character 18; the ``repr``'s
+    other characters come first, and NULs fill the rest, so the field
+    less its NULs is the ``repr`` and its comma.  Raises ValueError when
+    a value is negative (-0.0 too), infinite or nan, and then writes
+    nothing.
 
     ``scratch`` is a ``simulator._Workspace`` that the caller owns and
     reuses from call to call: every intermediate is written into its
@@ -416,37 +441,45 @@ def _format(slots, flags, out: np.ndarray) -> None:
     """:func:`write_reprs` of the doubles whose bits are in ``slots[0]``, shaped as ``out[..., 0]``."""
     shape = out.shape[:-1]
     bits = slots[0]
-    zero, sci = flags[-2:]
+    zero = flags[-1]
     if np.greater_equal(bits, _INF_BITS, out=zero).any():
         raise ValueError("only non-negative finite values are formatted")
     has_zero = np.equal(bits, 0, out=zero).any()
     if has_zero:
-        np.copyto(bits, _ONE_BITS, where=zero)  # any normal value; its text is replaced
-    f, column = _shortest(slots, flags[:-2])
-    below, one_digit = flags[:2]
-    ndigits, index, significant = (slots[i].view(np.int64) for i in (2, 3, 10))
-    m, *digits = slots[4:8]
-    q, r, moved = slots[8], slots[9], slots[11]
-    # f's digits left-aligned in 17 places, 8 + 8 + 1 digits to a word.  A
-    # normal double's f has 16 or 17 digits; only subnormals have fewer
-    _ones(np.greater_equal(f, 10**16, out=below), ndigits)
+        np.copyto(bits, _ONE_BITS, where=zero)  # its "1.0" becomes "0.0" below
+    f, column = _shortest(slots, flags[:-1])
+    more = flags[0]
+    index, length = (slots[i].view(np.int64) for i in (2, 3))
+    m, x, q, r = slots[4:8]
+    words = (slots[8], slots[9], x)
+    # m: f's digits left-aligned in 17 places.  A normal double's f has 16
+    # or 17 digits; only subnormals have fewer
+    ndigits = index
+    _ones(np.greater_equal(f, 10**16, out=more), ndigits)
     ndigits += 16
-    if np.less(f, 10**15, out=below).any():
+    if np.less(f, 10**15, out=more).any():
         for count, power in enumerate(_POW10, 1):
-            np.copyto(ndigits, count, where=np.greater_equal(f, power, out=below))
-    np.take(_POW10, np.subtract(17, ndigits, out=index), out=m, mode="clip")
+            np.copyto(ndigits, count, where=np.greater_equal(f, power, out=more))
+    np.take(_POW10, np.subtract(17, ndigits, out=length), out=m, mode="clip")
     m *= f
-    _divmod(m, 10**9, digits[0], q)
-    np.copyto(digits[2], m)
-    _divmod(digits[2], 10, digits[1], q)
-    for word in digits[:2]:
-        _eight_digits(word, q, r)
-    # significant digits end at the last digit that is not 0; as a double,
-    # a word's bits of its nonzero digits has the last one's in its exponent
-    _ones(np.greater(digits[2], 0, out=below), significant)
-    significant *= 17
+    # the column of the layout tables, decpt - _DECPT_MIN for the value 0.ddd * 10**decpt
+    index += column
+    index += _K_MIN - _DECPT_MIN
+    # the frame: x = 10 * m - 9 * (m mod the modulus), times the scale,
+    # whose first 8 digits go to words[0] and the next 16 to the others
+    _divmod(m, _lookup(_MODULUS, index, q), r, x)
+    x *= 10
+    x += m
+    _divmod(x, _lookup(_SPLIT, index, q), words[0], r)
+    x *= _lookup(_SCALE, index, q)
+    _divmod(x, 10**8, words[1], r)
+    # the text runs to the last digit that is not 0, or to the least length;
+    # as a double, a word's bits of its nonzero digits has the last one's
+    # in its exponent
+    _lookup(_LEAST, index, length.view(np.uint64))
     last = r.view(np.int64)
-    for start, word in zip((0, 8), digits):
+    for start, word in zip((0, 8, 16), words):
+        _eight_digits(word, q, r)
         np.add(word, 0x7F7F7F7F7F7F7F7F, out=q)
         q &= 0x8080808080808080
         np.copyto(r.view(np.float64), q, casting="unsafe")
@@ -454,75 +487,16 @@ def _format(slots, flags, out: np.ndarray) -> None:
         last -= 1030
         last >>= 3
         last += start + 1
-        np.maximum(significant, last, out=significant)
-    decpt = np.add(ndigits, column, out=ndigits)  # the value is 0.ddd * 10**decpt
-    decpt += _K_MIN
-    np.greater(decpt, 16, out=sci)
-    sci |= np.less(decpt, -3, out=below)
-    has_sci = sci.any()
-    point = f.view(np.int64)
-    np.copyto(point, decpt)
-    if has_sci:
-        np.copyto(point, 1, where=sci)
-    # the first `keep` digits stay, `fill` characters follow ("." or
-    # "0.000"), and the other digits move `fill` characters right
-    np.equal(significant, 1, out=one_digit)
-    np.less_equal(point, 0, out=below)
-    fill = np.subtract(2, point, out=r.view(np.int64))
-    np.maximum(fill, 1, out=fill)
-    length = np.maximum(significant, np.add(point, 1, out=index), out=significant)
-    length += fill
-    if has_sci:
-        np.copyto(length, 1, where=np.logical_and(sci, one_digit, out=one_digit))
-    # indices into _BELOW and _COMMA_AT, whose entry 16 is a word's character 0
-    keep_at = np.maximum(point, 0, out=point)
-    keep_at += 16
-    length_at = length
-    length_at += 16
-    shift = fill.view(np.uint64)
-    shift <<= 3
-    if has_sci:
-        # the exponent goes where the loop puts the comma, which moves after it
-        decpt += 324 - 1
-        suffix = np.take(_EXPONENTS, decpt, out=column.view(np.uint64), mode="clip")
-    carried, mask = m, decpt.view(np.uint64)
-    for w, text in enumerate(digits):
-        # character i of the value is character i - 8 * w of word w
-        text += _ASCII_ZEROS
-        np.left_shift(text, shift, out=moved)
-        if w:
-            moved |= carried
-        if w < 2:
-            np.right_shift(text, np.subtract(64, shift, out=q), out=carried)
-        # characters before `keep` from text, then the fill, then moved
-        if w == 0:
-            fill_text = np.multiply(_ones(below, q), _DOTS ^ _FILL_BELOW_ONE, out=q)
-            fill_text ^= _DOTS
-        else:
-            fill_text = _DOTS
-        text ^= fill_text
-        text &= _below(np.subtract(keep_at, 8 * w, out=index), mask)
-        text ^= fill_text
-        at = np.right_shift(shift, 3, out=index.view(np.uint64)).view(np.int64)
-        at += keep_at
-        at -= 8 * w
-        text ^= moved
-        text &= _below(at, mask)
-        text ^= moved
-        at = np.subtract(length_at, 8 * w, out=index)
-        text &= _below(at, mask)
-        text |= np.take(_COMMA_AT, at, out=mask, mode="clip")
-        if has_sci:
-            # the suffix shifted left by the comma's bit offset in this word,
-            # or right by minus it; a shift of 64 or more gives 0
-            offset = np.left_shift(length_at, 3, out=index)
-            offset -= 128 + 64 * w
-            np.left_shift(suffix, offset.view(np.uint64), out=mask)
-            mask |= np.right_shift(suffix, np.negative(offset, out=offset).view(np.uint64), out=q)
-            np.copyto(text, np.bitwise_xor(text, mask, out=mask), where=sci)
-        if has_zero:
-            np.copyto(text, _ZERO_TEXT if w == 0 else 0, where=zero)
-        np.copyto(out[..., w], text.reshape(shape))
+        np.maximum(length, last, out=length)
+    if has_zero:
+        np.bitwise_xor(words[0], zero, out=words[0])  # 1.0's first digit becomes 0
+    for w, word in enumerate(words):
+        word += _ASCII_ZEROS
+        word ^= _lookup(_POINT[w], index, q)
+        word &= _lookup(_BELOW, np.subtract(length, 8 * w, out=last), q)
+        if w == 2:
+            word |= _lookup(_SUFFIX, index, q)
+        np.copyto(out[..., w], word.reshape(shape))
 
 
 def ledger_text(first: int, y, x1, x_nonp, delivered, scratch) -> np.ndarray:
@@ -532,11 +506,12 @@ def ledger_text(first: int, y, x1, x_nonp, delivered, scratch) -> np.ndarray:
     yields, one entry per row.  The rows are laid out ``_BLOCK_ROWS`` at a
     time in ``scratch``, a ``simulator._Workspace`` that the caller owns:
     the block's intermediates go to the buffers that :func:`write_reprs`
-    names, its row words to ``rows`` and their nonzero mask to ``mask``,
-    each reused from block to block and from call to call, and the text
-    of every block to ``text``.  The result is a view of ``text``, valid
-    until the scratch is used again; apart from it, a call holds only
-    the compacted text of one block at a time.
+    names, its row words, each field's text in fixed slots with NULs
+    between, to ``rows`` and their nonzero mask to ``mask``, each reused
+    from block to block and from call to call, and the text of every
+    block, its NULs dropped, to ``text``.  The result is a view of
+    ``text``, valid until the scratch is used again; apart from it, a
+    call holds only the compacted text of one block at a time.
     """
     columns = (y, x1, x_nonp, delivered)
     # a row's text never exceeds its fixed-width words
@@ -571,8 +546,7 @@ def _block_text(first: int, y, x1, x_nonp, delivered, scratch, out) -> int:
     slots, flags = _scratch(scratch, 3 * size)
     np.stack((y, x1, x_nonp), axis=1, out=slots[0].view(np.float64).reshape(size, 3))
     _format(slots, flags, rows[:, -10:-1].reshape(size, 3, 3))
-    np.copyto(rows[:, -1], _FLAG_LINES[0])
-    np.copyto(rows[:, -1], _FLAG_LINES[1], where=delivered)
+    np.add(delivered, _ZERO_LINE, out=rows[:, -1])  # "0\n" or "1\n"
     text = rows.view(np.uint8).reshape(-1)
     mask = np.not_equal(text, 0, out=scratch("mask", bool, text.size))
     count = np.count_nonzero(mask)

@@ -171,16 +171,17 @@ def _priority_age(y: np.ndarray, x1: np.ndarray, out=None) -> float:
     return float(area / y[1:].sum())
 
 
-def _nonpriority_age(w: np.ndarray, xtilde: np.ndarray) -> tuple[float, float, float]:
-    """The non-priority age estimate, the sum of w**2 and the sum of w.
+def _nonpriority_age(w: np.ndarray, xtilde: np.ndarray) -> tuple[float, float, float, float]:
+    """The non-priority age estimate, the sum of w**2, the sum of w and the sum of xtilde.
 
-    Overwrites ``w`` with w**2 and ``xtilde`` with xtilde * w.
+    Overwrites ``w`` with w**2 and ``xtilde`` with xtilde * w, after their sums.
     """
     w_sum = w.sum()
+    xtilde_sum = xtilde.sum()
     xw_sum = np.multiply(xtilde, w, out=xtilde).sum()
     w_sq_sum = np.multiply(w, w, out=w).sum()
     area = 0.5 * w_sq_sum + xw_sum
-    return float(area / w_sum), w_sq_sum, w_sum
+    return float(area / w_sum), w_sq_sum, w_sum, xtilde_sum
 
 
 class _Workspace:
@@ -203,7 +204,7 @@ class _Workspace:
     bool ``miss`` mask.  A ledger writer's workspace, one per
     :func:`write_ledger_csv` call or per forked worker, holds a task's
     drawn columns and the scratch of ``_shortest.ledger_text``: the
-    uint64 ``slot0`` .. ``slot11`` and bool ``flag0`` .. ``flag7`` of one
+    uint64 ``slot0`` .. ``slot11`` and bool ``flag0`` .. ``flag6`` of one
     block's floats, the ``rows`` words and their ``mask``, and the
     task's ``text``.
     """
@@ -578,7 +579,7 @@ def _replication_ages(y, x1, x_nonp, delivered, work) -> dict[str, float]:
 
 
 def _ages(y, x1, x_nonp, d, work):
-    """:func:`_replication_ages` from the delivery indices ``d``, with the sums of w**2 and w.
+    """:func:`_replication_ages` from the delivery indices ``d``, with the sums of w**2, w and xtilde.
 
     The priority age comes first, its products in the ``spans`` buffer of
     the workspace ``work``.  :func:`_cycles` then writes the cycles into
@@ -593,9 +594,9 @@ def _ages(y, x1, x_nonp, d, work):
         raise InsufficientDataError(
             "replication too short to observe both delivery outcomes"
         )
-    age_nonpriority, w_sq_sum, w_sum = _nonpriority_age(w, xtilde)
+    age_nonpriority, w_sq_sum, w_sum, xtilde_sum = _nonpriority_age(w, xtilde)
     ages = {"age_priority": age_priority, "age_nonpriority": age_nonpriority}
-    return ages, w_sq_sum, w_sum
+    return ages, w_sq_sum, w_sum, xtilde_sum
 
 
 def _replication_estimates(y, x1, x_nonp, delivered, work) -> dict[str, float]:
@@ -623,11 +624,10 @@ def _replication_estimates(y, x1, x_nonp, delivered, work) -> dict[str, float]:
     del missed
     d = np.flatnonzero(delivered)
     ys_sum = np.take(y, d, out=spans[: d.size], mode="clip").sum()
-    ages, w_sq_sum, w_sum = _ages(y, x1, x_nonp, d, work)
+    ages, w_sq_sum, w_sum, xtilde_sum = _ages(y, x1, x_nonp, d, work)
     deliveries = d.size
     misses = num_intervals - deliveries
     cycles = deliveries - 1
-    xtilde_sum = np.take(x_nonp, d[:-1], out=spans[:cycles], mode="clip").sum()
     return {
         **ages,
         "y_mean": float(y_sum / num_intervals),

@@ -34,14 +34,18 @@ def float_reprs(values, scratch: _Workspace) -> np.ndarray:
 
     ``float_reprs(x, scratch).tolist()`` equals ``[repr(v).encode() for v
     in x.tolist()]`` for a 1-d ``x`` of non-negative finite doubles.
-    ``scratch`` is the workspace that ``write_reprs`` formats in.
+    ``scratch`` is the workspace that ``write_reprs`` formats in.  The
+    NULs between a field's characters are dropped, as the ledger's
+    compaction drops them: a stable sort of each field on its NULs keeps
+    the other characters in order and moves the NULs to its end.
     """
     values = np.ascontiguousarray(values, np.float64).reshape(-1)
     out = np.empty((values.size, 3), "<u8")
     write_reprs(values, out, scratch)
-    text = out.view(np.uint8)
+    text = out.view(np.uint8).reshape(-1, 24)
     text[text == ord(",")] = 0  # a repr holds no comma
-    return out.view("S24").reshape(-1)
+    order = np.argsort(text == 0, axis=1, kind="stable")
+    return np.take_along_axis(text, order, axis=1).view("S24").reshape(-1)
 
 
 def main(argv: list[str]) -> int:

@@ -49,10 +49,10 @@ def test_sweep_shift_csv(tmp_path):
     assert digest == SWEEP_SHIFT_SHA256
 
 
-def ledger_csv_sha256(tmp_path, k, intervals, seed):
+def ledger_csv_sha256(tmp_path, k, intervals, seed, *options):
     out = tmp_path / "ledger.csv"
     argv = ["ledger", "--k", str(k), "--intervals", str(intervals), "--seed", str(seed)]
-    assert main(argv + ["--out", str(out)]) == 0
+    assert main(argv + [*options, "--out", str(out)]) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
@@ -64,6 +64,20 @@ def test_ledger_csv_long(tmp_path):
     assert ledger_csv_sha256(tmp_path, 3, 100_000, 13) == LEDGER_100000_SHA256
 
 
+def test_ledger_csv_below_one_and_negative_exponents(tmp_path):
+    # 12298 positional fields below 1, most of them 0.000..., and 2702 in
+    # exponent form with negative exponents
+    digest = ledger_csv_sha256(tmp_path, 3, 5_000, 17, "--lambda", "3e3")
+    assert digest == LEDGER_FAST_SHA256
+
+
+def test_ledger_csv_large_integers_and_positive_exponents(tmp_path):
+    # 978 positional fields with 13 to 16 digits before the point, 664 of
+    # them ending in .0, and 14022 in exponent form from e+16 up
+    digest = ledger_csv_sha256(tmp_path, 3, 5_000, 17, "--lambda", "1e-17")
+    assert digest == LEDGER_SLOW_SHA256
+
+
 def test_validate_stdout(capsys):
     assert main(["validate", "--intervals", "2000", "--replications", "2"]) == 0
     assert capsys.readouterr().out == VALIDATE_STDOUT
@@ -73,6 +87,8 @@ SWEEP_K_SHA256 = "6acc9511ee4aa64bf81412e3401607e7fdf53654aff79b6545282fd4d73b36
 SWEEP_SHIFT_SHA256 = "3e506be975b95159913c6c86314cf8262b8388fb882b70e3825a66d2541145e0"
 LEDGER_5000_SHA256 = "2c17399188783c64ee2462cc390afe8567c97f8ea05ef8681fc75b0e7566280b"
 LEDGER_100000_SHA256 = "6bd7210d69119194bf941db9fe540f6410c49269c08c1d7681b97c8be8254a55"
+LEDGER_FAST_SHA256 = "03b5721c49c07447891fbb1c954571e06fe303bd3b511de036a73105aefd8963"
+LEDGER_SLOW_SHA256 = "049511b89e507e7c356e5ac091dca1a5399ee76037ba4ea8873632bd2895e3bd"
 VALIDATE_STDOUT = """\
 PASS  exponential_age_identity      max deviation 3.553e-15 over k=1..200, four rates
 PASS  priority_bound_dominance      0 violations over 9000 grid points; gap shrinks from k=10 to k=1000: True

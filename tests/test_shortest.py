@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repr_sweep
-from agecast._shortest import _BLOCK_ROWS, ledger_text, write_reprs
+from agecast._shortest import _BLOCK_ROWS, ledger_text, write_counting, write_reprs
 from agecast.simulator import _Workspace
 
 # the bit pattern of inf; below it lie 0.0 and every positive finite double
@@ -97,6 +97,35 @@ def test_layout():
     # a strided view reads the same as its copy
     values = np.random.default_rng(5).exponential(size=100)
     assert float_reprs(values[::3]).tolist() == float_reprs(values[::3].copy()).tolist()
+
+
+def test_commas_and_exponents_sit_at_fixed_characters():
+    # the ledger's compaction drops the NULs between them
+    rng = np.random.default_rng(53)
+    values = np.concatenate([
+        rng.integers(0, INF_BITS, size=4096, dtype=np.uint64).view(np.float64),
+        [0.0, 5e-324, 1e-05, 0.0001, 0.1, 1.5, 9999999999999998.0, 1e16, 1.7976931348623157e308],
+    ])
+    out = np.empty((values.size, 3), np.uint64)
+    write_reprs(values, out, _Workspace(values.size))
+    fields = out.view(np.uint8).reshape(-1, 24)
+    assert (fields[:, 23] == ord(",")).all()
+    assert ((fields == ord(",")).sum(axis=1) == 1).all()
+    exponent = np.array(["e" in repr(v) for v in values.tolist()])
+    assert exponent.any() and not exponent.all()
+    assert ((fields == ord("e")).sum(axis=1) == exponent).all()
+    assert (fields[exponent, 18] == ord("e")).all()
+
+
+@pytest.mark.parametrize("first, count, width", [(1, 100, 1), (10**7 - 50, 100, 2), (3, 10, 3)])
+def test_row_numbers_end_in_their_fields_last_character(first, count, width):
+    out = np.full((count, width), 2**64 - 1, np.uint64)
+    write_counting(first, out, _Workspace(count))
+    fields = out.view(np.uint8).reshape(count, 8 * width)
+    assert (fields[:, -1] == ord(",")).all()
+    assert ((fields == ord(",")).sum(axis=1) == 1).all()
+    text = [bytes(field[field != 0]) for field in fields]
+    assert text == [b"%d," % j for j in range(first, first + count)]
 
 
 @pytest.mark.parametrize("value", [-1.0, -0.0, np.inf, np.nan, -np.inf])
