@@ -236,12 +236,7 @@ def _validate_request(merged: dict) -> tuple:
         replications=merged["replications"],
         tolerance=merged["tolerance"],
     )
-    # the checks' only arrays that grow with the run, perhaps at once:
-    # age_regression's runs and order_stat_monte_carlo's 16 bytes per draw
-    _check_memory(
-        _run_bytes(settings.num_intervals, settings.replications)
-        + 16 * settings.num_intervals
-    )
+    _check_memory(_run_bytes(settings.num_intervals, settings.replications))
     return settings, merged["checks"]
 
 

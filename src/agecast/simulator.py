@@ -222,17 +222,25 @@ class _Workspace:
 
 
 def _run_bytes(num_intervals: int, replications: int) -> int:
-    """Bytes of the arrays that a run or sweep holds at once.
+    """Bytes of the arrays that a run, sweep or ``validate`` holds at once.
 
     Per replication thread: a :class:`_Workspace` of five float64
     buffers and one bool (and a bool miss mask for the full estimates of
     :func:`run_k_sweep`), and the int64 delivery or miss indices, so the
     bound has one float64 buffer of slack.  A run has at most one thread
     per replication and one workspace per thread, and its workspaces go
-    when it returns.  A run made from a pool thread, such as a
-    ``validate`` check's, runs in that thread, so each of ``validate``'s
-    check threads holds at most one workspace at a time.  ``validate``
-    adds only ``order_stat_monte_carlo``'s column; its other runs stream.
+    when it returns.  The slack is kept: peak RSS from ``--intervals``
+    10^5 to 4·10^5 (``tests/peak_growth.py``, 2 vCPUs) grows 47.4 to 48.3
+    bytes per interval for a one-CPU ``sweep-k --k 1..5``, but 100.9 to
+    106.8 (50.5 to 53.4 per thread) on two CPUs, above the 49 bytes of
+    the buffers alone.
+
+    ``validate`` is refused by this bound alone.  Its sampling checks
+    stream in blocks of rows, and of its runs only ``age_regression``'s
+    grow with ``--intervals``; they run one at a time.  When two or more
+    checks run, a check runs in a pool thread and its runs replicate in
+    that thread.  A check run alone runs in the caller's thread, and its
+    runs use pools of their own, as a sweep's do.
     """
     return (6 * 8 + 2 + 8) * num_intervals * min(_usable_cpus(), replications)
 

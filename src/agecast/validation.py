@@ -202,7 +202,18 @@ def check_order_stat_monotonicity(settings: ValidationSettings) -> tuple[bool, s
 
 
 def check_order_stat_monte_carlo(settings: ValidationSettings) -> tuple[bool, str]:
-    """Sorted-sample draws hit the closed-form moments within 4 se."""
+    """Sorted-sample draws hit the closed-form moments within 4 se.
+
+    A law's draws are the rows of one (draws, n) matrix of uniforms, drawn
+    ``_SAMPLE_BLOCK`` rows at a time in row-major order, and each row keeps
+    its k-th smallest.  Each block adds the power sums S1..S4 of the kept
+    values' deviations z from the closed-form mean, so memory is one block
+    whatever the draws; the sample variance and the standard error of the
+    squared deviations follow from the sums (M2 and M4 are the second and
+    fourth sums about the sample mean).  At the ``validate`` defaults the
+    check failed on 0 of the seeds 1..100 (``tests/gate_seeds.py``, stream
+    version 2).
+    """
     rng = np.random.default_rng(settings.seed + 1)
     draws = max(settings.num_intervals, 10_000)
     worst = 0.0
@@ -212,24 +223,24 @@ def check_order_stat_monte_carlo(settings: ValidationSettings) -> tuple[bool, st
         rate = float(rng.uniform(0.3, 4.0))
         shift = float(rng.uniform(0.0, 3.0))
         dist = ServiceDistribution(rate=rate, shift=shift)
-        # the rows of one (draws, n) matrix of uniforms, drawn a block at a
-        # time in the same row-major order; each row keeps its k-th smallest
-        col = np.empty(draws)
+        target = order_stat_mean(dist, k, n)
+        sums = np.zeros(4)
         for start in range(0, draws, _SAMPLE_BLOCK):
             block = rng.random((min(_SAMPLE_BLOCK, draws - start), n))
             # in place: the k-th smallest of each row moves to column k - 1
             block.partition(k - 1, axis=1)
-            col[start : start + block.shape[0]] = block[:, k - 1]
-        # the inverse CDF is nondecreasing, so it maps each row's k-th smallest
-        # uniform to the k-th smallest of the row's service times
-        dist._inverse_cdf(col, out=col)
-        mean = col.mean()
-        # the squared deviations in place: bit for bit numpy's var and std
-        np.subtract(col, mean, out=col)
-        var = np.multiply(col, col, out=col).sum() / (draws - 1)
-        mean_se = math.sqrt(var) / math.sqrt(draws)
-        worst = max(worst, abs(mean - order_stat_mean(dist, k, n)) / mean_se)
-        var_se = col.std(ddof=1) / math.sqrt(draws)
+            # the inverse CDF is nondecreasing, so it maps each row's k-th smallest
+            # uniform to the k-th smallest of the row's service times
+            z = dist._inverse_cdf(block[:, k - 1]) - target
+            z2 = z * z
+            sums += (z.sum(), z2.sum(), (z2 * z).sum(), (z2 * z2).sum())
+        s1, s2, s3, s4 = sums
+        d = s1 / draws
+        m2 = s2 - s1 * d
+        m4 = s4 - 4 * d * s3 + 6 * d * d * s2 - 3 * draws * d**4
+        var = m2 / (draws - 1)
+        worst = max(worst, abs(d) / (math.sqrt(var) / math.sqrt(draws)))
+        var_se = math.sqrt((m4 - m2 * m2 / draws) / (draws - 1)) / math.sqrt(draws)
         worst = max(worst, abs(var - order_stat_var(dist, k, n)) / var_se)
     return (
         worst < 4.0,
@@ -448,34 +459,39 @@ def check_estimator_agreement(settings: ValidationSettings) -> tuple[bool, str]:
 
 
 def check_age_regression(settings: ValidationSettings) -> tuple[bool, str]:
-    """Simulated ages land within the relative tolerance of theory."""
+    """Simulated ages land within the relative tolerance of theory.
+
+    The cases are the exponential law at k = 1 and 2, then the shifted
+    one at k = 1.  The two exponential cases are the points of one k
+    sweep, which equal separate runs at their k.  At the ``validate``
+    defaults the check failed on 0 of the seeds 1..100
+    (``tests/gate_seeds.py``, stream version 2).
+    """
     worst = 0.0
     label = ""
-    cases = (
-        (ServiceDistribution.exponential(1.0), 1),
-        (ServiceDistribution.exponential(1.0), 2),
-        (ServiceDistribution(rate=1.0, shift=1.0), 1),
-    )
-    for dist, k in cases:
-        (sim,) = run_age_sweep(
-            (
-                SimConfig(
-                    dist=dist,
-                    k=k,
-                    num_intervals=settings.num_intervals,
-                    seed=settings.seed,
-                    replications=settings.replications,
-                ),
+    for dist, ks in (
+        (ServiceDistribution.exponential(1.0), (1, 2)),
+        (ServiceDistribution(rate=1.0, shift=1.0), (1,)),
+    ):
+        configs = [
+            SimConfig(
+                dist=dist,
+                k=k,
+                num_intervals=settings.num_intervals,
+                seed=settings.seed,
+                replications=settings.replications,
             )
-        )
-        for hat, target, tag in (
-            (sim.age_priority_hat, age_priority(dist, k), "priority"),
-            (sim.age_nonpriority_hat, age_nonpriority(dist, k).value, "non-priority"),
-        ):
-            rel = abs(hat - target) / target
-            if rel > worst:
-                worst = rel
-                label = f"{tag} {dist.kind} k={k}"
+            for k in ks
+        ]
+        for k, sim in zip(ks, run_age_sweep(configs)):
+            for hat, target, tag in (
+                (sim.age_priority_hat, age_priority(dist, k), "priority"),
+                (sim.age_nonpriority_hat, age_nonpriority(dist, k).value, "non-priority"),
+            ):
+                rel = abs(hat - target) / target
+                if rel > worst:
+                    worst = rel
+                    label = f"{tag} {dist.kind} k={k}"
     return (
         worst <= settings.tolerance,
         f"max relative error {worst:.5f} vs tolerance {settings.tolerance} ({label})",
@@ -566,14 +582,17 @@ def run_checks(
 
     The checks run on one thread per CPU of the affinity mask, at most one
     per check, and in this thread when that is one; the records come back
-    in ``CHECK_NAMES`` order, so they do not depend on the CPU count.  A
-    check runs the replications it simulates in its own thread
+    in ``CHECK_NAMES`` order, so they do not depend on the CPU count.
+    When two or more checks run on two or more CPUs, a check runs the
+    replications it simulates in its own pool thread
     (:func:`agecast.simulator._ordered_map`), so no more threads run than
     CPUs, and a check thread holds at most one replication workspace at a
-    time, which goes when its run returns.  If a check raises, the queued
-    ones are cancelled and the first exception in check order reaches the
-    caller once the threads have stopped.  Peak memory is the sum of the
-    peaks of the checks running at once.
+    time, which goes when its run returns.  A check run alone runs in
+    this thread, so its runs replicate on pools of their own, as a
+    sweep's do.  If a check raises, the queued ones are cancelled and the
+    first exception in check order reaches the caller once the threads
+    have stopped.  Peak memory is the sum of the peaks of the checks
+    running at once.
     """
     wanted = set(CHECK_NAMES if names is None else select_checks(names))
 

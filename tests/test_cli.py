@@ -148,9 +148,8 @@ class TestParsing:
                 "sweep-shift", "--dist", "sexp", "--k", "2", "--c-values", "0,1",
                 "--intervals", "10000000000000",
             ],
-            # the replication workspaces and order_stat_monte_carlo's column of
-            # intervals draws would exceed memory; refused when parsed, before
-            # any check runs
+            # age_regression's replication workspaces would exceed memory;
+            # refused when parsed, before any check runs
             ["validate", "--intervals", "20000000000"],
         ],
     )
@@ -177,22 +176,25 @@ class TestParsing:
         _, (settings, _) = parse_config(["validate", "--intervals", "20000000000"])
         assert settings.num_intervals == 2 * 10**10
 
-    def test_validate_is_refused_by_the_arrays_its_checks_hold(self, monkeypatch, capsys):
+    def test_validate_is_refused_by_the_same_rule_as_a_sweep(self, monkeypatch, capsys):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         pages = {"SC_PHYS_PAGES": 34_000, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__, raising=False)
         memory = 34_000 * 4096
-        # age_regression's runs on 2 threads and order_stat_monte_carlo's 16
-        # bytes per draw fit; with the 33 bytes per interval of a whole
-        # ledger for cycle_bookkeeping, which now streams, they would not
-        assert _run_bytes(10**6, 8) + 33 * 10**6 > memory >= _run_bytes(10**6, 8) + 16 * 10**6
-        assert _run_bytes(1_100_000, 8) + 16 * 1_100_000 > memory
-        _, (settings, _) = parse_config(["validate", "--intervals", "1000000"])
-        assert settings.num_intervals == 10**6
-        with pytest.raises(SystemExit) as exc:
-            parse_config(["validate", "--intervals", "1100000"])
-        assert exc.value.code == 2
-        assert "intervals too large" in capsys.readouterr().err
+        # the most intervals whose run fits: 2 threads of 58 bytes each
+        fits = memory // _run_bytes(1, 8)
+        assert _run_bytes(fits, 8) <= memory < _run_bytes(fits + 1, 8)
+        # and would not with a check-specific 16 bytes per interval on top
+        assert _run_bytes(fits, 8) + 16 * fits > memory
+        for argv in (["validate"], ["sweep-k", "--k", "1..5"]):
+            _, request = parse_config([*argv, "--intervals", str(fits)])
+            # validate's request is (settings, check names)
+            settings = request[0] if argv == ["validate"] else request
+            assert settings.num_intervals == fits
+            with pytest.raises(SystemExit) as exc:
+                parse_config([*argv, "--intervals", str(fits + 1)])
+            assert exc.value.code == 2
+            assert "intervals too large" in capsys.readouterr().err
 
     def test_a_ledger_of_any_length_is_accepted(self):
         # the writer holds a few tasks of rows whatever the length, so no

@@ -19,8 +19,10 @@ from agecast.simulator import (
     SimConfig,
     _cycles,
     _map_replications,
+    run_age_sweep,
     simulate_ledger,
 )
+from agecast.theory import age_nonpriority, age_priority
 from agecast.validation import (
     _SAMPLE_BLOCK,
     CHECK_NAMES,
@@ -29,6 +31,7 @@ from agecast.validation import (
     _bookkeeping,
     _pooled_z,
     _RunningMoments,
+    check_age_regression,
     check_cycle_bookkeeping,
     check_order_stat_monte_carlo,
     check_simulation_moments,
@@ -192,6 +195,24 @@ class TestCheckThreads:
         # its cycles grew by about 65 bytes per interval
         assert peaks[1] - peaks[0] < 8 * 8 * _SAMPLE_BLOCK
 
+
+    def test_order_stat_monte_carlo_memory_does_not_grow_with_the_draws(self):
+        # imports made on the first call stay out of the traced peaks
+        check_order_stat_monte_carlo(ValidationSettings(num_intervals=2000))
+        peaks = []
+        for blocks in (4, 40):
+            tracemalloc.start()
+            try:
+                check_order_stat_monte_carlo(
+                    ValidationSettings(num_intervals=blocks * _SAMPLE_BLOCK)
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # less than one block of the widest matrix, eight float64 columns (the
+        # laws drawn differ with the size); a column of all the draws and its
+        # temporaries grew by 9.2 MB
+        assert peaks[1] - peaks[0] < 8 * 8 * _SAMPLE_BLOCK
 
 class TestOnePool:
     """The checks run on one pool, and each check's replications in its thread."""
@@ -405,6 +426,43 @@ def test_order_stat_monte_carlo_equals_the_whole_matrix(seed):
         settings
     )
 
+
+def separate_runs_age_regression(settings):
+    """The age regression check with each of its three cases as its own run: the oracle."""
+    worst = 0.0
+    label = ""
+    cases = (
+        (ServiceDistribution.exponential(1.0), 1),
+        (ServiceDistribution.exponential(1.0), 2),
+        (ServiceDistribution(rate=1.0, shift=1.0), 1),
+    )
+    for dist, k in cases:
+        config = SimConfig(
+            dist=dist,
+            k=k,
+            num_intervals=settings.num_intervals,
+            seed=settings.seed,
+            replications=settings.replications,
+        )
+        (sim,) = run_age_sweep((config,))
+        for hat, target, tag in (
+            (sim.age_priority_hat, age_priority(dist, k), "priority"),
+            (sim.age_nonpriority_hat, age_nonpriority(dist, k).value, "non-priority"),
+        ):
+            rel = abs(hat - target) / target
+            if rel > worst:
+                worst = rel
+                label = f"{tag} {dist.kind} k={k}"
+    return (
+        worst <= settings.tolerance,
+        f"max relative error {worst:.5f} vs tolerance {settings.tolerance} ({label})",
+    )
+
+
+@pytest.mark.parametrize("seed", [1729, 5, 7])
+def test_age_regression_equals_separate_runs(seed):
+    settings = ValidationSettings(seed=seed, num_intervals=10_000, replications=4)
+    assert check_age_regression(settings) == separate_runs_age_regression(settings)
 
 BOOKKEEPING = ("cycles", "counted", "expect", "w_sum", "y_sum", "corr")
 
