@@ -46,16 +46,15 @@ __all__ = [
 
 CROSS_CHECK_MAX_INTERVALS = 100_000
 
-# uniforms the interval kernel draws into its buffer at a time when it
-# folds a node into the running max; the same stream as a whole column
-_COLUMN_CHUNK = 16384
-
-# rows the ledger writer draws, formats and writes as one task
-_TASK_ROWS = 16384
+# rows that every reader of the stream takes at a time: the interval kernel
+# folds a node's column into the running max in chunks of this many
+# uniforms, the ledger writer draws, formats and writes a task of this many
+# rows, and validate's streamed checks draw and reduce blocks of this many
+_ROWS = 16384
 
 # from this many rows on, the ledger writer formats on a worker pool; below
 # it, starting the workers costs more than they save
-_POOL_MIN_ROWS = 4 * _TASK_ROWS
+_POOL_MIN_ROWS = 4 * _ROWS
 
 # master seeds are 64-bit unsigned integers
 MAX_SEED = 2**64 - 1
@@ -245,6 +244,11 @@ def _run_bytes(num_intervals: int, replications: int) -> int:
     return (6 * 8 + 2 + 8) * num_intervals * min(_usable_cpus(), replications)
 
 
+def _new_array(name: str, dtype=np.float64, size: int = 0) -> np.ndarray:
+    # a new array each time, so that a yielded array is never changed
+    return np.empty(size, dtype)
+
+
 # the version of the random-stream layout below; every seeded output
 # depends on it.  1 was row-major by interval, 2 is column-major by node.
 STREAM_VERSION = 2
@@ -277,10 +281,10 @@ def generate_interval_sweep(
     the last column.  A window short of the whole pass therefore needs a
     PCG64 or PCG64DXSM generator (any other raises ValueError), while the
     whole pass never jumps and takes any generator.  The ledger writer
-    draws each 16384-row task of a dump this way, in the process that
-    formats it.
+    and ``validate``'s streamed checks draw each ``_ROWS`` rows of a run
+    this way (:func:`_draw_rows`).
 
-    Each node after node 1 is drawn ``_COLUMN_CHUNK`` uniforms at a time
+    Each node after node 1 is drawn ``_ROWS`` uniforms at a time
     and folded into a running max of the raw uniforms, which the
     nondecreasing inverse CDF maps to y; memory is four arrays of the
     window's length at every k.  x_nonp and x1 are transformed once and
@@ -291,9 +295,10 @@ def generate_interval_sweep(
     service times, the tracked non-priority node's service times and its
     delivery flags (``x_nonp < y``).  Without ``work``, a yielded array is
     never changed afterwards, and the pass keeps no reference to a k's
-    ``y`` or ``delivered`` once it resumes.  With a ``_Workspace`` of the
-    window's length, every column is written into its buffers
-    instead, so a yielded array is valid only until the pass resumes:
+    ``y`` or ``delivered`` once it resumes.  With a ``_Workspace``, every
+    column is written into the first rows of its buffers instead (a
+    buffer shorter than the window grows), so a yielded array is valid
+    only until the pass resumes:
     the next k overwrites ``y`` and ``delivered``, and the next pass
     through the same workspace overwrites all four.  The values are the
     same either way.
@@ -316,14 +321,7 @@ def generate_interval_sweep(
             "a row window jumps the stream, which needs a PCG64 or PCG64DXSM "
             f"generator, got {type(rng.bit_generator).__name__}"
         )
-    if work is None:
-
-        def work(name, dtype=np.float64, size=size):
-            # a new array each time, so that a yielded array is never changed
-            return np.empty(size, dtype)
-
-    elif work.size != size:
-        raise ValueError(f"workspace holds {work.size} intervals, the pass draws {size}")
+    work = partial(_new_array if work is None else work, size=size)
     # the stream stands at uniform ``position`` of the whole pass
     position = 0
 
@@ -341,7 +339,7 @@ def generate_interval_sweep(
     seek(1)
     u_max = rng.random(out=work("u_max"))
     x1 = dist._inverse_cdf(u_max, out=work("x1"))
-    chunk = work("chunk", size=min(size, _COLUMN_CHUNK))
+    chunk = work("chunk", size=min(size, _ROWS))
     drawn = 1
     for k in ks:
         for node in range(drawn + 1, k + 1):
@@ -353,6 +351,20 @@ def generate_interval_sweep(
         y = x1 if k == 1 else dist._inverse_cdf(u_max, out=work("y"))
         yield y, x1, x_nonp, np.less(x_nonp, y, out=work("delivered", bool))
         del y  # so the caller can free it before the next draw
+
+
+def _draw_rows(seed, skip, dist, k, num_intervals, rows, work) -> tuple:
+    """Row window ``rows`` of one run, drawn into ``work``: ``(y, x1, x_nonp, delivered)``.
+
+    The run is the pass of :func:`generate_interval_sweep` at group size k
+    that starts ``skip`` uniforms into the stream of ``default_rng(seed)``.
+    Only the window is drawn, so a reader of a long run holds no more than
+    its rows of any column; the columns are valid until ``work`` draws
+    again.
+    """
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(skip)
+    return next(generate_interval_sweep(rng, dist, num_intervals, (k,), work, rows=rows))
 
 
 # The whole-run API, down to accumulate_nonpriority, has no caller left in
@@ -798,23 +810,17 @@ def _ledger_rows(
 ) -> tuple[np.ndarray, int]:
     """CSV lines and delivery count of rows ``start .. stop - 1`` of a ledger.
 
-    The rows are drawn here, as one row window of the whole pass from the
-    seed's PCG64 start state, so no process holds more than these rows of
-    any column.  They are drawn into ``work`` when the window is
-    ``work.size`` rows long, and into a workspace of their own otherwise.
-    ``_shortest.ledger_text`` lays them out in ``work``, its floats byte
-    for byte their ``repr``, so the text is a ``uint8`` view of ``work``,
-    valid until ``work`` is used again.
+    The rows are drawn into ``work`` by :func:`_draw_rows`, from the start
+    of the seed's stream: ``default_rng(seed)`` is the stream of
+    ``default_rng(SeedSequence(seed))``.  ``_shortest.ledger_text`` lays
+    them out in ``work``, its floats byte for byte their ``repr``, so the
+    text is a ``uint8`` view of ``work``, valid until ``work`` is used
+    again.
     """
     from ._shortest import ledger_text
 
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    draws = work if work.size == stop - start else _Workspace(stop - start)
-    columns = next(
-        generate_interval_sweep(
-            rng, spec.dist, spec.num_intervals, (spec.k,), draws, rows=(start, stop)
-        )
-    )
+    rows = (start, stop)
+    columns = _draw_rows(spec.seed, 0, spec.dist, spec.k, spec.num_intervals, rows, work)
     return ledger_text(start + 1, *columns, work), int(np.count_nonzero(columns[3]))
 
 
@@ -828,20 +834,20 @@ def _write_all(fd: int, data) -> None:
 def _write_rows(spec: LedgerSpec, fd: int, turn, work: _Workspace, start: int) -> int:
     """Draw, format and write the task of rows from ``start``; its delivery count.
 
-    A task is ``_TASK_ROWS`` rows, drawn and laid out in ``work`` (see
+    A task is ``_ROWS`` rows, drawn and laid out in ``work`` (see
     :func:`_ledger_rows`).  With ``turn`` None, the text is
     written to ``fd`` at once.  On a pool, ``turn`` is a shared
     ``(Condition, value)``: the text is formatted first, then written
     once the value reaches this task's index, which it then moves on, so
     the workers write in row order through the file offset they share.
     """
-    stop = min(start + _TASK_ROWS, spec.num_intervals)
+    stop = min(start + _ROWS, spec.num_intervals)
     text, deliveries = _ledger_rows(spec, start, stop, work)
     if turn is None:
         _write_all(fd, text)
         return deliveries
     condition, position = turn
-    task = start // _TASK_ROWS
+    task = start // _ROWS
     with condition:
         condition.wait_for(lambda: position.value == task)
         _write_all(fd, text)
@@ -857,7 +863,7 @@ _worker_task = None
 def _start_worker(spec: LedgerSpec, fd: int, turn) -> None:
     global _worker_task
     # the worker's own workspace, made after the fork
-    _worker_task = partial(_write_rows, spec, fd, turn, _Workspace(_TASK_ROWS))
+    _worker_task = partial(_write_rows, spec, fd, turn, _Workspace(_ROWS))
     # Ctrl-C reaches the whole process group; only the parent acts on it
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
@@ -874,7 +880,7 @@ def _pool_size(num_rows: int) -> int:
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return 1
-    tasks = -(-num_rows // _TASK_ROWS)
+    tasks = -(-num_rows // _ROWS)
     return min(_usable_cpus(), tasks)
 
 
@@ -882,7 +888,7 @@ def write_ledger_csv(ledger: LedgerSpec, path) -> int:
     """Dump one row per interval: j, Y_j, X_1j, X_nonp_j, delivered.
 
     Returns the number of deliveries.  ``ledger`` names the dump.  Its
-    rows are drawn, formatted and written a task of ``_TASK_ROWS`` =
+    rows are drawn, formatted and written a task of ``_ROWS`` =
     16384 at a time, each drawn as one row window of the seed's stream
     and laid out as byte text by ``_shortest.ledger_text``.  Each process
     that formats owns one :class:`_Workspace` of a task's rows, which
@@ -908,14 +914,14 @@ def write_ledger_csv(ledger: LedgerSpec, path) -> int:
     # workers inherit it
     from ._shortest import LEDGER_HEADER
 
-    starts = range(0, ledger.num_intervals, _TASK_ROWS)
+    starts = range(0, ledger.num_intervals, _ROWS)
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
         # written before the fork, so the workers' writes follow it
         _write_all(fd, LEDGER_HEADER)
         workers = _pool_size(ledger.num_intervals)
         if workers == 1:
-            work = _Workspace(_TASK_ROWS)
+            work = _Workspace(_ROWS)
             return sum(map(partial(_write_rows, ledger, fd, None, work), starts))
         import multiprocessing
 

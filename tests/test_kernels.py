@@ -8,7 +8,7 @@ import pytest
 from agecast._shortest import _BLOCK_ROWS
 from agecast.order_stats import MAX_K, ServiceDistribution
 from agecast.simulator import (
-    _COLUMN_CHUNK,
+    _ROWS,
     _Workspace,
     generate_interval_sweep,
     generate_intervals,
@@ -203,8 +203,8 @@ def _windows(num_intervals):
     edges = [*range(0, num_intervals, _BLOCK_ROWS), num_intervals]
     windows = set(zip(edges, edges[1:]))
     windows |= {(0, num_intervals), (0, 1), (num_intervals - 1, num_intervals)}
-    if num_intervals > _COLUMN_CHUNK + 1:
-        windows |= {(1, num_intervals), (num_intervals - _COLUMN_CHUNK - 2, num_intervals - 1)}
+    if num_intervals > _ROWS + 1:
+        windows |= {(1, num_intervals), (num_intervals - _ROWS - 2, num_intervals - 1)}
     return sorted(windows)
 
 
@@ -243,13 +243,24 @@ class TestRowWindow:
         with pytest.raises(ValueError, match="row st"):
             next(generate_interval_sweep(np.random.default_rng(1), EXP1, 100, (2,), rows=rows))
 
-    def test_refuses_a_workspace_of_the_whole_length(self):
-        with pytest.raises(ValueError, match="workspace holds 100 intervals, the pass draws 10"):
-            next(
-                generate_interval_sweep(
-                    np.random.default_rng(1), EXP1, 100, (2,), _Workspace(100), rows=(0, 10)
-                )
+    @pytest.mark.parametrize("size", [1, 100, 20_011, 40_000])
+    def test_a_workspace_of_any_size_gives_the_fresh_draw(self, size):
+        # a buffer longer than the window lends its first rows, a shorter
+        # one grows; what earlier windows left in them never shows
+        ks, num_intervals = (1, 2, 5), 20_011
+        work = _Workspace(size)
+        for rows in [(0, 100), (4096, num_intervals), (7, 17), (0, num_intervals), (3, 4)]:
+            for buffer in work._buffers.values():
+                buffer.view(np.uint8).fill(0xFF)
+            drawn = generate_interval_sweep(
+                np.random.default_rng(3), EXP1, num_intervals, ks, work, rows=rows
             )
+            fresh = generate_interval_sweep(
+                np.random.default_rng(3), EXP1, num_intervals, ks, rows=rows
+            )
+            for got, want in zip(drawn, fresh, strict=True):
+                for left, right in zip(got, want):
+                    assert left.tobytes() == right.tobytes(), rows
 
     @pytest.mark.parametrize("bits", [np.random.SFC64, np.random.MT19937, np.random.Philox])
     def test_a_window_needs_a_generator_that_jumps_by_draws(self, bits):

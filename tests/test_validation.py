@@ -14,6 +14,7 @@ from agecast import simulator, validation
 from agecast.cli import main
 from agecast.order_stats import ServiceDistribution, order_stat_mean, order_stat_var
 from agecast.simulator import (
+    _ROWS,
     MAX_SEED,
     InsufficientDataError,
     SimConfig,
@@ -24,13 +25,13 @@ from agecast.simulator import (
 )
 from agecast.theory import age_nonpriority, age_priority
 from agecast.validation import (
-    _SAMPLE_BLOCK,
     CHECK_NAMES,
     CheckResult,
     ValidationSettings,
     _bookkeeping,
+    _co_moment,
+    _deviation_sums,
     _pooled_z,
-    _RunningMoments,
     check_age_regression,
     check_cycle_bookkeeping,
     check_order_stat_monte_carlo,
@@ -89,17 +90,11 @@ class TestPooledZ:
     def test_too_few_samples_refused(self):
         for values in ([], [1.0]):
             with pytest.raises(InsufficientDataError, match="2 samples of w2, got"):
-                _pooled_z(moments_of(values), 1.0, "w2")
+                _pooled_z(_deviation_sums(values, 1.0), "w2")
 
     def test_zero_spread_needs_no_division(self):
-        assert _pooled_z(moments_of(np.ones(2)), 0.5, "q") == math.inf
-        assert _pooled_z(moments_of(np.ones(2)), 1.0, "q") == 0.0
-
-
-def moments_of(values):
-    sample = _RunningMoments()
-    sample.add(values)
-    return sample
+        assert _pooled_z(_deviation_sums(np.ones(2), 0.5), "q") == math.inf
+        assert _pooled_z(_deviation_sums(np.ones(2), 1.0), "q") == 0.0
 
 
 def set_cpus(monkeypatch, count):
@@ -178,7 +173,7 @@ class TestCheckThreads:
             finally:
                 tracemalloc.stop()
         # less than one block of the eight float64 samples
-        assert peaks[1] - peaks[0] < 8 * 8 * _SAMPLE_BLOCK
+        assert peaks[1] - peaks[0] < 8 * 8 * _ROWS
 
     def test_cycle_bookkeeping_memory_does_not_grow_with_the_run(self):
         # imports made on the first call stay out of the traced peaks
@@ -193,7 +188,7 @@ class TestCheckThreads:
                 tracemalloc.stop()
         # less than one block of eight float64 arrays; the whole ledger and
         # its cycles grew by about 65 bytes per interval
-        assert peaks[1] - peaks[0] < 8 * 8 * _SAMPLE_BLOCK
+        assert peaks[1] - peaks[0] < 8 * 8 * _ROWS
 
 
     def test_order_stat_monte_carlo_memory_does_not_grow_with_the_draws(self):
@@ -204,7 +199,7 @@ class TestCheckThreads:
             tracemalloc.start()
             try:
                 check_order_stat_monte_carlo(
-                    ValidationSettings(num_intervals=blocks * _SAMPLE_BLOCK)
+                    ValidationSettings(num_intervals=blocks * _ROWS)
                 )
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
@@ -212,7 +207,7 @@ class TestCheckThreads:
         # less than one block of the widest matrix, eight float64 columns (the
         # laws drawn differ with the size); a column of all the draws and its
         # temporaries grew by 9.2 MB
-        assert peaks[1] - peaks[0] < 8 * 8 * _SAMPLE_BLOCK
+        assert peaks[1] - peaks[0] < 8 * 8 * _ROWS
 
 class TestOnePool:
     """The checks run on one pool, and each check's replications in its thread."""
@@ -421,7 +416,7 @@ def whole_matrix_order_stat_monte_carlo(settings):
 @pytest.mark.parametrize("seed", [1729, 5, 7])
 def test_order_stat_monte_carlo_equals_the_whole_matrix(seed):
     # several blocks and a short last one
-    settings = ValidationSettings(seed=seed, num_intervals=3 * _SAMPLE_BLOCK + 17)
+    settings = ValidationSettings(seed=seed, num_intervals=3 * _ROWS + 17)
     assert check_order_stat_monte_carlo(settings) == whole_matrix_order_stat_monte_carlo(
         settings
     )
@@ -485,7 +480,7 @@ def whole_run_bookkeeping(seed, num_intervals):
 
 
 @pytest.mark.parametrize(
-    "num_intervals", [_SAMPLE_BLOCK - 1, _SAMPLE_BLOCK + 1, 3 * _SAMPLE_BLOCK + 17]
+    "num_intervals", [_ROWS - 1, _ROWS + 1, 3 * _ROWS + 17]
 )
 @pytest.mark.parametrize("seed", [1729, 5])
 def test_streamed_cycle_bookkeeping_equals_the_whole_run(seed, num_intervals):
@@ -502,30 +497,46 @@ def test_streamed_cycle_bookkeeping_equals_the_whole_run(seed, num_intervals):
     assert streamed["corr"] == pytest.approx(oracle["corr"], rel=0, abs=1e-12)
 
 
-class TestRunningMoments:
+class TestDeviationSums:
     def test_one_block_gives_the_two_pass_values(self):
         rng = np.random.default_rng(4)
         x, y = rng.random(1001), rng.integers(0, 9, 1001)
-        alone, paired = _RunningMoments(), _RunningMoments()
-        alone.add(x)
-        paired.add(x, y)
         dx, dy = x - x.mean(), y - y.mean()
-        assert (alone.count, alone.mean, alone.m2) == (1001, x.mean(), (dx * dx).sum())
-        assert (paired.count, paired.mean, paired.other_mean) == (1001, x.mean(), y.mean())
-        assert paired.m2 == (dx * dy).sum()
+        count, x_sum, x2_sum = _deviation_sums(x, 0.5)
+        assert count == 1001
+        assert 0.5 + x_sum / count == pytest.approx(x.mean(), rel=1e-14)
+        assert _co_moment(count, x_sum, x_sum, x2_sum) == pytest.approx(
+            (dx * dx).sum(), rel=1e-12
+        )
+        _, y_sum, _ = _deviation_sums(y, 4.0)
+        xy_sum = ((x - 0.5) * (y - 4.0)).sum()
+        assert _co_moment(count, x_sum, y_sum, xy_sum) == pytest.approx(
+            (dx * dy).sum(), rel=1e-12
+        )
 
-    def test_blocks_merge_to_the_whole_co_moment(self):
+    def test_blocks_add_up_to_the_whole_co_moment(self):
+        # y far from zero, each sample centred near its mean, as on a closed form
         rng = np.random.default_rng(5)
         x = rng.random(5000)
         y = 3.0 * x + rng.random(5000) + 1e6
-        merged = _RunningMoments()
+        x_target, y_target = 0.5, 1e6 + 2.0
+        sums = np.zeros(6)
         for a, b in zip([0, 1, 7, 2048, 4999], [1, 7, 2048, 4999, 5000]):
-            merged.add(x[a:b], y[a:b])
-        whole = ((x - x.mean()) * (y - y.mean())).sum()
-        assert merged.count == 5000
-        assert merged.mean == pytest.approx(x.mean(), rel=1e-14)
-        assert merged.other_mean == pytest.approx(y.mean(), rel=1e-14)
-        assert merged.m2 == pytest.approx(whole, rel=1e-12)
+            xy_sum = ((x[a:b] - x_target) * (y[a:b] - y_target)).sum()
+            sums += (
+                *_deviation_sums(x[a:b], x_target)[1:],
+                *_deviation_sums(y[a:b], y_target)[1:],
+                xy_sum,
+                b - a,
+            )
+        x_sum, x2_sum, y_sum, y2_sum, xy_sum, count = sums
+        assert count == 5000
+        assert x_target + x_sum / count == pytest.approx(x.mean(), rel=1e-14)
+        assert y_target + y_sum / count == pytest.approx(y.mean(), rel=1e-14)
+        dx, dy = x - x.mean(), y - y.mean()
+        assert _co_moment(count, x_sum, x_sum, x2_sum) == pytest.approx((dx * dx).sum(), rel=1e-12)
+        assert _co_moment(count, y_sum, y_sum, y2_sum) == pytest.approx((dy * dy).sum(), rel=1e-12)
+        assert _co_moment(count, x_sum, y_sum, xy_sum) == pytest.approx((dx * dy).sum(), rel=1e-12)
 
 
 @pytest.fixture(scope="module")
