@@ -111,58 +111,61 @@ class SimConfig:
         )
 
 
-# the carry of :func:`_cycles` into a run's first row window
-_RUN_START = (0.0, (np.empty(0, np.intp), np.empty(0), np.empty(0)))
+# the carry of :func:`_cycles` into a run's first row window: no time has
+# passed and no delivery has been seen
+_RUN_START = (np.zeros(1), np.empty(0, np.intp), np.empty(0), np.empty(0))
 
 
-def _cycles(y, x_nonp, d, work=None, carry=None) -> tuple:
-    """The complete renewal cycles of one run, ``(w, xtilde)``, or of a row window of it.
+def _cycles(y, x_nonp, d, work, carry=_RUN_START) -> tuple:
+    """The renewal cycles that close in a row window of a run: ``(w, xtilde, carry)``.
 
     The one place that turns deliveries into cycles.  ``d`` indexes the
-    delivering intervals (``np.flatnonzero`` of the flags), and cycle l
-    covers intervals d[l-1]+1 .. d[l] (``np.diff(d)`` counts them).  Its
-    span ``w`` is the difference of the interval end times at its two
-    deliveries, and ``xtilde`` is the service time of the delivery that
-    opened it.  A trailing incomplete cycle is dropped, so with fewer than
-    two deliveries both are empty.
+    window's delivering intervals (``np.flatnonzero`` of its flags), and a
+    cycle runs from one delivery to the next: its span ``w`` is the
+    difference of the interval end times at the two, and ``xtilde`` is the
+    service time of the delivery that opened it.  A cycle still open at
+    the window's end is left to the next window.
 
-    With a ``carry``, the columns are a row window of a run, and the
-    result is ``(w, xtilde, m, carry)``: the cycles that close in the
-    window, their lengths and the carry into the next window.  A carry is
-    ``(end, last)``: the run's end time so far, and the row, end time and
-    x_nonp of its last delivery so far as arrays of one element (of none
-    before the first delivery), the row counted from the next window's
-    start.  ``_RUN_START`` begins a run.  The carried end time joins the
-    window's first y before the running sum, so joined over the windows,
-    w, xtilde and m = ``np.diff(d)`` are the whole run's bit for bit.
+    ``carry`` is ``(end, row, time, opener)``: the run's end time so far,
+    and the row, end time and x_nonp of its last delivery so far, each an
+    array of one element (the last three of none before the first
+    delivery), the row counted from the window's start.  ``_RUN_START``
+    begins a run, so a whole run is the window that starts there, and its
+    cycles are ``np.diff(np.cumsum(y)[d])`` and ``x_nonp[d[:-1]]``.  The
+    returned carry holds its own arrays and goes into the next window, so
+    joined over the windows, w and xtilde are the whole run's bit for bit.
 
-    With a :class:`_Workspace` ``work`` and no carry, the end times and
-    ``w`` are written into its ``y`` buffer and the gathered end times and
-    ``xtilde`` into its ``spans`` buffer, with the same values; ``w`` and
-    ``xtilde`` are then valid until those buffers are written again.  If
-    ``y`` is that ``y`` buffer, its running sum is taken in place, so the
-    caller must be done with ``y``.
+    The end times and then ``w`` are written into the ``y`` buffer of the
+    :class:`_Workspace` ``work``, and the end times and then the openers
+    of the deliveries, the carried one first, into its ``spans`` buffer;
+    ``w`` and ``xtilde`` are valid until those buffers are written again.
+    If ``y`` is that ``y`` buffer, the end times are summed in place, so
+    the caller must be done with ``y``.
     """
-    if carry is not None:
-        ends = y.copy()
-        ends[0] += carry[0]
-        np.cumsum(ends, out=ends)
-        rows, times, openers = map(np.concatenate, zip(carry[1], (d, ends[d], x_nonp[d])))
-        last = rows[-1:] - y.size, times[-1:], openers[-1:]
-        return np.diff(times), openers[:-1], np.diff(rows), (ends[-1], last)
-    if work is None:
-        return np.diff(np.cumsum(y)[d]), x_nonp[d[:-1]]
-    ends, spans = work("y"), work("spans")
+    end, row, time, opener = carry
+    ends = work("y", size=y.size)
+    # numpy copies nothing when ``y`` is ``ends``
+    np.copyto(ends, y)
+    ends[:1] += end
+    np.cumsum(ends, out=ends)
+    # the end times of the carried delivery and the window's, then their openers
+    spans = work("spans", size=row.size + d.size)
+    spans[: row.size] = time
     # the indices come from flatnonzero, so clipping never moves one; the
     # default mode would copy ``out`` first
-    gathered = np.take(np.cumsum(y, out=ends), d, out=spans[: d.size], mode="clip")
-    w = np.subtract(gathered[1:], gathered[:-1], out=ends[: gathered[1:].size])
-    return w, np.take(x_nonp, d[:-1], out=spans[: w.size], mode="clip")
+    np.take(ends, d, out=spans[row.size :], mode="clip")
+    # copied before ``w`` and the openers overwrite them
+    end, time = ends[-1:].copy(), spans[-1:].copy()
+    w = np.subtract(spans[1:], spans[:-1], out=ends[: spans[1:].size])
+    spans[: row.size] = opener
+    np.take(x_nonp, d, out=spans[row.size :], mode="clip")
+    row = (d[-1:] if d.size else row) - y.size
+    return w, spans[:-1], (end, row, time, spans[-1:].copy())
 
 
-def _priority_age(y: np.ndarray, x1: np.ndarray, out=None) -> float:
-    # ``out``, if given, holds each product in turn instead of a new array
-    products = None if out is None else out[: y.size - 1]
+def _priority_age(y: np.ndarray, x1: np.ndarray, out: np.ndarray) -> float:
+    # ``out`` holds each product in turn
+    products = out[: y.size - 1]
     area = (
         np.multiply(y[:-1], x1[1:], out=products).sum()
         + 0.5 * np.multiply(y[1:], y[1:], out=products).sum()
@@ -194,18 +197,25 @@ class _Workspace:
     writes a slice before it reads it and reads only that slice.
 
     The thread that makes a workspace owns it; nothing else holds one.
-    A replication workspace belongs to one thread of one
-    :func:`_map_replications` call and goes when that call returns.  It
-    holds the columns that :func:`generate_interval_sweep` draws (float64
-    ``x_nonp``, ``u_max``, ``x1`` and ``y``, the bool ``delivered`` and a
-    short ``chunk``), the float64 ``spans`` that :func:`_cycles` and the
-    estimators write, and, for :func:`_replication_estimates` only, the
-    bool ``miss`` mask.  A ledger writer's workspace, one per
-    :func:`write_ledger_csv` call or per forked worker, holds a task's
-    drawn columns and the scratch of ``_shortest.ledger_text``: the
-    uint64 ``slot0`` .. ``slot11`` and bool ``flag0`` .. ``flag6`` of one
-    block's floats, the ``rows`` words and their ``mask``, and the
-    task's ``text``.
+    Each owner names its buffers:
+
+    - a replication workspace, one per thread of a
+      :func:`_map_replications` call, which goes when the call returns:
+      the float64 ``x_nonp``, ``u_max``, ``x1``, ``y`` and ``chunk`` and
+      the bool ``delivered`` that :func:`generate_interval_sweep` draws,
+      the float64 ``spans`` of the estimators, and for
+      :func:`_replication_estimates` only the bool ``miss`` mask; the
+      whole run's :func:`_cycles` go into ``y`` and ``spans``;
+    - a ledger writer's workspace, one per :func:`write_ledger_csv` call
+      or per forked worker: the same drawn columns of one task, and the
+      scratch and text that ``_shortest.ledger_text`` names;
+    - the two workspaces of one :func:`_run_cycles` run: the drawn
+      columns of one block, and the block's cycles: the float64 ``y``
+      (end times, then spans) and ``spans`` (the deliveries' end times,
+      then their openers) of :func:`_cycles`, and the intp delivery
+      ``rows`` and cycle lengths ``m``;
+    - the cycles workspace of one :func:`accumulate_nonpriority` call:
+      ``y`` and ``spans`` of the whole run.
     """
 
     def __init__(self, size: int):
@@ -367,6 +377,35 @@ def _draw_rows(seed, skip, dist, k, num_intervals, rows, work) -> tuple:
     return next(generate_interval_sweep(rng, dist, num_intervals, (k,), work, rows=rows))
 
 
+def _run_cycles(
+    seed: int, skip: int, dist: ServiceDistribution, k: int, num_intervals: int
+) -> Iterator[tuple]:
+    """Per block of one run at group size k: ``(y, delivered, d, w, xtilde, m)``.
+
+    The one reader that carries a run from block to block.  The run is
+    the pass of :func:`generate_interval_sweep` that starts ``skip``
+    uniforms into the stream of ``default_rng(seed)``.  Each ``_ROWS``
+    rows are drawn into one :class:`_Workspace` (:func:`_draw_rows`) and
+    their cycles taken in a second one, so ``y`` stays whole and memory is
+    two blocks whatever ``num_intervals``.  ``d`` indexes the block's
+    deliveries, and w, xtilde and the cycle lengths m (``np.diff(d)`` over
+    the whole run) are those of the cycles that close in the block
+    (:func:`_cycles`).  A block's arrays are valid until the next block
+    is drawn.
+    """
+    draw, work = _Workspace(_ROWS), _Workspace(_ROWS)
+    carry = _RUN_START
+    for start in range(0, num_intervals, _ROWS):
+        rows = (start, min(start + _ROWS, num_intervals))
+        y, _, x_nonp, delivered = _draw_rows(seed, skip, dist, k, num_intervals, rows, draw)
+        d = np.flatnonzero(delivered)
+        # the rows of the carried delivery and the block's
+        opened = np.concatenate((carry[1], d), out=work("rows", np.intp, carry[1].size + d.size))
+        m = np.subtract(opened[1:], opened[:-1], out=work("m", np.intp, opened[1:].size))
+        w, xtilde, carry = _cycles(y, x_nonp, d, work, carry)
+        yield y, delivered, d, w, xtilde, m
+
+
 # The whole-run API, down to accumulate_nonpriority, has no caller left in
 # agecast.  It stays for perfbench: checks.py builds its ledger oracle from
 # simulate_ledger, and tracer.py times the rest under these names.
@@ -437,17 +476,18 @@ def accumulate_priority(ledger: CycleLedger) -> float:
             "priority age needs at least 2 intervals, got "
             f"{ledger.num_intervals}"
         )
-    return _priority_age(ledger.y, ledger.x1)
+    return _priority_age(ledger.y, ledger.x1, np.empty(ledger.num_intervals))
 
 
 def accumulate_nonpriority(ledger: CycleLedger) -> float:
     """Renewal-reward age estimate for the tracked non-priority node.
 
-    Each complete cycle of :func:`_cycles` contributes area
-    w**2 / 2 + xtilde * w over its span w.
+    Each complete cycle of the whole run (:func:`_cycles`, in a workspace
+    of its own, so the ledger's columns stay as they are) contributes
+    area w**2 / 2 + xtilde * w over its span w.
     """
     d = np.flatnonzero(ledger.delivered)
-    w, xtilde = _cycles(ledger.y, ledger.x_nonp, d)
+    w, xtilde, _ = _cycles(ledger.y, ledger.x_nonp, d, _Workspace(ledger.num_intervals))
     if w.size < 1:
         raise InsufficientDataError(
             f"non-priority age needs at least 2 deliveries, got {d.size}"
@@ -602,14 +642,14 @@ def _ages(y, x1, x_nonp, d, work):
     """:func:`_replication_ages` from the delivery indices ``d``, with the sums of w**2, w and xtilde.
 
     The priority age comes first, its products in the ``spans`` buffer of
-    the workspace ``work``.  :func:`_cycles` then writes the cycles into
+    the workspace ``work``.  The whole run's :func:`_cycles` then go into
     the ``y`` and ``spans`` buffers, so a ``y`` drawn into the workspace
-    is spent; at k = 1, ``y`` is ``x1``, which it never writes.  Raises
-    :class:`InsufficientDataError` unless the run sees two deliveries and
-    a miss.
+    is spent; at k = 1, ``y`` is ``x1``, which is copied and never
+    written.  Raises :class:`InsufficientDataError` unless the run sees
+    two deliveries and a miss.
     """
-    age_priority = _priority_age(y, x1, out=work("spans"))
-    w, xtilde = _cycles(y, x_nonp, d, work)
+    age_priority = _priority_age(y, x1, work("spans"))
+    w, xtilde, _ = _cycles(y, x_nonp, d, work)
     if d.size == y.size or d.size < 2:
         raise InsufficientDataError(
             "replication too short to observe both delivery outcomes"
@@ -631,8 +671,9 @@ def _replication_estimates(y, x1, x_nonp, delivered, work) -> dict[str, float]:
     each value equals, bit for bit, ``accumulate_priority``,
     ``accumulate_nonpriority`` of a CycleLedger of the same columns, or
     the mean of the whole-run array of the sample it is named after (y,
-    the cycles' w, w**2, xtilde and lengths from :func:`_cycles`, the miss
-    flags, and y at the misses and at the deliveries).
+    the cycles' w, w**2 and xtilde from :func:`_cycles`, their lengths
+    ``np.diff(d)``, the miss flags, and y at the misses and at the
+    deliveries).
     """
     num_intervals = y.size
     spans = work("spans")

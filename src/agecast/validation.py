@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +29,9 @@ from .simulator import (
     MAX_SEED,
     InsufficientDataError,
     _ROWS,
-    _RUN_START,
     SimConfig,
-    _cycles,
-    _draw_rows,
     _ordered_map,
-    _Workspace,
+    _run_cycles,
     run_age_sweep,
     run_simulation,
     sample_path_cross_check,
@@ -232,7 +228,7 @@ def check_order_stat_monte_carlo(settings: ValidationSettings) -> tuple[bool, st
             z = dist._inverse_cdf(block[:, k - 1]) - target
             z2 = z * z
             sums += (z.sum(), z2.sum(), (z2 * z).sum(), (z2 * z2).sum())
-        s1, s2, s3, s4 = sums
+        s1, s2, s3, s4 = sums.tolist()
         d = s1 / draws
         m2 = s2 - s1 * d
         m4 = s4 - 4 * d * s3 + 6 * d * d * s2 - 3 * draws * d**4
@@ -281,28 +277,6 @@ def _pooled_z(sums, tag: str) -> float:
     if m2 <= 0.0:
         return math.inf if gap > 0.0 else 0.0
     return gap / (math.sqrt(m2 / (count - 1)) / math.sqrt(count))
-
-
-def _run_cycles(
-    seed: int, skip: int, dist: ServiceDistribution, k: int, num_intervals: int
-) -> Iterator[tuple]:
-    """Per block of one run at group size k: ``(y, delivered, d, w, xtilde, m)``.
-
-    The run is the pass of :func:`generate_interval_sweep` that starts
-    ``skip`` uniforms into the stream of ``default_rng(seed)``, drawn
-    ``_ROWS`` rows at a time into one workspace (:func:`_draw_rows`), so
-    memory is one block whatever ``num_intervals``.  ``d`` indexes the
-    block's deliveries, and w, xtilde and m are its :func:`_cycles`,
-    carried.  A block's arrays are valid until the next block is drawn.
-    """
-    carry = _RUN_START
-    work = _Workspace(_ROWS)
-    for start in range(0, num_intervals, _ROWS):
-        rows = (start, min(start + _ROWS, num_intervals))
-        y, _, x_nonp, delivered = _draw_rows(seed, skip, dist, k, num_intervals, rows, work)
-        d = np.flatnonzero(delivered)
-        w, xtilde, m, carry = _cycles(y, x_nonp, d, carry=carry)
-        yield y, delivered, d, w, xtilde, m
 
 
 def _run_moments(
@@ -406,8 +380,9 @@ def check_cycle_bookkeeping(settings: ValidationSettings) -> tuple[bool, str]:
     1..100 (``tests/gate_seeds.py``, stream version 2).
     """
     cycles, counted, expect, w_sum, y_sum, corr = _bookkeeping(settings)
-    tiling_ok = counted == expect
-    span_ok = w_sum <= y_sum
+    # the sums are numpy numbers, and a check returns Python bools
+    tiling_ok = bool(counted == expect)
+    span_ok = bool(w_sum <= y_sum)
     corr_ok = abs(corr) < 4.0 / math.sqrt(cycles)
     return (
         tiling_ok and span_ok and corr_ok,

@@ -71,14 +71,19 @@ from agecast.validation import _run_moments
 EXP1 = ServiceDistribution.exponential(1.0)
 
 
+def whole_run_cycles(y, x_nonp, d):
+    """The spans w and openers xtilde of a whole run's cycles, by their definition: the oracle."""
+    return np.diff(np.cumsum(y)[d]), x_nonp[d[:-1]]
+
+
 def moment_samples(ledger):
     """Whole-run arrays whose means estimate the cycle moments: the oracle.
 
     Keyed by the RenewalCycleMoments field each one estimates, in
-    SimResult's order, with the cycles of ``_cycles``.
+    SimResult's order, with the cycles of :func:`whole_run_cycles`.
     """
     d = np.flatnonzero(ledger.delivered)
-    w, xtilde = _cycles(ledger.y, ledger.x_nonp, d)
+    w, xtilde = whole_run_cycles(ledger.y, ledger.x_nonp, d)
     miss = ~ledger.delivered
     return {
         "y_mean": ledger.y,
@@ -106,7 +111,7 @@ class TestCycleLedger:
         x_nonp = np.arange(10.0, 17.0)
         delivered = np.array([False, True, False, False, True, True, False])
         d = np.flatnonzero(delivered)
-        w, xtilde = _cycles(y, x_nonp, d)
+        w, xtilde, _ = _cycles(y, x_nonp, d, _Workspace(7))
         # deliveries at intervals 1, 4, 5 give cycles (1,4] and (4,5]
         np.testing.assert_array_equal(np.diff(d), [3, 1])
         np.testing.assert_allclose(w, [12.0, 6.0])
@@ -144,14 +149,14 @@ class TestCycleLedger:
             ledger = CycleLedger.from_intervals(y, y, y, delivered)
             assert ledger.num_cycles == 0
             d = np.flatnonzero(delivered)
-            w, xtilde = _cycles(y, y, d)
+            w, xtilde, _ = _cycles(y, y, d, _Workspace(4))
             assert np.diff(d).size == w.size == xtilde.size == 0
 
     def test_cycle_tiling(self):
         rng = np.random.default_rng(42)
         ledger = simulate_ledger(EXP1, 2, 2000, rng)
         d = np.flatnonzero(ledger.delivered)
-        w, _ = _cycles(ledger.y, ledger.x_nonp, d)
+        w = _cycles(ledger.y, ledger.x_nonp, d, _Workspace(2000))[0]
         assert np.diff(d).sum() == d[-1] - d[0]
         ends = np.cumsum(ledger.y)
         assert w.sum() == pytest.approx(ends[d[-1]] - ends[d[0]], rel=1e-12)
@@ -194,7 +199,8 @@ class TestAccumulators:
     def test_nonpriority_matches_plain_loop(self):
         rng = np.random.default_rng(8)
         ledger = simulate_ledger(EXP1, 3, 500, rng)
-        spans, openers = _cycles(ledger.y, ledger.x_nonp, np.flatnonzero(ledger.delivered))
+        d = np.flatnonzero(ledger.delivered)
+        spans, openers = whole_run_cycles(ledger.y, ledger.x_nonp, d)
         area = sum(0.5 * w**2 + xt * w for w, xt in zip(spans, openers))
         expected = area / spans.sum()
         assert accumulate_nonpriority(ledger) == pytest.approx(expected, rel=1e-12)
@@ -204,11 +210,14 @@ class TestAccumulators:
         with pytest.raises(InsufficientDataError, match="2 intervals"):
             accumulate_priority(ledger)
 
-    def test_nonpriority_needs_a_cycle(self):
-        y = np.ones(4)
-        delivered = np.array([False, True, False, False])
+    @pytest.mark.parametrize("num_intervals", [0, 1, 2, 4])
+    def test_nonpriority_needs_a_cycle(self, num_intervals):
+        # at most row 1 delivers, so no cycle closes; an empty ledger has no
+        # first end time for the run's start to join
+        y = np.ones(num_intervals)
+        delivered = np.arange(num_intervals) == 1
         ledger = CycleLedger.from_intervals(y, y, y, delivered)
-        with pytest.raises(InsufficientDataError, match="deliveries"):
+        with pytest.raises(InsufficientDataError, match="2 deliveries, got"):
             accumulate_nonpriority(ledger)
 
 
@@ -338,19 +347,22 @@ class TestStreamedCycleMoments:
 
     @staticmethod
     def assert_blocks_give_the_oracle(ledger, bounds):
-        # each block's cycles from _cycles with the carry of the blocks before
+        # each block's cycles from _cycles with the carry of the blocks
+        # before, in one workspace; m from the carried delivery's row
         carry = _RUN_START
+        work = _Workspace(max(np.diff(bounds)))
         parts = []
         for a, b in zip(bounds, bounds[1:]):
             d = np.flatnonzero(ledger.delivered[a:b])
-            w, xtilde, m, carry = _cycles(ledger.y[a:b], ledger.x_nonp[a:b], d, carry=carry)
-            parts.append({"w_mean": w, "w2_mean": w * w, "xtilde_mean": xtilde, "m_mean": m})
+            m = np.diff(np.concatenate((carry[1], d)))
+            w, xtilde, carry = _cycles(ledger.y[a:b], ledger.x_nonp[a:b], d, work, carry)
+            parts.append({"w_mean": w.copy(), "w2_mean": w * w, "xtilde_mean": xtilde.copy(), "m_mean": m})
         oracle = moment_samples(ledger)
         for name in parts[0]:
             joined = np.concatenate([part[name] for part in parts])
             np.testing.assert_array_equal(joined, oracle[name], err_msg=name)
         # the carried end time is the whole run's
-        assert carry[0] == np.cumsum(ledger.y)[-1]
+        assert carry[0].tolist() == [np.cumsum(ledger.y)[-1]]
         return parts
 
     def test_a_block_without_deliveries_carries_the_open_cycle(self):
@@ -435,18 +447,37 @@ class TestWorkspace:
                         )
 
     @pytest.mark.parametrize("deliveries", [0, 1, 2, 7])
-    def test_cycles_in_a_workspace_equal_new_arrays(self, deliveries):
+    @pytest.mark.parametrize("bounds", [[0, 10], [0, 1, 4, 5, 10], [0, 7, 8, 10]])
+    @pytest.mark.parametrize("own_y", [False, True], ids=["y_apart", "y_in_work"])
+    def test_cycles_in_a_workspace_equal_new_arrays(self, deliveries, bounds, own_y):
+        # carried windows of uneven sizes in one reused workspace, larger
+        # than any window and NaN wherever the last window left it, give
+        # the whole run's cycles of new arrays
         y = np.arange(1.0, 11.0)
         x_nonp = np.linspace(0.5, 5.0, 10)
         delivered = np.zeros(10, dtype=bool)
         delivered[[0, 2, 3, 5, 6, 8, 9][:deliveries]] = True
-        work = _Workspace(10)
-        work("spans").fill(np.nan)
-        work("y").fill(np.nan)
-        d = np.flatnonzero(delivered)
-        for a, b in zip(_cycles(y, x_nonp, d, work), _cycles(y, x_nonp, d)):
-            np.testing.assert_array_equal(a, b)
-            assert a.size == b.size
+        work = _Workspace(16)
+        carry = _RUN_START
+        parts = []
+        for a, b in zip(bounds, bounds[1:]):
+            work("spans").fill(np.nan)
+            work("y").fill(np.nan)
+            if own_y:
+                # as from k = 2, where y is the drawn buffer that the cycles spend
+                window = work("y", size=b - a)
+                window[:] = y[a:b]
+            else:
+                # as at k = 1, where y is x1, which must stay as it is
+                window = y[a:b].copy()
+            d = np.flatnonzero(delivered[a:b])
+            w, xtilde, carry = _cycles(window, x_nonp[a:b], d, work, carry)
+            parts.append((w.copy(), xtilde.copy()))
+            if not own_y:
+                np.testing.assert_array_equal(window, y[a:b])
+        expected = whole_run_cycles(y, x_nonp, np.flatnonzero(delivered))
+        for got, want in zip(zip(*parts), expected):
+            np.testing.assert_array_equal(np.concatenate(got), want)
 
     @pytest.mark.parametrize("x_nonp", [0.5, 2.0])
     def test_too_short_message_is_unchanged(self, x_nonp):

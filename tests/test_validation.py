@@ -18,7 +18,6 @@ from agecast.simulator import (
     MAX_SEED,
     InsufficientDataError,
     SimConfig,
-    _cycles,
     _map_replications,
     run_age_sweep,
     simulate_ledger,
@@ -84,6 +83,13 @@ class TestMachinery:
         results = run_checks(FAST_SETTINGS, ("shifted_exp_reduction",))
         assert all(isinstance(r, CheckResult) for r in results)
         assert all(r.detail for r in results)
+
+    @pytest.mark.parametrize("check", validation._CHECKS, ids=CHECK_NAMES)
+    def test_a_check_returns_a_python_bool_and_str(self, check):
+        # as the module says, and before run_checks makes a record of them
+        passed, detail = check(ValidationSettings(num_intervals=2000, replications=2))
+        assert type(passed) is bool
+        assert type(detail) is str
 
 
 class TestPooledZ:
@@ -156,8 +162,9 @@ class TestCheckThreads:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # measured 7.6 length-(N R) float64 arrays; a whole ledger and its
-        # moment samples alive at once took 13.3
+        # measured 6.2 length-(N R) float64 arrays, and 7.1 while each block's
+        # cycles were new arrays; a whole ledger and its moment samples alive
+        # at once took 13.3
         assert peak <= 10 * 8 * settings.num_intervals * settings.replications
 
     def test_simulation_moments_memory_does_not_grow_with_the_run(self):
@@ -467,7 +474,8 @@ def whole_run_bookkeeping(seed, num_intervals):
     rng = np.random.default_rng(seed)
     ledger = simulate_ledger(ServiceDistribution(rate=1.0, shift=0.5), 2, num_intervals, rng)
     d = np.flatnonzero(ledger.delivered)
-    w, _ = _cycles(ledger.y, ledger.x_nonp, d)
+    # the cycles' spans and lengths by their definition
+    w = np.diff(np.cumsum(ledger.y)[d])
     m = np.diff(d)
     return (
         m.size,
