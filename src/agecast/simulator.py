@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import signal
-import threading
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import partial
@@ -187,7 +186,7 @@ def _nonpriority_age(w: np.ndarray, xtilde: np.ndarray) -> tuple[float, float, f
 
 
 class _Workspace:
-    """Named buffers that one thread reuses from pass to pass, made on first use.
+    """Named buffers that one process reuses from pass to pass, made on first use.
 
     ``work(name, dtype, size)`` is the first ``size`` elements (the
     workspace's size by default) of the buffer ``name``.  A buffer is
@@ -196,19 +195,20 @@ class _Workspace:
     dtype.  A buffer holds whatever its last writer left, so every user
     writes a slice before it reads it and reads only that slice.
 
-    The thread that makes a workspace owns it; nothing else holds one.
-    Each owner names its buffers:
+    The process that makes a workspace owns it, and a workspace made
+    empty before a fork becomes each forked worker's own; no two
+    processes or threads share one.  Each owner names its buffers:
 
-    - a replication workspace, one per thread of a
-      :func:`_map_replications` call, which goes when the call returns:
+    - a replication workspace, one per process that runs replications of
+      a :func:`_map_replications` call, which goes when the call returns:
       the float64 ``x_nonp``, ``u_max``, ``x1``, ``y`` and ``chunk`` and
       the bool ``delivered`` that :func:`generate_interval_sweep` draws,
       the float64 ``spans`` of the estimators, and for
       :func:`_replication_estimates` only the bool ``miss`` mask; the
       whole run's :func:`_cycles` go into ``y`` and ``spans``;
-    - a ledger writer's workspace, one per :func:`write_ledger_csv` call
-      or per forked worker: the same drawn columns of one task, and the
-      scratch and text that ``_shortest.ledger_text`` names;
+    - a ledger writer's workspace, one per :func:`write_ledger_csv` call,
+      and its copy in each forked worker: the same drawn columns of one
+      task, and the scratch and text that ``_shortest.ledger_text`` names;
     - the two workspaces of one :func:`_run_cycles` run: the drawn
       columns of one block, and the block's cycles: the float64 ``y``
       (end times, then spans) and ``spans`` (the deliveries' end times,
@@ -233,23 +233,25 @@ class _Workspace:
 def _run_bytes(num_intervals: int, replications: int) -> int:
     """Bytes of the arrays that a run, sweep or ``validate`` holds at once.
 
-    Per replication thread: a :class:`_Workspace` of five float64
-    buffers and one bool (and a bool miss mask for the full estimates of
-    :func:`run_k_sweep`), and the int64 delivery or miss indices, so the
-    bound has one float64 buffer of slack.  A run has at most one thread
-    per replication and one workspace per thread, and its workspaces go
-    when it returns.  The slack is kept: peak RSS from ``--intervals``
-    10^5 to 4·10^5 (``tests/peak_growth.py``, 2 vCPUs) grows 47.4 to 48.3
-    bytes per interval for a one-CPU ``sweep-k --k 1..5``, but 100.9 to
-    106.8 (50.5 to 53.4 per thread) on two CPUs, above the 49 bytes of
-    the buffers alone.
+    Per process that runs replications: a :class:`_Workspace` of five
+    float64 buffers and one bool (and a bool miss mask for the full
+    estimates of :func:`run_k_sweep`), and the int64 delivery or miss
+    indices, so the bound has one float64 buffer of slack.  A run has at
+    most one worker per replication and one workspace per worker, and
+    its workspaces go when it returns.  The bound counts the workspaces
+    of all the processes, ``min(cpus, replications)`` of them, although
+    each worker peaks on its own.  The slack is kept: from
+    ``--intervals`` 10^5 to 4·10^5 (``tests/peak_growth.py``, 2 vCPUs),
+    the peak RSS of a one-CPU ``sweep-k --k 1..5`` grows 47.4 to 48.5
+    bytes per interval.  On two CPUs that script reads the largest
+    single process, which grows 27.0.
 
     ``validate`` is refused by this bound alone.  Its sampling checks
     stream in blocks of rows, and of its runs only ``age_regression``'s
     grow with ``--intervals``; they run one at a time.  When two or more
-    checks run, a check runs in a pool thread and its runs replicate in
-    that thread.  A check run alone runs in the caller's thread, and its
-    runs use pools of their own, as a sweep's do.
+    checks run, a check runs in a pool worker and its runs replicate in
+    that worker.  A check run alone runs in the caller, and its runs use
+    pools of their own, as a sweep's do.
     """
     return (6 * 8 + 2 + 8) * num_intervals * min(_usable_cpus(), replications)
 
@@ -557,40 +559,83 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-# marks the threads of the pool that _ordered_map opens
-_in_pool = threading.local()
+# the ``(fn, items, cancelled)`` of the map that a pool worker of
+# _ordered_map serves, set after the fork by _start_worker; None in every
+# other process
+_worker = None
 
 
-def _mark_pool_thread() -> None:
-    _in_pool.marked = True
+def _start_worker(fn, items, cancelled) -> None:
+    global _worker
+    _worker = fn, items, cancelled
+    # Ctrl-C reaches the whole process group; only the parent acts on it
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _ordered_map(fn, items: Sequence) -> list:
-    """``[fn(item) for item in items]``, on at most one level of threads.
+def _run_item(index: int):
+    fn, items, cancelled = _worker
+    # an item still queued when the map failed returns without running
+    return None if cancelled.value else fn(items[index])
 
-    A call with two or more items, on two or more usable CPUs, runs them
-    on a pool of one thread per CPU of the affinity mask, at most one per
-    item, and shuts it down before it returns.  Any other call, and any
-    call made from one of the pool's threads, runs its items in the
-    caller's thread, so a nested map (a check's replications) stays in
-    the thread of the item that makes it and never more than one thread
-    per CPU runs.
 
-    Results come back in item order, so they do not depend on the thread
-    count.  If a call raises, the queued ones are cancelled and the first
-    exception in item order reaches the caller once the pool's threads
-    have stopped.
+def _pool_size(count: int) -> int:
+    """Worker processes that :func:`_ordered_map` forks for ``count`` items; 1 means none."""
+    workers = min(_usable_cpus(), count)
+    if workers <= 1 or _worker is not None:
+        return 1
+    import multiprocessing  # here, so that importing agecast stays as fast
+
+    return workers if "fork" in multiprocessing.get_all_start_methods() else 1
+
+
+def _ordered_map(fn, items: Sequence, cancel=None) -> list:
+    """``[fn(item) for item in items]``, on at most one level of forked workers.
+
+    A call with two or more items, on two or more usable CPUs, forks a
+    pool of one worker process per CPU of the affinity mask, at most one
+    per item, and stops it before it returns.  Any other call, any call
+    made in one of the pool's workers, and any call where the ``fork``
+    start method does not exist runs its items in the caller, so a
+    nested map (a check's replications) stays in the worker of the item
+    that makes it and never more than one worker per CPU runs.
+
+    ``fn`` and ``items`` reach the workers by inheritance, unpickled, and
+    each item's index goes to a worker; only results and exceptions are
+    pickled back.  What ``fn`` reads is therefore the caller's state at
+    the fork, and what it writes stays in the worker: a buffer made empty
+    before the call becomes each worker's own.  Results come back in item
+    order, so they do not depend on the worker count.  If a call raises,
+    the queued ones are cancelled, the running ones finish, and the first
+    exception in item order reaches the caller once every worker has
+    stopped.  Items that wait on other items must stop waiting when the
+    map fails: ``cancel``, if given, is called in the caller then, after
+    the queued items are cancelled, to release them.
     """
-    workers = min(_usable_cpus(), len(items))
-    if workers <= 1 or getattr(_in_pool, "marked", False):
+    workers = _pool_size(len(items))
+    if workers == 1:
         return list(map(fn, items))
-    # here, so that importing agecast stays as fast
-    from concurrent.futures import ThreadPoolExecutor
+    import multiprocessing
 
-    # map cancels the queued items when one raises, and the with block
-    # joins the threads before the exception leaves it
-    with ThreadPoolExecutor(workers, initializer=_mark_pool_thread) as pool:
-        return list(pool.map(fn, items))
+    # fork, so that no worker imports agecast again.  The pool forks its
+    # workers before it starts its own threads, and they call no BLAS
+    # routine.  imap returns in item order and raises the first exception
+    # in item order
+    context = multiprocessing.get_context("fork")
+    cancelled = context.RawValue("b", 0)
+    with context.Pool(workers, _start_worker, (fn, items, cancelled)) as pool:
+        try:
+            return list(pool.imap(_run_item, range(len(items))))
+        except BaseException:
+            cancelled.value = 1
+            if cancel is not None:
+                cancel()
+            raise
+        finally:
+            # the workers stop on their own: a worker that Pool.terminate
+            # kills while it sends a result leaves the lock of the result
+            # queue taken, and the pool's task thread then waits on it forever
+            pool.close()
+            pool.join()
 
 
 def _map_replications(config: SimConfig, ks, fn) -> list[list]:
@@ -598,27 +643,23 @@ def _map_replications(config: SimConfig, ks, fn) -> list[list]:
 
     Replication r draws from child stream r spawned from the master seed,
     so it is reproducible on its own and independent of the others.  The
-    replications run through :func:`_ordered_map`, one thread per usable
-    CPU and at most one per replication (numpy releases the GIL while it
-    draws, transforms and sums), or all in the caller's thread when it
-    is one of the pool's; they come back in replication order.
+    replications run through :func:`_ordered_map`, one worker process per
+    usable CPU and at most one per replication, or all in the caller when
+    it is one of the pool's workers; they come back in replication order.
 
-    Each thread that runs a replication of this call makes one
-    :class:`_Workspace`, draws every replication it runs into it and
-    passes it to ``fn`` as ``work`` for its scratch.  The workspaces
-    belong to this call and go when it returns, so a run holds at most
-    one per thread that ran it, and a thread at most one at a time.  The
+    This call makes one :class:`_Workspace`, empty, before the map.  Each
+    process that runs a replication of the call (the caller, or each
+    worker, which owns its copy after the fork) draws every replication it
+    runs into it and passes it to ``fn`` as ``work`` for its scratch.  The
+    workspace goes when the call returns, and a worker's when the worker
+    exits, so a run holds at most one per process that ran it.  The
     columns ``fn`` gets are overwritten at the next k, so ``fn`` must not
-    keep them.
+    keep them, and ``fn`` must return what pickles.
     """
     children = np.random.SeedSequence(config.seed).spawn(config.replications)
-    # each thread's workspace, dropped with this local when the call returns
-    here = threading.local()
+    work = _Workspace(config.num_intervals)
 
     def replicate(child) -> list:
-        work = getattr(here, "work", None)
-        if work is None:
-            work = here.work = _Workspace(config.num_intervals)
         rng = np.random.default_rng(child)
         intervals = generate_interval_sweep(
             rng, config.dist, config.num_intervals, ks, work
@@ -664,7 +705,7 @@ def _replication_estimates(y, x1, x_nonp, delivered, work) -> dict[str, float]:
 
     Read straight off the interval columns and their :func:`_cycles`, with
     every length-N temporary in the buffers of the workspace ``work``, so
-    a thread that reuses one workspace makes no length-N array per point.
+    a process that reuses one workspace makes no length-N array per point.
     The sums of y come first, because :func:`_ages` spends a ``y`` drawn
     into the workspace.  Each sum sees the same values as the one over a
     new array, contiguous and of the same length, so it keeps its bits:
@@ -742,13 +783,14 @@ def run_k_sweep(configs: Sequence[SimConfig]) -> tuple[SimResult, ...]:
     any k sees fewer than two deliveries or not a single miss, which at
     practical run lengths only happens for tiny ``num_intervals``.
 
-    The replications run on one thread per CPU of the affinity mask, at
-    most one per replication, or in the calling thread when it is a pool
-    thread (a ``validate`` check), and are combined in replication order,
-    so the results do not depend on the CPU count.  Each thread reuses
-    one workspace of a few length-N buffers for all its replications and
-    points, and the sweep drops them when it returns, so memory is about
-    the thread count times that workspace at any k (tracemalloc: 6.4 arrays at N = 100 000, k = 1..20, one thread;
+    The replications run on one forked worker per CPU of the affinity
+    mask, at most one per replication, or in the caller when it is a
+    pool worker (a ``validate`` check), and are combined in replication
+    order, so the results do not depend on the CPU count.  Each process
+    reuses one workspace of a few length-N buffers for all its
+    replications and points, and drops it when the sweep returns, so
+    memory is about the worker count times that workspace at any k
+    (tracemalloc: 6.4 arrays at N = 100 000, k = 1..20, in one process;
     6.3 for :func:`run_age_sweep`).
     """
     first, points = _k_sweep(configs, _replication_estimates)
@@ -881,6 +923,8 @@ def _write_rows(spec: LedgerSpec, fd: int, turn, work: _Workspace, start: int) -
     ``(Condition, value)``: the text is formatted first, then written
     once the value reaches this task's index, which it then moves on, so
     the workers write in row order through the file offset they share.
+    A value of -1 (:func:`_break_turn`) means the dump failed: the task
+    then returns without writing.
     """
     stop = min(start + _ROWS, spec.num_intervals)
     text, deliveries = _ledger_rows(spec, start, stop, work)
@@ -890,39 +934,20 @@ def _write_rows(spec: LedgerSpec, fd: int, turn, work: _Workspace, start: int) -
     condition, position = turn
     task = start // _ROWS
     with condition:
-        condition.wait_for(lambda: position.value == task)
-        _write_all(fd, text)
-        position.value = task + 1
-        condition.notify_all()
+        condition.wait_for(lambda: position.value in (task, -1))
+        if position.value == task:
+            _write_all(fd, text)
+            position.value = task + 1
+            condition.notify_all()
     return deliveries
 
 
-# a pool worker's task, set by _start_worker in the worker only
-_worker_task = None
-
-
-def _start_worker(spec: LedgerSpec, fd: int, turn) -> None:
-    global _worker_task
-    # the worker's own workspace, made after the fork
-    _worker_task = partial(_write_rows, spec, fd, turn, _Workspace(_ROWS))
-    # Ctrl-C reaches the whole process group; only the parent acts on it
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-def _worker_rows(start: int) -> int:
-    return _worker_task(start)
-
-
-def _pool_size(num_rows: int) -> int:
-    """Processes that write a ledger of ``num_rows`` rows; 1 means this one alone."""
-    if num_rows < _POOL_MIN_ROWS:
-        return 1
-    import multiprocessing  # here, so that importing agecast stays as fast
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    tasks = -(-num_rows // _ROWS)
-    return min(_usable_cpus(), tasks)
+def _break_turn(turn) -> None:
+    """Release the tasks that wait for a turn that a failed task will never pass on."""
+    condition, position = turn
+    with condition:
+        position.value = -1
+        condition.notify_all()
 
 
 def write_ledger_csv(ledger: LedgerSpec, path) -> int:
@@ -934,22 +959,22 @@ def write_ledger_csv(ledger: LedgerSpec, path) -> int:
     and laid out as byte text by ``_shortest.ledger_text``.  Each process
     that formats owns one :class:`_Workspace` of a task's rows, which
     holds the task's columns, every intermediate of its text and the
-    text itself from task to task: this call makes one on the
-    single-process path, and each forked worker makes its own after the
-    fork.  No workspace is shared, so two threads may dump at once.
-    Memory stays one workspace per process whatever ``num_intervals``,
-    and no process-wide allocator setting is changed.  Floats are
-    written as the shortest decimal that reads back to the same double,
-    byte for byte ``repr``, which the tests check.  From ``_POOL_MIN_ROWS`` =
-    65536 rows on, where the ``fork`` start method exists and the
-    process may run on more than one CPU, the tasks run on a pool of
-    forked workers, at most one per CPU of the affinity mask.  Each
-    worker writes its own text to the file descriptor it inherits, in row
-    order, and sends back only its delivery count; fork spares each
-    worker a fresh import of agecast, and the workers share only the
-    spec, the descriptor and the turn.  If a task raises, the exception
-    reaches the caller and the waiting workers are terminated.  The bytes
-    do not depend on the path taken or on the CPU count.
+    text itself from task to task: this call makes one, empty, and each
+    forked worker fills its own copy after the fork.  No workspace is
+    shared, so two threads may dump at once.  Memory stays one workspace
+    per process whatever ``num_intervals``, and no process-wide
+    allocator setting is changed.  Floats are written as the shortest
+    decimal that reads back to the same double, byte for byte ``repr``,
+    which the tests check.  From ``_POOL_MIN_ROWS`` = 65536 rows on, the
+    tasks run through :func:`_ordered_map`, so on more than one CPU they
+    run on its pool of forked workers, at most one per CPU of the
+    affinity mask.  Each worker writes its own text to the file
+    descriptor it inherits, in row order, and sends back only its
+    delivery count; the workers share only the spec, the descriptor and
+    the turn.  If a task raises, the queued tasks are cancelled, the
+    tasks that wait for their turn return without writing, and the
+    exception reaches the caller.  The bytes do not depend on the path
+    taken or on the CPU count.
     """
     # imported on the ledger path only, and before the fork, so that the
     # workers inherit it
@@ -960,22 +985,16 @@ def write_ledger_csv(ledger: LedgerSpec, path) -> int:
     try:
         # written before the fork, so the workers' writes follow it
         _write_all(fd, LEDGER_HEADER)
-        workers = _pool_size(ledger.num_intervals)
-        if workers == 1:
-            work = _Workspace(_ROWS)
-            return sum(map(partial(_write_rows, ledger, fd, None, work), starts))
-        import multiprocessing
+        turn = None
+        if ledger.num_intervals >= _POOL_MIN_ROWS and _pool_size(len(starts)) > 1:
+            import multiprocessing
 
-        # fork, so that no worker imports agecast again and each inherits
-        # the descriptor, whose file offset they all share.  The workers
-        # are forked before the pool starts its own threads, and they call
-        # no BLAS routine.
-        context = multiprocessing.get_context("fork")
-        turn = (context.Condition(), context.RawValue("q", 0))
-        with context.Pool(workers, _start_worker, (ledger, fd, turn)) as pool:
-            deliveries = sum(pool.imap(_worker_rows, starts))
-            pool.close()
-            pool.join()
-        return deliveries
+            # the workers write through the file offset they share, in turn
+            context = multiprocessing.get_context("fork")
+            turn = (context.Condition(), context.RawValue("q", 0))
+        write = partial(_write_rows, ledger, fd, turn, _Workspace(_ROWS))
+        if turn is None:
+            return sum(map(write, starts))
+        return sum(_ordered_map(write, starts, partial(_break_turn, turn)))
     finally:
         os.close(fd)

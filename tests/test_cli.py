@@ -310,6 +310,40 @@ class TestLedgerCommand:
         assert capsys.readouterr().out.count("wrote") == 1
 
     @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (POOLED + ["--out", "draws.csv"], 0),
+            (["sweep-k", "--k", "1..3", "--intervals", "2000", "--replications", "2"], 0),
+            (["validate", "--intervals", "10000", "--replications", "4", "--tolerance", "0.05"], 0),
+            # replications that raise, in sweep workers and in check workers
+            (["sweep-k", "--k", "1..3", "--intervals", "2", "--replications", "2"], 2),
+            (["validate", "--intervals", "2"], 2),
+        ],
+    )
+    def test_pooled_runs_leave_no_workers_and_print_once(self, tmp_path, argv, code):
+        # a fresh interpreter whose stdout is a pipe, so it buffers a line
+        # that a worker forked from it could print a second time
+        script = (
+            "import multiprocessing, os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from agecast.cli import main\n"
+            "print('started', end=' ')\n"
+            f"code = main({argv!r})\n"
+            "print('workers left', multiprocessing.active_children())\n"
+            "sys.exit(code)\n"
+        )
+        env = fresh_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == code, done.stderr
+        assert done.stdout.count("started") == 1
+        assert done.stdout.endswith("workers left []\n")
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize(
         "cpus, argv",
         [(1, ["ledger", "--k", "3", "--intervals", "5000", "--seed", "11"]), (2, POOLED)],
     )
@@ -554,11 +588,17 @@ def test_import_loads_neither_numpy_random_nor_a_pool_module():
     assert done.stdout.split() == []
 
 
-def run_fresh(code, **env_changes):
-    """The stdout of a fresh interpreter running ``code`` with agecast importable."""
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this agecast."""
     package_root = str(Path(agecast.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    return env
+
+
+def run_fresh(code, **env_changes):
+    """The stdout of a fresh interpreter running ``code`` with agecast importable."""
+    env = fresh_env()
     for name, value in env_changes.items():
         if value is None:
             env.pop(name, None)

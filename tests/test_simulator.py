@@ -7,7 +7,6 @@ import gc
 import math
 import multiprocessing
 import os
-import sys
 import threading
 import time
 import tracemalloc
@@ -520,37 +519,66 @@ class TestReplicationThreads:
 
     @pytest.mark.parametrize("cpus", [1, 2, 64])
     def test_one_thread_per_cpu_at_most_one_per_replication(self, monkeypatch, cpus):
+        # one worker process per CPU and at most one per replication, so
+        # 64 CPUs fork four
         set_cpus(monkeypatch, cpus)
         config = SimConfig(dist=EXP1, k=1, num_intervals=100, seed=1, replications=4)
-        threads = _map_replications(config, (1, 2), lambda *columns: threading.get_ident())
-        assert len(threads) == 4 and all(len(per_k) == 2 for per_k in threads)
-        used = {ident for per_k in threads for ident in per_k}
+        pids = _map_replications(config, (1, 2), lambda *columns: os.getpid())
+        assert len(pids) == 4 and all(len(per_k) == 2 for per_k in pids)
+        # a replication's points run in one process
+        assert all(len(set(per_k)) == 1 for per_k in pids)
+        used = {pid for per_k in pids for pid in per_k}
         assert len(used) <= min(cpus, 4)
-        # a pool of one thread is the caller's own; a larger one never uses it
-        assert (threading.get_ident() in used) == (min(cpus, 4) == 1)
+        # a pool of one is the caller itself; a larger one never uses it
+        assert (os.getpid() in used) == (min(cpus, 4) == 1)
+        assert multiprocessing.active_children() == []
+
+    def test_two_threads_map_at_once(self, monkeypatch):
+        # each map hands its own function and items to the workers it forks
+        set_cpus(monkeypatch, 2)
+        configs = [
+            SimConfig(dist=self.SEXP, k=k, num_intervals=2000, seed=seed, replications=4)
+            for k, seed in ((2, 41), (5, 42))
+        ]
+        results = {}
+
+        def run(config):
+            results[config.seed] = run_simulation(config)
+
+        threads = [threading.Thread(target=run, args=(config,)) for config in configs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        set_cpus(monkeypatch, 1)
+        assert results == {config.seed: run_simulation(config) for config in configs}
+        assert multiprocessing.active_children() == []
 
     def test_a_failing_replication_cancels_the_queued_ones(self, monkeypatch):
         set_cpus(monkeypatch, 2)
         config = SimConfig(dist=EXP1, k=1, num_intervals=100, seed=1, replications=8)
-        error = InsufficientDataError("replication too short")
-        calls = []
-        lock = threading.Lock()
+        # the calls of every worker process
+        calls = multiprocessing.Value("i", 0)
 
         def estimate(*columns):
-            with lock:
-                calls.append(None)
-                first = len(calls) == 1
+            with calls.get_lock():
+                calls.value += 1
+                first = calls.value == 1
             if first:
-                raise error
+                raise InsufficientDataError("replication too short")
             # long enough for the caller to cancel what is still queued
             time.sleep(0.2)
 
         before = threading.active_count()
         with pytest.raises(InsufficientDataError) as caught:
             _map_replications(config, (1,), estimate)
-        assert caught.value is error
-        assert len(calls) < config.replications
-        # the pool's threads are joined before the error reaches the caller
+        # a copy of the worker's exception, pickled back
+        assert type(caught.value) is InsufficientDataError
+        assert str(caught.value) == "replication too short"
+        assert calls.value < config.replications
+        # the pool's workers and threads are joined before the error reaches the caller
+        assert multiprocessing.active_children() == []
         assert threading.active_count() == before
 
     def test_one_cpu_sweep_holds_at_most_ten_arrays(self, monkeypatch):
@@ -593,7 +621,8 @@ class TestReplicationThreads:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_workspaces_are_dropped_on_return(self, monkeypatch, cpus):
-        # on one CPU the workspace lives in this thread, on two in the pool's
+        # on one CPU the workspace is filled in this process, on two in the
+        # workers' copies; this process's goes when the run returns
         set_cpus(monkeypatch, cpus)
         run_simulation(SimConfig(dist=EXP1, k=3, num_intervals=1000, seed=1, replications=4))
         # earlier tests may leave workspaces in unreachable cycles (tracebacks)
@@ -619,35 +648,58 @@ class TestReplicationThreads:
         assert faults <= 20_000
 
 
-def test_nested_items_run_once_each_in_item_order(monkeypatch):
-    # more threads than cores, switching often: the outer items run on
-    # the pool, and each runs its nested items in its own thread, once
+def test_nested_items_run_once_each_in_item_order(monkeypatch, tmp_path):
+    # more workers than cores: the outer items run on the pool's worker
+    # processes, and each runs its nested items in its own worker, once
     # each and in item order
-    set_cpus(monkeypatch, 8)
-    runs = {}
-    lock = threading.Lock()
+    set_cpus(monkeypatch, 4)
+    log = tmp_path / "runs.txt"
 
     def leaf(item):
-        with lock:
-            runs[item] = runs.get(item, 0) + 1
-        return item, threading.get_ident()
+        # one short appended write per run, whichever process makes it
+        with open(log, "a") as handle:
+            handle.write(f"{item}\n")
+        return item, os.getpid()
 
     def outer(i):
-        here = threading.get_ident()
+        here = os.getpid()
         nested = _ordered_map(leaf, [(i, j) for j in range(50)])
-        assert {ident for _, ident in nested} == {here}
-        return [item for item, _ in nested]
+        assert {pid for _, pid in nested} == {here}
+        return [item for item, _ in nested], here
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
     faulthandler.dump_traceback_later(120, exit=True)
     try:
-        results = _ordered_map(outer, range(20))
+        results = _ordered_map(outer, range(6))
     finally:
         faulthandler.cancel_dump_traceback_later()
-        sys.setswitchinterval(interval)
-    assert results == [[(i, j) for j in range(50)] for i in range(20)]
-    assert len(runs) == 1000 and set(runs.values()) == {1}
+    assert [items for items, _ in results] == [[(i, j) for j in range(50)] for i in range(6)]
+    used = {pid for _, pid in results}
+    assert os.getpid() not in used and len(used) <= 4
+    runs = log.read_text().splitlines()
+    assert len(runs) == 300 and len(set(runs)) == 300
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failing_map_lets_the_running_items_finish(monkeypatch, tmp_path):
+    # no worker is killed: one killed while it sends a result would hold
+    # the lock of the pool's result queue for good, and the pool would hang
+    set_cpus(monkeypatch, 2)
+
+    def item(i):
+        if i == 0:
+            raise ValueError("item 0")
+        time.sleep(0.3)
+        (tmp_path / str(i)).touch()
+
+    for _ in range(3):
+        with pytest.raises(ValueError, match="item 0"):
+            _ordered_map(item, range(8))
+        ran = sorted(int(path.name) for path in tmp_path.iterdir())
+        # item 1 was running when item 0 failed, and the queued ones were cancelled
+        assert ran[0] == 1 and len(ran) < 7
+        assert multiprocessing.active_children() == []
+        for path in tmp_path.iterdir():
+            path.unlink()
 
 
 def test_standard_error_keeps_its_bits_and_does_not_overflow():
@@ -990,17 +1042,27 @@ def set_cpus(monkeypatch, count):
 
 
 class TestLedgerWorkerPool:
-    def test_pool_size(self, monkeypatch):
+    def test_pool_size(self, monkeypatch, tmp_path):
+        # the workers of the map that the ledger's tasks run through
         set_cpus(monkeypatch, 2)
-        assert _pool_size(_POOL_MIN_ROWS - 1) == 1
-        assert _pool_size(_POOL_MIN_ROWS) == 2
+        assert _pool_size(1) == 1
+        assert _pool_size(2) == 2
         set_cpus(monkeypatch, 1)
-        assert _pool_size(10 * _POOL_MIN_ROWS) == 1
-        # never more workers than tasks of four blocks
+        assert _pool_size(10) == 1
+        # never more workers than items: the tasks of the smallest pooled ledger
         set_cpus(monkeypatch, 64)
-        assert _pool_size(_POOL_MIN_ROWS) == 4
+        assert _pool_size(_POOL_MIN_ROWS // _ROWS) == 4
+        # a map in a pool's worker runs inline, and so does one without fork
+        monkeypatch.setattr(simulator, "_worker", (None, ()))
+        assert _pool_size(4) == 1
+        monkeypatch.setattr(simulator, "_worker", None)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert _pool_size(_POOL_MIN_ROWS) == 1
+        assert _pool_size(4) == 1
+        # a ledger below the floor runs its tasks without the map
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
+        monkeypatch.setattr(simulator, "_ordered_map", None)
+        spec = LedgerSpec(EXP1, 3, _POOL_MIN_ROWS - 1, 5)
+        assert write_ledger_csv(spec, tmp_path / "x.csv") == reference_ledger(spec).delivered.sum()
 
     @pytest.fixture
     def no_hang(self):
@@ -1017,7 +1079,7 @@ class TestLedgerWorkerPool:
         set_cpus(monkeypatch, cpus)
         # four tasks, the last of 17 rows
         spec = LedgerSpec(EXP1, 3, 3 * _ROWS + 17, 31)
-        assert _pool_size(spec.num_intervals) == cpus
+        assert _pool_size(4) == cpus
         path = tmp_path / "ledger.csv"
         starts = range(0, spec.num_intervals, _BLOCK_ROWS)
         blocks = [repr_ledger_rows(spec, a) for a in starts]

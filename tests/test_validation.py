@@ -1,6 +1,7 @@
 """Self-check machinery and a reduced-size full sweep of the checks."""
 
 import math
+import multiprocessing
 import os
 import threading
 import time
@@ -30,6 +31,7 @@ from agecast.validation import (
     _bookkeeping,
     _co_moment,
     _deviation_sums,
+    _kth_smallest,
     _pooled_z,
     check_age_regression,
     check_cycle_bookkeeping,
@@ -122,24 +124,27 @@ class TestCheckThreads:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_failing_check_cancels_the_queued_ones(self, monkeypatch, cpus):
         set_cpus(monkeypatch, cpus)
-        first = InsufficientDataError("first in check order")
-        sooner = InsufficientDataError("raised sooner, later in check order")
-        calls = []
+        # the calls of every worker process
+        calls = multiprocessing.Value("i", 0)
+
+        def called():
+            with calls.get_lock():
+                calls.value += 1
 
         def check(index):
             def run(settings):
-                calls.append(index)
+                called()
                 # long enough for the caller to cancel what is still queued
                 time.sleep(0.2)
                 if index == 0:
-                    raise first
+                    raise InsufficientDataError("first in check order")
                 return True, "ran"
 
             return run
 
         def fails_at_once(settings):
-            calls.append(1)
-            raise sooner
+            called()
+            raise InsufficientDataError("raised sooner, later in check order")
 
         checks = [check(i) for i in range(len(CHECK_NAMES))]
         checks[1] = fails_at_once
@@ -147,9 +152,12 @@ class TestCheckThreads:
         before = threading.active_count()
         with pytest.raises(InsufficientDataError) as caught:
             run_checks(FAST_SETTINGS)
-        assert caught.value is first
-        assert len(calls) < len(CHECK_NAMES)
-        # the pool's threads are joined before the error reaches the caller
+        # a copy of the worker's exception, pickled back
+        assert type(caught.value) is InsufficientDataError
+        assert str(caught.value) == "first in check order"
+        assert calls.value < len(CHECK_NAMES)
+        # the pool's workers and threads are joined before the error reaches the caller
+        assert multiprocessing.active_children() == []
         assert threading.active_count() == before
 
     def test_simulation_moments_holds_at_most_ten_arrays(self):
@@ -216,25 +224,53 @@ class TestCheckThreads:
         # temporaries grew by 9.2 MB
         assert peaks[1] - peaks[0] < 8 * 8 * _ROWS
 
-class TestOnePool:
-    """The checks run on one pool, and each check's replications in its thread."""
+def record_started_workers(monkeypatch, log):
+    """Append ``pid parent-pid`` to ``log`` from each pool worker that starts."""
+    start = simulator._start_worker
 
-    def test_no_more_threads_than_cpus(self, monkeypatch):
+    def recorded(*args):
+        append_line(log, f"{os.getpid()} {os.getppid()}")
+        start(*args)
+
+    monkeypatch.setattr(simulator, "_start_worker", recorded)
+
+
+def append_line(path, line: str) -> None:
+    # one short appended write, whichever process makes it
+    with open(path, "a") as handle:
+        handle.write(line + "\n")
+
+
+def count_workspaces(monkeypatch):
+    """Count, over every process, the workspaces alive and the most alive at once."""
+    alive, most = multiprocessing.Value("i", 0), multiprocessing.Value("i", 0)
+
+    def dropped():
+        with alive.get_lock():
+            alive.value -= 1
+
+    class Counted(simulator._Workspace):
+        def __init__(self, size):
+            super().__init__(size)
+            with alive.get_lock():
+                alive.value += 1
+                most.value = max(most.value, alive.value)
+            weakref.finalize(self, dropped)
+
+    monkeypatch.setattr(simulator, "_Workspace", Counted)
+    return alive, most
+
+
+class TestOnePool:
+    """The checks run on one pool, and each check's replications in its worker."""
+
+    def test_no_more_threads_than_cpus(self, monkeypatch, tmp_path):
+        # no more worker processes than CPUs, all forked by this process
         set_cpus(monkeypatch, 1)
         serial = run_checks(FAST_SETTINGS)
-        set_cpus(monkeypatch, 16)
-        most = 0
-        done = threading.Event()
-
-        def sample():
-            nonlocal most
-            while not done.is_set():
-                most = max(most, threading.active_count())
-                time.sleep(0.0005)
-
-        sampler = threading.Thread(target=sample)
-        before = threading.active_count()
-        sampler.start()
+        set_cpus(monkeypatch, 4)
+        log = tmp_path / "workers.txt"
+        record_started_workers(monkeypatch, log)
         started = []
         start = threading.Thread.start
 
@@ -243,134 +279,95 @@ class TestOnePool:
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", counted_start)
-        try:
-            results = run_checks(FAST_SETTINGS)
-        finally:
-            done.set()
-            sampler.join()
-        # besides the caller (and any thread already running) and the
-        # sampler: the check threads, which run their replications
-        # themselves (a pool per simulating call ran up to 21 at once)
-        assert most - before - 1 <= 16
-        # and started dozens, a pool per simulating call
-        assert len(started) <= 16
+        results = run_checks(FAST_SETTINGS)
+        workers = [line.split() for line in log.read_text().splitlines()]
+        # the check workers, which run their replications themselves (a
+        # pool per simulating call would fork more, from the workers)
+        assert 2 <= len(workers) <= 4
+        assert {parent for _, parent in workers} == {str(os.getpid())}
+        # the pool's three handler threads, and no thread per check
+        assert len(started) <= 3
         assert results == serial
+        assert multiprocessing.active_children() == []
 
-    def test_a_check_runs_its_replications_in_its_own_thread(self, monkeypatch):
+    def test_a_check_runs_its_replications_in_its_own_thread(self, monkeypatch, tmp_path):
+        # in its own worker process, which forks no pool of its own
         set_cpus(monkeypatch, 16)
-        checks = []
-        sweeps = []
-        starters = []
+        log = tmp_path / "calls.txt"
+        record_started_workers(monkeypatch, log)
         sweep = simulator.generate_interval_sweep
-        start = threading.Thread.start
 
         def recorded(*args, **kwargs):
-            sweeps.append(threading.get_ident())
+            append_line(log, f"sweep {os.getpid()}")
             return sweep(*args, **kwargs)
 
-        def counted_start(thread):
-            starters.append(threading.get_ident())
-            start(thread)
-
         def age_regression(settings):
-            checks.append(threading.get_ident())
+            append_line(log, f"check {os.getpid()}")
             return validation.check_age_regression(settings)
 
         def at_once(settings):
-            # leaves its thread idle while age_regression runs
+            # leaves its worker idle while age_regression runs
             return True, "returned"
 
         monkeypatch.setattr(simulator, "generate_interval_sweep", recorded)
-        monkeypatch.setattr(threading.Thread, "start", counted_start)
         monkeypatch.setattr(validation, "_CHECKS", (age_regression, at_once))
         result, _ = run_checks(FAST_SETTINGS)
         assert result.passed, result.detail
-        # in a pool thread, and every one of its runs with it
-        assert checks and checks[0] != threading.get_ident()
+        lines = [line.split() for line in log.read_text().splitlines()]
+        checks = [pid for what, pid in lines if what == "check"]
+        sweeps = [pid for what, pid in lines if what == "sweep"]
+        parents = [parent for what, parent in lines if what not in ("check", "sweep")]
+        # in a pool worker, and every one of its runs with it
+        assert checks and checks[0] != str(os.getpid())
         assert sweeps and set(sweeps) == set(checks)
-        # a check sharing the pool started threads as it queued its replications
-        assert checks[0] not in starters
+        # two checks fork two workers, and the check forked none
+        assert parents == [str(os.getpid())] * 2
 
     def test_at_most_one_workspace_per_cpu(self, monkeypatch):
         set_cpus(monkeypatch, 2)
-        lock = threading.Lock()
-        alive = most = 0
-
-        def dropped():
-            nonlocal alive
-            with lock:
-                alive -= 1
-
-        class Counted(simulator._Workspace):
-            def __init__(self, size):
-                nonlocal alive, most
-                super().__init__(size)
-                with lock:
-                    alive += 1
-                    most = max(most, alive)
-                weakref.finalize(self, dropped)
-
-        monkeypatch.setattr(simulator, "_Workspace", Counted)
+        alive, most = count_workspaces(monkeypatch)
         # the checks that replicate, so that two of them run at once
         replicating = (
             "estimator_agreement", "age_regression", "csv_round_trip", "simulation_determinism",
         )
         results = run_checks(ValidationSettings(num_intervals=20_000), replicating)
         assert all(result.passed for result in results)
-        # a pool per check thread held four
-        assert 1 <= most <= 2
-        assert alive == 0
+        # a pool per check would hold two per check worker
+        assert 1 <= most.value <= 2
+        assert alive.value == 0
 
     def test_a_run_drops_its_workspaces_when_it_returns(self, monkeypatch):
-        # more CPUs than replications, and runs made from a pool thread,
-        # which run their replications in that thread: a thread that kept
-        # the workspace of the last run it ran would hold one after the
-        # runs return, and idle threads that ran other runs' replications
-        # held up to one each
+        # more CPUs than replications, and runs made in a pool worker, which
+        # run their replications in that worker: a worker that kept the
+        # workspace of the last run it ran would hold one after the runs
+        # return
         set_cpus(monkeypatch, 16)
-        lock = threading.Lock()
-        alive = most = 0
-
-        def dropped():
-            nonlocal alive
-            with lock:
-                alive -= 1
-
-        class Counted(simulator._Workspace):
-            def __init__(self, size):
-                nonlocal alive, most
-                super().__init__(size)
-                with lock:
-                    alive += 1
-                    most = max(most, alive)
-                weakref.finalize(self, dropped)
-
-        monkeypatch.setattr(simulator, "_Workspace", Counted)
+        alive, most = count_workspaces(monkeypatch)
         config = SimConfig(
             ServiceDistribution(1.0), k=1, num_intervals=20_000, seed=1, replications=2
         )
 
         def runs(item):
-            if item == 0:  # the others return at once and leave their threads idle
+            if item == 0:  # the others return at once and leave their workers idle
                 for _ in range(20):
                     _map_replications(config, (1,), lambda *columns: time.sleep(0.002))
 
-        simulator._ordered_map(runs, range(8))
-        # each run holds one workspace, in the thread that made it
-        assert most == 1
-        assert alive == 0
+        simulator._ordered_map(runs, range(3))
+        # each run holds one workspace, in the worker that made it
+        assert most.value == 1
+        assert alive.value == 0
 
     @pytest.mark.parametrize("cpus", [2, 16])
     def test_a_failing_replication_inside_a_check(self, monkeypatch, cpus):
         config = SimConfig(ServiceDistribution(1.0), k=1, num_intervals=100, seed=1, replications=6)
         sooner = InsufficientDataError("raised sooner, later in check order")
-        calls = []
-        lock = threading.Lock()
+        # the calls of every worker process
+        calls = multiprocessing.Value("i", 0)
 
         def estimate(y, *columns):
-            with lock:
-                calls.append(None)
-                first = len(calls) == 1
+            with calls.get_lock():
+                calls.value += 1
+                first = calls.value == 1
             # the first replication to start raises last
             time.sleep(0.2 if first else 0.01)
             raise InsufficientDataError(f"replication with y[0] = {y[0]!r}")
@@ -386,12 +383,13 @@ class TestOnePool:
             _map_replications(config, (1,), estimate)
         monkeypatch.setattr(validation, "_CHECKS", (replicating, fails_at_once))
         set_cpus(monkeypatch, cpus)
-        calls.clear()
+        calls.value = 0
         before = threading.active_count()
         with pytest.raises(InsufficientDataError) as caught:
             run_checks(FAST_SETTINGS)
         # the first replication's, in replication order, of the first check
         assert str(caught.value) == str(serial.value)
+        assert multiprocessing.active_children() == []
         assert threading.active_count() == before
 
 
@@ -427,6 +425,18 @@ def test_order_stat_monte_carlo_equals_the_whole_matrix(seed):
     assert check_order_stat_monte_carlo(settings) == whole_matrix_order_stat_monte_carlo(
         settings
     )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kth_smallest_selects_what_partition_does(n):
+    rng = np.random.default_rng(n)
+    columns, spare = np.full((8, 64), np.nan), np.full(64, np.nan)
+    # few distinct values, so most rows hold ties; then distinct uniforms
+    for block in (rng.integers(0, 3, (64, n)).astype(float), rng.random((37, n))):
+        for k in range(1, n + 1):
+            expected = np.partition(block, k - 1, axis=1)[:, k - 1]
+            got = _kth_smallest(block, k, columns, spare)
+            assert got.tobytes() == expected.tobytes()
 
 
 def separate_runs_age_regression(settings):
